@@ -17,8 +17,8 @@ from pathlib import Path
 from .epsio import RewriteError, ScanError, TokenizeError, rewrite_tags, scan_tags
 from .exprkit import EMPTY_HOOKS, ExprSyntaxError
 from .fileio import atomic_write_bytes, atomic_write_text, make_backup
-from .labeling import (DuplicateTagError, parse_psfrag_document, psfrag_export,
-                       renumber)
+from .labeling import (DuplicateTagError, PsfragSyntaxError, parse_psfrag_document,
+                       parse_psfrag_line, psfrag_export, renumber)
 from .preview import UnmatchedTagWarning, substitute_preview
 from .scene import ExportOptions
 from .scenefile import SceneFormatError, load_hooks, load_scene
@@ -105,40 +105,26 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _retag_psfrag_line(line: str, tag_map: dict[str, str]) -> str:
-    marker = "\\psfrag{"
-    idx = line.find(marker)
-    if idx < 0:
-        return line
-    start = idx + len(marker)
-    close = line.find("}", start)
-    if close < 0:
-        return line
-    tag = line[start:close]
-    if tag not in tag_map:
-        return line
-    return line[:start] + tag_map[tag] + line[close:]
-
-
 def cmd_renumber(args: argparse.Namespace) -> int:
     eps_path, tex_path = Path(args.eps), Path(args.tex)
     eps_data = eps_path.read_bytes()
     tex_text = tex_path.read_text(encoding="utf-8")
     registry = parse_psfrag_document(tex_text)
-    eps_tags = {occ.tag for occ in scan_tags(eps_data)}
-    missing = [tag for tag in registry.tags() if tag not in eps_tags]
-    if missing:
-        print(f"error: tex tags not present in EPS: {', '.join(missing)}",
-              file=sys.stderr)
-        return EXIT_SEMANTIC
     _renumbered, tag_map = renumber(registry)
     new_eps = rewrite_tags(eps_data, tag_map)
-    new_tex = "".join(_retag_psfrag_line(line, tag_map)
-                      for line in tex_text.splitlines(keepends=True))
+    # Retag exactly the lines parse_psfrag_document read as entries; the
+    # parsed tag is the line's first brace group.
+    new_tex = []
+    for line in tex_text.splitlines(keepends=True):
+        entry = parse_psfrag_line(line)
+        if entry is not None:
+            start = line.index("{") + 1
+            line = line[:start] + tag_map[entry.tag] + line[start + len(entry.tag):]
+        new_tex.append(line)
     make_backup(eps_path)
     make_backup(tex_path)
     atomic_write_bytes(eps_path, new_eps)
-    atomic_write_text(tex_path, new_tex)
+    atomic_write_text(tex_path, "".join(new_tex))
     print(f"renumbered {len(tag_map)} tags")
     return EXIT_OK
 
@@ -170,7 +156,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SceneFormatError, ExprSyntaxError, TokenizeError, ScanError) as exc:
+    except (SceneFormatError, ExprSyntaxError, PsfragSyntaxError, TokenizeError,
+            ScanError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (DuplicateTagError, RewriteError) as exc:

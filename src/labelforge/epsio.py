@@ -63,11 +63,27 @@ class PsToken:
     lit_start: int = -1  # strings only: offset of the opening parenthesis
 
 
-_WHITESPACE = frozenset(b" \t\r\n\f\x00")
-_WS_RUN = re.compile(rb"[ \t\r\n\f\x00]*")
-_COMMENT_RUN = re.compile(rb"[^\r\n]*")
-_REGULAR_RUN = re.compile(rb"[^ \t\r\n\f\x00()<>\[\]{}/%]*")
-_NUMBER_FORM = re.compile(rb"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+_WS = b" \t\r\n\f\x00"
+_REGULAR = rb"[^ \t\r\n\f\x00()<>\[\]{}/%]"  # not whitespace, not a delimiter
+
+# One alternative per token kind, tried in order after the leading
+# whitespace; `<<` is a name and a `<` with no closing `>` is an error.
+_TOKEN = re.compile(
+    rb"[ \t\r\n\f\x00]*(?:"
+    rb"(?P<comment>%[^\r\n]*)"
+    rb"|(?P<string>\()"
+    rb"|(?P<number>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?(?!" + _REGULAR + rb"))"
+    rb"|(?P<name><<|>>?|" + _REGULAR + rb"+)"
+    rb"|(?P<hex><(?P<hex_body>[^>]*)>)"
+    rb"|//?(?P<literal>" + _REGULAR + rb"*)"
+    rb"|(?P<array>[\[\]])"
+    rb"|(?P<open>\{)"
+    rb"|(?P<close>\})"
+    rb"|(?P<error>[)<])"
+    rb")?")
+_KINDS = {"number": NAME, "name": NAME, "literal": LITERAL_NAME, "comment": COMMENT,
+          "array": ARRAY_DELIM, "open": PROC_DELIM, "close": PROC_DELIM}
+_ERRORS = {b")": "unmatched ')'", b"<": "unterminated hex string"}
 
 _STRING_ESCAPES = {
     ord("n"): b"\n", ord("r"): b"\r", ord("t"): b"\t",
@@ -128,13 +144,6 @@ def _scan_string(data: bytes, start: int) -> tuple[bytes, int]:
     raise TokenizeError("unterminated string", start)
 
 
-def _classify_number(text: bytes) -> float | None:
-    if _NUMBER_FORM.fullmatch(text) is None:
-        return None
-    value = float(text)
-    return value if math.isfinite(value) else None
-
-
 def tokenize(data: bytes) -> list[PsToken]:
     """Lossless tokenization of an EPS byte stream.
 
@@ -145,89 +154,48 @@ def tokenize(data: bytes) -> list[PsToken]:
     """
     tokens: list[PsToken] = []
     proc_opens: list[int] = []
+    append = tokens.append
+    match = _TOKEN.match
     i = 0
     n = len(data)
-    append = tokens.append
-
-    def emit(kind: str, value, span_start: int, end: int, lit_start: int = -1):
-        append(PsToken(kind, value, span_start, end, data[span_start:end], lit_start))
-
     while i < n:
-        span_start = i
-        i = _WS_RUN.match(data, i).end()
-        if i >= n:
+        m = match(data, i)
+        group = m.lastgroup
+        if group is None:  # only whitespace is left
             if tokens:
                 last = tokens[-1]
                 tokens[-1] = replace(last, end=n, raw=data[last.start:n])
             break
-        ch = data[i]
-        if ch == 0x25:  # %
-            j = _COMMENT_RUN.match(data, i).end()
-            emit(COMMENT, data[i:j].decode("latin-1"), span_start, j)
-            i = j
-        elif ch == 0x28:  # (
-            decoded, end = _scan_string(data, i)
-            emit(STRING, decoded, span_start, end, lit_start=i)
-            i = end
-        elif ch == 0x29:  # )
-            raise TokenizeError("unmatched ')'", i)
-        elif ch in (0x5B, 0x5D):  # [ ]
-            emit(ARRAY_DELIM, chr(ch), span_start, i + 1)
-            i += 1
-        elif ch == 0x7B:  # {
-            proc_opens.append(i)
-            emit(PROC_DELIM, "{", span_start, i + 1)
-            i += 1
-        elif ch == 0x7D:  # }
-            if not proc_opens:
-                raise TokenizeError("unmatched '}'", i)
-            proc_opens.pop()
-            emit(PROC_DELIM, "}", span_start, i + 1)
-            i += 1
-        elif ch == 0x2F:  # /
-            j = i + 1
-            if j < n and data[j] == 0x2F:
-                j += 1
-            k = _REGULAR_RUN.match(data, j).end()
-            emit(LITERAL_NAME, data[j:k].decode("latin-1"), span_start, k)
-            i = k
-        elif ch == 0x3C:  # <
-            if i + 1 < n and data[i + 1] == 0x3C:
-                emit(NAME, "<<", span_start, i + 2)
-                i += 2
-            else:
-                j = i + 1
-                digits = bytearray()
-                while j < n and data[j] != 0x3E:
-                    if data[j] not in _WHITESPACE:
-                        digits.append(data[j])
-                    j += 1
-                if j >= n:
-                    raise TokenizeError("unterminated hex string", i)
-                if len(digits) % 2:
-                    digits.append(0x30)
-                try:
-                    decoded = bytes.fromhex(digits.decode("latin-1"))
-                except ValueError:
-                    decoded = b""
-                emit(STRING, decoded, span_start, j + 1, lit_start=i)
-                i = j + 1
-        elif ch == 0x3E:  # >
-            if i + 1 < n and data[i + 1] == 0x3E:
-                emit(NAME, ">>", span_start, i + 2)
-                i += 2
-            else:
-                emit(NAME, ">", span_start, i + 1)
-                i += 1
+        text = m[group]
+        pos = m.start(group)
+        end = m.end()
+        lit_start = -1
+        if group == "number" and math.isfinite(value := float(text)):
+            kind = NUMBER
+        elif group == "string":
+            kind, lit_start = STRING, pos
+            value, end = _scan_string(data, pos)
+        elif group == "hex":
+            kind, lit_start = STRING, pos
+            digits = m["hex_body"].translate(None, _WS)
+            if len(digits) % 2:
+                digits += b"0"
+            try:
+                value = bytes.fromhex(digits.decode("latin-1"))
+            except ValueError:
+                value = b""
+        elif group == "error":
+            raise TokenizeError(_ERRORS[text], pos)
         else:
-            j = _REGULAR_RUN.match(data, i).end()
-            text = data[i:j]
-            if _NUMBER_FORM.fullmatch(text) is not None and math.isfinite(value := float(text)):
-                append(PsToken(NUMBER, value, span_start, j, data[span_start:j], -1))
-            else:
-                append(PsToken(NAME, text.decode("latin-1"), span_start, j,
-                               data[span_start:j], -1))
-            i = j
+            if group == "open":
+                proc_opens.append(pos)
+            elif group == "close":
+                if not proc_opens:
+                    raise TokenizeError("unmatched '}'", pos)
+                proc_opens.pop()
+            kind, value = _KINDS[group], text.decode("latin-1")
+        append(PsToken(kind, value, i, end, data[i:end], lit_start))
+        i = end
     if proc_opens:
         raise TokenizeError("unterminated procedure", proc_opens[0])
     return tokens
@@ -253,8 +221,8 @@ class TagOccurrence:
     byte_span: tuple[int, int]  # the (...) literal
 
 
-class _Mark:
-    pass
+_MARK = object()  # the stack entry `[` leaves
+_PROC = object()  # a skipped procedure body
 
 
 @dataclass(frozen=True)
@@ -268,12 +236,6 @@ class _PsString:
     data: bytes
     span: tuple[int, int]
 
-
-class _Proc:
-    pass
-
-
-_PROC_SENTINEL = _Proc()
 
 # Operators with no tracked semantics: name -> number of operands popped.
 _ARITY = {
@@ -337,10 +299,10 @@ class _Interpreter:
                 self.stack.append(token.value)
             elif kind == ARRAY_DELIM:
                 if token.value == "[":
-                    self.stack.append(_Mark())
+                    self.stack.append(_MARK)
                 else:
                     items = []
-                    while self.stack and not isinstance(self.stack[-1], _Mark):
+                    while self.stack and self.stack[-1] is not _MARK:
                         items.append(self.stack.pop())
                     if self.stack:
                         self.stack.pop()
@@ -353,7 +315,7 @@ class _Interpreter:
                     if tokens[i].kind == PROC_DELIM:
                         depth += 1 if tokens[i].value == "{" else -1
                     i += 1
-                self.stack.append(_PROC_SENTINEL)
+                self.stack.append(_PROC)
                 continue
             else:
                 self._execute_name(token)
@@ -479,10 +441,10 @@ class TextPlacement:
     font_size: float
 
 
-def _fmt(v: float) -> str:
+def _fmt(v: float, places: int = 3) -> str:
     if v == 0:
         v = 0.0  # normalize -0
-    s = f"{v:.3f}".rstrip("0").rstrip(".")
+    s = f"{v:.{places}f}".rstrip("0").rstrip(".")
     return s if s not in ("", "-0") else "0"
 
 
@@ -631,10 +593,9 @@ def rewrite_tags(data: bytes, tag_map: Mapping[str, str]) -> bytes:
 
     Only bytes inside matched string-literal spans change; whitespace,
     comments, and everything else is preserved. Raises RewriteError when
-    an old tag never occurs.
+    an old tag never occurs. The data is scanned even for an empty map, so
+    malformed PostScript is always rejected.
     """
-    if not tag_map:
-        return data
     occurrences = scan_tags(data)
     edits: list[tuple[tuple[int, int], str]] = []
     found: set[str] = set()

@@ -8,6 +8,7 @@ the anchor-to-alignment mapping, and the top-level export orchestration.
 
 from __future__ import annotations
 
+import math
 import re
 import warnings
 from dataclasses import dataclass, replace
@@ -22,6 +23,10 @@ from .scene import ExportOptions, Scene, auto_wrap, expand_decorations
 
 class DuplicateTagError(ValueError):
     """Two labels requested the same explicit psfrag tag."""
+
+
+class PsfragSyntaxError(ValueError):
+    """A \\psfrag line of a .tex file does not parse; the message names the line."""
 
 
 class UnbalancedBraceWarning(UserWarning):
@@ -236,6 +241,13 @@ def emit_tex(registry: TagRegistry) -> str:
     return "".join(lines)
 
 
+def _parse_slot(text: str, what: str, default: float) -> float:
+    value = float(text) if text else default
+    if not math.isfinite(value):
+        raise ValueError(f"psfrag {what} is not finite: {text!r}")
+    return value
+
+
 def parse_psfrag_line(line: str) -> PsfragEntry | None:
     """Parse one `\\psfrag{tag}[posn][psposn][scale][rot]{body}` line."""
     stripped = line.strip()
@@ -268,18 +280,26 @@ def parse_psfrag_line(line: str) -> PsfragEntry | None:
                 body_end = j
                 break
     body = stripped[body_start:body_end]
-    posn = PosCode.parse(options[0]) if len(options) > 0 and options[0] else FALLBACK_POSITION
-    psposn = PosCode.parse(options[1]) if len(options) > 1 and options[1] else posn
-    scale = float(options[2]) if len(options) > 2 and options[2] else 1.0
-    rot = float(options[3]) if len(options) > 3 and options[3] else 0.0
+    options += [""] * (4 - len(options))
+    posn = PosCode.parse(options[0]) if options[0] else FALLBACK_POSITION
+    psposn = PosCode.parse(options[1]) if options[1] else posn
+    scale = _parse_slot(options[2], "scale", 1.0)
+    rot = _parse_slot(options[3], "rotation", 0.0)
     return PsfragEntry(tag=tag, posn=posn, psposn=psposn, scale=scale, rot=rot, body=body)
 
 
 def parse_psfrag_document(text: str) -> TagRegistry:
-    """Collect all psfrag lines of a .tex file into a registry."""
+    """Collect all psfrag lines of a .tex file into a registry.
+
+    A line that starts like a psfrag entry but does not parse raises
+    PsfragSyntaxError naming the line.
+    """
     registry = TagRegistry()
     for lineno, line in enumerate(text.splitlines(), start=1):
-        entry = parse_psfrag_line(line)
+        try:
+            entry = parse_psfrag_line(line)
+        except ValueError as exc:
+            raise PsfragSyntaxError(f"line {lineno}: {exc}") from None
         if entry is not None:
             registry.add(entry, origin=f"line {lineno}")
     return registry

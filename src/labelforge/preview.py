@@ -15,7 +15,7 @@ from typing import Callable
 
 from .affine import Affine
 from .directives import PosCode
-from .epsio import TagOccurrence, scan_tags
+from .epsio import TagOccurrence, _fmt, scan_tags
 from .fontmetrics import string_extents
 from .labeling import PsfragEntry, TagRegistry
 
@@ -85,25 +85,17 @@ def default_measure(body: str) -> LabelBox:
     return LabelBox(width=5.0 * max(len(body), 1), height=10.0, depth=2.0)
 
 
-def _fmt6(v: float) -> str:
-    if v == 0:
-        v = 0.0
-    s = f"{v:.6f}".rstrip("0").rstrip(".")
-    return s if s not in ("", "-0") else "0"
-
-
 def _preview_block(occ: TagOccurrence, box: LabelBox, transform: Affine) -> bytes:
-    a, b, c, d, tx, ty = transform.as_ps_array()
-    w, h, depth = box.width, box.height, box.depth
+    a, b, c, d, tx, ty = (_fmt(v, 6) for v in transform.as_ps_array())
+    w, h, depth, label_y = (_fmt(v, 6) for v in
+                            (box.width, box.height, box.depth, box.depth + 1))
     lines = [
         "gsave",
-        f"[{_fmt6(a)} {_fmt6(b)} {_fmt6(c)} {_fmt6(d)} {_fmt6(tx)} {_fmt6(ty)}] concat",
+        f"[{a} {b} {c} {d} {tx} {ty}] concat",
         "0 setgray 0.4 setlinewidth",
-        f"newpath 0 0 moveto {_fmt6(w)} 0 lineto {_fmt6(w)} {_fmt6(h)} lineto"
-        f" 0 {_fmt6(h)} lineto closepath stroke",
-        f"newpath 0 {_fmt6(depth)} moveto {_fmt6(w)} {_fmt6(depth)} lineto stroke",
-        f"/Times-Roman 4 selectfont 1 {_fmt6(depth + 1)} moveto"
-        f" ({occ.tag}) show",
+        f"newpath 0 0 moveto {w} 0 lineto {w} {h} lineto 0 {h} lineto closepath stroke",
+        f"newpath 0 {depth} moveto {w} {depth} lineto stroke",
+        f"/Times-Roman 4 selectfont 1 {label_y} moveto ({occ.tag}) show",
         "grestore",
     ]
     return ("\n".join(lines) + "\n").encode("latin-1")

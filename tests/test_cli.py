@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
 import shutil
+import stat
 from pathlib import Path
 
 import pytest
@@ -223,6 +225,65 @@ def test_renumber_missing_tag_exits_two(tmp_path, capsys):
     assert code == 2
     assert "ghost" in capsys.readouterr().err
     assert eps_path.read_bytes() == before_eps  # nothing written
+
+
+def test_renumber_leaves_commented_psfrag_line_alone(tmp_path, capsys):
+    eps_path, tex_path = _export_3d(tmp_path)
+    tag = parse_psfrag_document(tex_path.read_text()).tags()[0]
+    comment = f"% \\psfrag{{{tag}}}[bc][bc][1][0]{{old}}\n"
+    with tex_path.open("a") as handle:
+        handle.write(comment)
+    assert main(["renumber", str(eps_path), str(tex_path)]) == 0
+    assert tex_path.read_text().endswith(comment)
+
+
+def test_renumber_empty_tex_still_rejects_truncated_eps(tmp_path, capsys):
+    eps_path, _tex_path = _export_3d(tmp_path)
+    eps_path.write_bytes(eps_path.read_bytes()[:-200] + b"(cut")
+    tex_path = tmp_path / "empty.tex"
+    tex_path.write_text("% nothing here\n")
+    capsys.readouterr()
+    assert main(["renumber", str(eps_path), str(tex_path)]) == 1
+    assert capsys.readouterr().err.startswith("error: unterminated string")
+    assert list(tmp_path.glob("*.bak")) == []
+
+
+@pytest.mark.parametrize("line", [
+    "\\psfrag{a}[zz]{x}",
+    "\\psfrag{a-b}{x}",
+    "\\psfrag{a}[bc][bc][x][0]{x}",
+    "\\psfrag{a}[bc][bc][nan][0]{x}",
+    "\\psfrag{a}[bc][bc][1][inf]{x}",
+])
+@pytest.mark.parametrize("command", ["preview", "renumber"])
+def test_bad_psfrag_line_exits_one_naming_the_line(tmp_path, capsys, command, line):
+    eps_path, tex_path = _export_3d(tmp_path)
+    tex_path.write_text("% header\n" + line + "\n")
+    out_path = tmp_path / "prev.eps"
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    argv = [command, str(eps_path), str(tex_path)]
+    assert main(argv + [str(out_path)] if command == "preview" else argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: ") and err.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == before  # no output file, no .bak
+
+
+def test_new_files_follow_umask_and_rewrites_keep_mode(tmp_path, capsys):
+    old_umask = os.umask(0o022)
+    try:
+        eps_path, tex_path = _export_3d(tmp_path)
+        assert stat.S_IMODE(eps_path.stat().st_mode) == 0o644
+        assert stat.S_IMODE(tex_path.stat().st_mode) == 0o644
+        eps_path.chmod(0o640)
+        tex_path.chmod(0o640)
+        assert main(["renumber", str(eps_path), str(tex_path)]) == 0
+        for path in (eps_path, tex_path):
+            assert stat.S_IMODE(path.stat().st_mode) == 0o640
+            backup = path.with_name(path.name + ".bak")
+            assert stat.S_IMODE(backup.stat().st_mode) == 0o640
+    finally:
+        os.umask(old_umask)
 
 
 # ---------------------------------------------------------------- preview

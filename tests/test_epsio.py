@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from labelforge import (ExportOptions, RewriteError, Scene, ScanError,
                         TextPrimitive, TokenizeError, auto_wrap,
@@ -94,6 +96,25 @@ def test_tokenize_number_forms():
     values = [t.value for t in tokens]
     assert values[:7] == [1.0, -2.0, 3.5, 0.5, 6.0, 1000.0, -0.015]
     assert tokens[7].kind == NAME  # radix form is not required
+
+
+_SOUP_BYTES = b" \t\r\n\f\x00()<>[]{}/%\\abc019.-+eE"
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(_SOUP_BYTES), max_size=60).map(bytes))
+def test_tokenize_property_lossless_or_error_at_delimiter(data):
+    try:
+        tokens = tokenize(data)
+    except TokenizeError as exc:
+        assert data[exc.offset:exc.offset + 1] in (b"(", b")", b"<", b"{", b"}")
+        return
+    if not tokens:  # a file of whitespace alone has no token to carry it
+        assert data.strip(b" \t\r\n\f\x00") == b""
+    assert b"".join(t.raw for t in tokens) == (data if tokens else b"")
+    for t in tokens:
+        if t.kind == STRING:
+            assert data[t.lit_start:t.lit_start + 1] in (b"(", b"<")
 
 
 # -------------------------------------------------------------- scan_tags
