@@ -20,7 +20,7 @@ from .fileio import atomic_write_bytes, atomic_write_text, make_backup
 from .labeling import (DuplicateTagError, PsfragSyntaxError, parse_psfrag_document,
                        parse_psfrag_line, psfrag_export, renumber)
 from .preview import UnmatchedTagWarning, substitute_preview
-from .scene import ExportOptions
+from .scene import ExportOptions, expand_decorations
 from .scenefile import SceneFormatError, load_hooks, load_scene
 
 EXIT_OK = 0
@@ -82,8 +82,11 @@ def cmd_export(args: argparse.Namespace) -> int:
         auto_convert_text=not args.no_auto_convert,
         auto_position=not args.no_auto_position,
     )
-    eps_bytes, _tex, registry = psfrag_export(scene, args.basename, opts, hooks)
-    total = len(scan_tags(eps_bytes))
+    _eps, _tex, registry = psfrag_export(scene, args.basename, opts, hooks)
+    # write_eps shows each text primitive of the expanded scene once, and
+    # auto-wrapping neither adds nor drops one, so this counts the shows
+    # without scanning the EPS.
+    total = len(expand_decorations(scene).text_primitives())
     print(f"{total} labels, {len(registry)} tagged")
     return EXIT_OK
 
@@ -146,7 +149,7 @@ def cmd_preview(args: argparse.Namespace) -> int:
         return EXIT_SEMANTIC
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UnmatchedTagWarning)
-        out = substitute_preview(eps_data, registry)
+        out = substitute_preview(eps_data, registry, occurrences=occurrences)
     atomic_write_bytes(args.out, out)
     print(f"{matched} occurrences substituted")
     return EXIT_OK

@@ -53,7 +53,10 @@ PROC_DELIM = "proc_delim"
 COMMENT = "comment"
 
 
-@dataclass(frozen=True, slots=True)
+# Not frozen: a frozen __init__ sets each field through object.__setattr__,
+# which nearly triples the cost of building a token, and an EPS file holds
+# tens of thousands of them. Nothing hashes or mutates a token.
+@dataclass(slots=True)
 class PsToken:
     kind: str
     value: object  # float | str | bytes depending on kind
@@ -606,7 +609,19 @@ def rewrite_tags(data: bytes, tag_map: Mapping[str, str]) -> bytes:
     missing = sorted(set(tag_map) - found)
     if missing:
         raise RewriteError(f"tags not found in EPS: {', '.join(missing)}")
-    out = bytearray(data)
-    for (start, end), new_tag in sorted(edits, reverse=True):
-        out[start:end] = b"(" + _escape_ps_string(new_tag).encode("latin-1") + b")"
-    return bytes(out)
+    return splice(data, [(span, b"(" + _escape_ps_string(new_tag).encode("latin-1") + b")")
+                         for span, new_tag in edits])
+
+
+def splice(data: bytes, edits: list[tuple[tuple[int, int], bytes]]) -> bytes:
+    """Replace each (start, end) span of data by its bytes, in one pass.
+
+    Spans must not overlap; they may come in any order.
+    """
+    parts = []
+    pos = 0
+    for (start, end), new in sorted(edits, key=lambda e: e[0]):
+        parts += (data[pos:start], new)
+        pos = end
+    parts.append(data[pos:])
+    return b"".join(parts)

@@ -266,11 +266,13 @@ def parse_psfrag_line(line: str) -> PsfragEntry | None:
             return None
         options.append(stripped[i + 1:end])
         i = end + 1
+    if i < len(stripped) and stripped[i] == "[":
+        raise ValueError("psfrag takes at most four optional arguments")
     if i >= len(stripped) or stripped[i] != "{":
         return None
     depth = 0
     body_start = i + 1
-    body_end = len(stripped)
+    body_end = -1
     for j in range(i, len(stripped)):
         if stripped[j] == "{":
             depth += 1
@@ -279,6 +281,11 @@ def parse_psfrag_line(line: str) -> PsfragEntry | None:
             if depth == 0:
                 body_end = j
                 break
+    if body_end < 0:
+        raise ValueError("psfrag replacement text has no closing brace")
+    rest = stripped[body_end + 1:].lstrip()
+    if rest and not rest.startswith("%"):
+        raise ValueError(f"unexpected text after psfrag replacement: {rest!r}")
     body = stripped[body_start:body_end]
     options += [""] * (4 - len(options))
     posn = PosCode.parse(options[0]) if options[0] else FALLBACK_POSITION

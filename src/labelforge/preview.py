@@ -15,7 +15,7 @@ from typing import Callable
 
 from .affine import Affine
 from .directives import PosCode
-from .epsio import TagOccurrence, _fmt, scan_tags
+from .epsio import TagOccurrence, _fmt, scan_tags, splice
 from .fontmetrics import string_extents
 from .labeling import PsfragEntry, TagRegistry
 
@@ -104,6 +104,8 @@ def _preview_block(occ: TagOccurrence, box: LabelBox, transform: Affine) -> byte
 def substitute_preview(eps: bytes,
                        registry: TagRegistry,
                        measure: Callable[[str], LabelBox] = default_measure,
+                       *,
+                       occurrences: list[TagOccurrence] | None = None,
                        ) -> bytes:
     """Replace matched shows by placed placeholder boxes.
 
@@ -111,9 +113,14 @@ def substitute_preview(eps: bytes,
     baseline line and the tag name in 4 pt type is drawn under the
     placement transform. Unmatched text is left untouched (with a
     warning). The output carries a labelforge-preview creator marker.
+
+    `occurrences` is `scan_tags(eps)` when the caller already has it;
+    when None, the EPS is scanned here.
     """
+    if occurrences is None:
+        occurrences = scan_tags(eps)
     matched: list[tuple[TagOccurrence, bytes]] = []
-    for occ in scan_tags(eps):
+    for occ in occurrences:
         entry = registry.get(occ.tag)
         if entry is None:
             warnings.warn(f"shown text {occ.tag!r} has no psfrag entry",
@@ -123,23 +130,18 @@ def substitute_preview(eps: bytes,
         transform = place(box, entry, occ, tag_box_for(occ))
         matched.append((occ, _preview_block(occ, box, transform)))
 
-    out = bytearray(eps)
-    for occ, _block in sorted(matched, key=lambda m: m[0].byte_span, reverse=True):
-        start, end = occ.byte_span
-        out[start:end] = b"()"
+    out = splice(eps, [(occ.byte_span, b"()") for occ, _block in matched])
 
     drawing = b"".join(block for _occ, block in matched)
     if drawing:
         anchor = out.rfind(b"\nshowpage")
         if anchor >= 0:
-            out[anchor + 1:anchor + 1] = drawing
+            out = out[:anchor + 1] + drawing + out[anchor + 1:]
         else:
             out += drawing
 
     first_eol = out.find(b"\n")
     banner = PREVIEW_CREATOR + b"\n"
     if first_eol >= 0:
-        out[first_eol + 1:first_eol + 1] = banner
-    else:
-        out += b"\n" + banner
-    return bytes(out)
+        return out[:first_eol + 1] + banner + out[first_eol + 1:]
+    return out + b"\n" + banner

@@ -8,6 +8,7 @@ keys and version mismatches are rejected so fixtures stay honest.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Any
 
@@ -33,11 +34,38 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], what: str) -
         raise SceneFormatError(f"missing {what} keys: {', '.join(sorted(missing))}")
 
 
+def _loads(text: str) -> Any:
+    """Parse standard JSON only: NaN and Infinity are rejected."""
+    def reject(constant: str):
+        raise SceneFormatError(f"not valid JSON: {constant} is not a number")
+    try:
+        return json.loads(text, parse_constant=reject)
+    except json.JSONDecodeError as exc:
+        raise SceneFormatError(f"not valid JSON: {exc}") from exc
+
+
+def _number(value: Any, what: str) -> float:
+    """A finite JSON number as a float; 1e400 reads as inf and is rejected."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer too large for a float
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise SceneFormatError(f"{what} must be a finite number")
+
+
+def _numbers(value: Any, what: str) -> tuple[float, ...]:
+    if not isinstance(value, list):
+        raise SceneFormatError(f"{what} must be a list of numbers")
+    return tuple(_number(v, what) for v in value)
+
+
 def _pair(value: Any, what: str) -> tuple[float, float]:
-    if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)):
+    if not isinstance(value, list) or len(value) != 2:
         raise SceneFormatError(f"{what} must be a pair of numbers")
-    return float(value[0]), float(value[1])
+    return _number(value[0], what), _number(value[1], what)
 
 
 def _expr(source: Any, what: str) -> Expr:
@@ -59,10 +87,10 @@ def _style(obj: Any) -> StrokeStyle:
     if obj.get("dash") is not None:
         dash = _pair(obj["dash"], "style dash")
     return StrokeStyle(
-        width=float(obj.get("width", 1.0)),
+        width=_number(obj.get("width", 1.0), "style width"),
         dash=dash,
-        gray=None if obj.get("gray") is None else float(obj["gray"]),
-        hue=None if obj.get("hue") is None else float(obj["hue"]),
+        gray=None if obj.get("gray") is None else _number(obj["gray"], "style gray"),
+        hue=None if obj.get("hue") is None else _number(obj["hue"], "style hue"),
     )
 
 
@@ -71,11 +99,14 @@ def _directive(expr: Expr, obj: Any) -> LabelDirective:
         raise SceneFormatError("psfrag override must be an object")
     _require_keys(obj, {"position", "ps_position", "tex", "tag", "rotation", "scaling"},
                   set(), "psfrag override")
+    for key in ("position", "ps_position", "tex", "tag"):
+        if obj.get(key) is not None and not isinstance(obj[key], str):
+            raise SceneFormatError(f"psfrag {key} must be a string")
     scaling = obj.get("scaling")
     if scaling in (None, "auto"):
         scaling_value = None
     elif isinstance(scaling, (int, float)) and not isinstance(scaling, bool):
-        scaling_value = float(scaling)
+        scaling_value = _number(scaling, "psfrag scaling")
     else:
         raise SceneFormatError(f"scaling must be a number or \"auto\": {scaling!r}")
     try:
@@ -85,7 +116,7 @@ def _directive(expr: Expr, obj: Any) -> LabelDirective:
             psfrag_tag=obj.get("tag"),
             position=PosCode.parse(obj["position"]) if obj.get("position") else None,
             ps_position=PosCode.parse(obj["ps_position"]) if obj.get("ps_position") else None,
-            rotation=float(obj.get("rotation", 0.0)),
+            rotation=_number(obj.get("rotation", 0.0), "psfrag rotation"),
             scaling=scaling_value,
         )
     except ValueError as exc:
@@ -137,6 +168,8 @@ def _primitive(obj: Any):
     try:
         if kind == "polyline":
             _require_keys(obj, {"type", "points", "style"}, {"type", "points"}, "polyline")
+            if not isinstance(obj["points"], list):
+                raise SceneFormatError("polyline points must be a list")
             points = tuple(_pair(p, "polyline point") for p in obj["points"])
             return Polyline(points, style=_style(obj.get("style")))
         if kind == "circle":
@@ -146,7 +179,7 @@ def _primitive(obj: Any):
             if "arc" in obj:
                 start, end = _pair(obj["arc"], "circle arc")
             return CircleArc(_pair(obj["center"], "circle center"),
-                             float(obj["radius"]), start, end,
+                             _number(obj["radius"], "circle radius"), start, end,
                              style=_style(obj.get("style")))
         if kind == "arrow":
             _require_keys(obj, {"type", "from", "to", "style"}, {"type", "from", "to"}, "arrow")
@@ -173,7 +206,7 @@ def _ticks(items: Any, edge: str) -> tuple[Tick, ...]:
         content: Expr | LabelDirective = label
         if "psfrag" in item:
             content = _directive(label, item["psfrag"])
-        ticks.append(Tick(value=float(item["value"]), label=content))
+        ticks.append(Tick(value=_number(item["value"], "tick value"), label=content))
     return tuple(ticks)
 
 
@@ -208,19 +241,14 @@ def _decorations(obj: Any) -> DecorationSpec:
         if not isinstance(gl, dict):
             raise SceneFormatError("gridlines must be an object")
         _require_keys(gl, {"x", "y"}, set(), "gridlines")
-        gridlines = Gridlines(
-            x=tuple(float(v) for v in gl.get("x", ())),
-            y=tuple(float(v) for v in gl.get("y", ())),
-        )
+        gridlines = Gridlines(x=_numbers(gl.get("x", []), "gridlines x"),
+                              y=_numbers(gl.get("y", []), "gridlines y"))
     return DecorationSpec(plot_label=plot_label, axes_labels=axes_labels,
                           frame_ticks=frame_ticks, gridlines=gridlines)
 
 
 def parse_scene(text: str) -> Scene:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SceneFormatError(f"not valid JSON: {exc}") from exc
+    doc = _loads(text)
     if not isinstance(doc, dict):
         raise SceneFormatError("scene document must be a JSON object")
     _require_keys(doc, {"version", "plot_range", "size", "primitives", "decorations"},
@@ -261,10 +289,7 @@ def parse_hooks(text: str) -> HookSet:
     {"pre_apply": {"math": ["hold"]},
      "post_replace": {"numeric": [["\\\\sqrt", "\\\\surd"]]}}
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SceneFormatError(f"not valid JSON: {exc}") from exc
+    doc = _loads(text)
     if not isinstance(doc, dict):
         raise SceneFormatError("hooks document must be a JSON object")
     _require_keys(doc, {"version", "pre_apply", "post_replace"}, set(), "hooks")
@@ -277,17 +302,23 @@ def parse_hooks(text: str) -> HookSet:
             raise SceneFormatError(f"unknown label class {key!r}")
         return cls
 
+    def section(name: str):
+        lists = doc.get(name) or {}
+        if not (isinstance(lists, dict) and all(isinstance(v, list) for v in lists.values())):
+            raise SceneFormatError(f"{name} must map label classes to lists")
+        return lists.items()
+
     pre: dict[LabelClass, tuple] = {}
-    for key, names in (doc.get("pre_apply") or {}).items():
+    for key, names in section("pre_apply"):
         transforms = []
         for name in names:
-            if name not in BUILTIN_TRANSFORMS:
+            if not isinstance(name, str) or name not in BUILTIN_TRANSFORMS:
                 raise SceneFormatError(f"unknown transform {name!r} (have: "
                                        f"{', '.join(sorted(BUILTIN_TRANSFORMS))})")
             transforms.append(BUILTIN_TRANSFORMS[name])
         pre[class_of(key)] = tuple(transforms)
     post: dict[LabelClass, tuple] = {}
-    for key, pairs in (doc.get("post_replace") or {}).items():
+    for key, pairs in section("post_replace"):
         converted = []
         for pair in pairs:
             if not (isinstance(pair, list) and len(pair) == 2

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from labelforge import scan_tags
+from labelforge import epsio, scan_tags
 from labelforge.cli import main
 from labelforge.labeling import parse_psfrag_document
 from labelforge.scenefile import SceneFormatError, parse_hooks, parse_scene
@@ -31,6 +31,33 @@ def test_export_writes_both_files_and_summary(tmp_path, capsys):
     assert (tmp_path / "ex_auto-psfrag.eps").exists()
     assert (tmp_path / "ex_auto-psfrag.tex").exists()
     assert capsys.readouterr().out.strip() == "13 labels, 13 tagged"
+
+
+@pytest.mark.parametrize("flags", [[], ["--renumber-tags"], ["--no-auto-position"]])
+@pytest.mark.parametrize("name", [p.stem for p in sorted(FIXTURES.glob("*.scene"))])
+def test_export_label_count_is_the_number_of_shows(tmp_path, capsys, name, flags):
+    scene = _copy_fixture(name, tmp_path)
+    assert main(["export", str(scene), "--basename", str(tmp_path / "s"), *flags]) == 0
+    shows = len(scan_tags((tmp_path / "s-psfrag.eps").read_bytes()))
+    assert capsys.readouterr().out.startswith(f"{shows} labels, ")
+
+
+def test_each_command_tokenizes_its_eps_at_most_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    original = epsio.tokenize
+    monkeypatch.setattr(epsio, "tokenize", lambda data: calls.append(1) or original(data))
+    scene = _copy_fixture("fig2", tmp_path)
+    eps, tex = str(tmp_path / "f-psfrag.eps"), str(tmp_path / "f-psfrag.tex")
+    counts = {}
+    for command, argv in [
+            ("export", ["export", str(scene), "--basename", str(tmp_path / "f")]),
+            ("inspect", ["inspect", eps]),
+            ("preview", ["preview", eps, tex, str(tmp_path / "prev.eps")]),
+            ("renumber", ["renumber", eps, tex])]:
+        calls.clear()
+        assert main(argv) == 0
+        counts[command] = len(calls)
+    assert counts == {"export": 0, "inspect": 1, "preview": 1, "renumber": 1}
 
 
 def test_export_custom_tex_suffix(tmp_path, capsys):
@@ -254,6 +281,9 @@ def test_renumber_empty_tex_still_rejects_truncated_eps(tmp_path, capsys):
     "\\psfrag{a}[bc][bc][x][0]{x}",
     "\\psfrag{a}[bc][bc][nan][0]{x}",
     "\\psfrag{a}[bc][bc][1][inf]{x}",
+    "\\psfrag{a}{x",
+    "\\psfrag{a}[bc][bc][1][0][9]{x}",
+    "\\psfrag{a}[bc]{x} junk",
 ])
 @pytest.mark.parametrize("command", ["preview", "renumber"])
 def test_bad_psfrag_line_exits_one_naming_the_line(tmp_path, capsys, command, line):
@@ -375,6 +405,40 @@ def test_scene_rejects_unknown_primitive():
             "primitives": [{"type": "blob"}]}))
 
 
+_PROBE_SCENE = """{"version": 1, "plot_range": [[0, 1], [0, 1]], "size": [100, 100],
+ "primitives": [
+  {"type": "polyline", "points": [[0, 0], [1, 1]]},
+  {"type": "circle", "center": [0.5, 0.5], "radius": 0.2},
+  {"type": "text", "expr": "x", "pos": [0.5, 0.5], "psfrag": {"tex": "$x$", "tag": "T"}}]}"""
+
+
+@pytest.mark.parametrize("old, new", [
+    ('"points": [[0, 0], [1, 1]]', '"points": [[0, 0], [1, 1e400]]'),
+    ('"points": [[0, 0], [1, 1]]', '"points": 5'),
+    ('"points": [[0, 0], [1, 1]]', '"points": [[0, 0], [1, NaN]]'),
+    ('"radius": 0.2', '"radius": null'),
+    ('"radius": 0.2', '"radius": Infinity'),
+    ('"tex": "$x$"', '"tex": 5'),
+    ('"tag": "T"', '"tag": 5'),
+])
+def test_export_rejects_mistyped_scene_values(tmp_path, capsys, old, new):
+    assert old in _PROBE_SCENE
+    path = tmp_path / "probe.scene"
+    path.write_text(_PROBE_SCENE.replace(old, new))
+    before = sorted(tmp_path.iterdir())
+    assert main(["export", str(path), "--basename", str(tmp_path / "p")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_probe_scene_itself_exports(tmp_path, capsys):
+    path = tmp_path / "probe.scene"
+    path.write_text(_PROBE_SCENE)
+    assert main(["export", str(path), "--basename", str(tmp_path / "p")]) == 0
+    assert capsys.readouterr().out.strip() == "1 labels, 1 tagged"
+
+
 def test_scene_normalizes_direction():
     scene = parse_scene(json.dumps({
         "version": 1, "plot_range": [[0, 1], [0, 1]], "size": [10, 10],
@@ -415,6 +479,18 @@ def test_scene_plot_label_with_directive_survives_export(tmp_path, capsys):
 def test_hooks_rejects_unknown_transform():
     with pytest.raises(SceneFormatError):
         parse_hooks('{"pre_apply": {"math": ["mystery"]}}')
+
+
+@pytest.mark.parametrize("text", [
+    '{"pre_apply": ["hold"]}',
+    '{"pre_apply": {"math": 5}}',
+    '{"pre_apply": {"math": [["hold"]]}}',
+    '{"post_replace": ["a"]}',
+    '{"post_replace": {"math": NaN}}',
+])
+def test_hooks_rejects_mistyped_values(text):
+    with pytest.raises(SceneFormatError):
+        parse_hooks(text)
 
 
 def test_hooks_parses_builtins():

@@ -12,8 +12,8 @@ from labelforge import (DuplicateTagError, ExportOptions, LabelDirective,
                         shortlex_tag)
 from labelforge.directives import PosCode
 from labelforge.exprkit import EMPTY_HOOKS, Str, Sym, num, parse_expr
-from labelforge.labeling import (UnbalancedBraceWarning, format_psfrag_line,
-                                 parse_psfrag_document)
+from labelforge.labeling import (PsfragSyntaxError, UnbalancedBraceWarning,
+                                 format_psfrag_line, parse_psfrag_document)
 
 
 def _entry(tag: str, body: str = "$x$") -> PsfragEntry:
@@ -255,6 +255,22 @@ def test_every_emitted_line_parses_back_to_equal_entry():
 def test_parse_psfrag_line_rejects_other_lines():
     assert parse_psfrag_line("\\providecommand{\\psfragscaletext}{}") is None
     assert parse_psfrag_line("% comment") is None
+
+
+def test_parse_psfrag_line_allows_a_trailing_comment():
+    assert parse_psfrag_line("\\psfrag{a}[bc]{x}  % note").body == "x"
+
+
+@pytest.mark.parametrize("line, message", [
+    ("\\psfrag{a}{x", "no closing brace"),
+    ("\\psfrag{a}[bc][bc][1][0][9]{x}", "at most four optional arguments"),
+    ("\\psfrag{a}[bc]{x} junk", "unexpected text after"),
+])
+def test_parse_psfrag_line_rejects_malformed_entries(line, message):
+    with pytest.raises(ValueError, match=message):
+        parse_psfrag_line(line)
+    with pytest.raises(PsfragSyntaxError, match="^line 3: "):
+        parse_psfrag_document("% header\n\\psfrag{b}{y}\n" + line + "\n")
 
 
 def test_parse_psfrag_document_collects_in_order(export):

@@ -11,6 +11,8 @@ from labelforge.epsio import TagOccurrence
 from labelforge.labeling import PsfragEntry, parse_psfrag_document
 from labelforge.preview import PREVIEW_CREATOR, UnmatchedTagWarning, tag_box_for
 
+from conftest import FIXTURES
+
 ALL_CODES = [PosCode(v, h) for v in "tcbB" for h in "lcr"]
 
 
@@ -142,6 +144,14 @@ def test_preview_empty_registry_only_banner(export):
     assert len(lines_out) == len(lines_in) + 1
     assert PREVIEW_CREATOR in lines_out
     assert [l for l in lines_out if l != PREVIEW_CREATOR] == lines_in
+
+
+@pytest.mark.parametrize("name", [p.stem for p in sorted(FIXTURES.glob("*.scene"))])
+def test_preview_with_given_occurrences_matches_own_scan(export, name):
+    eps, tex, _reg = export(name)
+    registry = parse_psfrag_document(tex)
+    assert substitute_preview(eps, registry, occurrences=scan_tags(eps)) == \
+        substitute_preview(eps, registry)
 
 
 def test_preview_unmatched_tag_warns_and_passes_through(export):
