@@ -10,8 +10,8 @@ from .labeling import (DuplicateTagError, PsfragEntry, TagRegistry, build_entry,
                        derive_tag, emit_tex, parse_psfrag_document,
                        parse_psfrag_line, pos_from_anchor, psfrag_export,
                        renumber, resolve_alignment, shortlex_tag)
-from .preview import (LabelBox, default_measure, place, reference_point,
-                      substitute_preview)
+from .preview import (LabelBox, PreviewResult, default_measure, place,
+                      reference_point, substitute_preview)
 from .scene import (Arrow, CircleArc, DecorationSpec, ExportOptions, FrameTicks,
                     Gridlines, Polyline, Scene, StrokeStyle, TextPrimitive,
                     Tick, auto_wrap, expand_decorations, linear_ticks)

@@ -135,23 +135,17 @@ def cmd_renumber(args: argparse.Namespace) -> int:
 def cmd_preview(args: argparse.Namespace) -> int:
     eps_data = Path(args.eps).read_bytes()
     registry = parse_psfrag_document(Path(args.tex).read_text(encoding="utf-8"))
-    occurrences = scan_tags(eps_data)
-    shown = {occ.tag for occ in occurrences}
-    matched = sum(1 for occ in occurrences if registry.get(occ.tag) is not None)
-    stale = [tag for tag in registry.tags() if tag not in shown]
-    unmatched = sorted({occ.tag for occ in occurrences
-                        if registry.get(occ.tag) is None})
-    if args.strict and (stale or unmatched):
-        for tag in stale:
-            print(f"error: entry {tag!r} matches nothing in the EPS", file=sys.stderr)
-        for tag in unmatched:
-            print(f"error: shown text {tag!r} has no entry", file=sys.stderr)
-        return EXIT_SEMANTIC
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UnmatchedTagWarning)
-        out = substitute_preview(eps_data, registry, occurrences=occurrences)
-    atomic_write_bytes(args.out, out)
-    print(f"{matched} occurrences substituted")
+        result = substitute_preview(eps_data, registry)
+    if args.strict and (result.stale or result.unmatched):
+        for tag in result.stale:
+            print(f"error: entry {tag!r} matches nothing in the EPS", file=sys.stderr)
+        for tag in result.unmatched:
+            print(f"error: shown text {tag!r} has no entry", file=sys.stderr)
+        return EXIT_SEMANTIC
+    atomic_write_bytes(args.out, result.eps)
+    print(f"{result.matched} occurrences substituted")
     return EXIT_OK
 
 

@@ -9,6 +9,12 @@ from .exprkit import Expr
 
 _VERTICALS = ("t", "c", "b", "B")
 _HORIZONTALS = ("l", "c", "r")
+_TAG_RE = re.compile(r"[A-Za-z0-9]+")
+
+
+def is_valid_tag(tag: str) -> bool:
+    """A psfrag tag is a nonempty run of ASCII letters and digits."""
+    return bool(_TAG_RE.fullmatch(tag))
 
 
 @dataclass(frozen=True)
@@ -53,7 +59,7 @@ class LabelDirective:
     scaling: float | None = None
 
     def __post_init__(self):
-        if self.psfrag_tag is not None and not re.fullmatch(r"[A-Za-z0-9]+", self.psfrag_tag):
+        if self.psfrag_tag is not None and not is_valid_tag(self.psfrag_tag):
             raise ValueError(
                 f"psfrag tag must be nonempty alphanumeric: {self.psfrag_tag!r}")
         if self.scaling is not None and self.scaling <= 0:

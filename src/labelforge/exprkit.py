@@ -107,6 +107,7 @@ def _negate(e: Expr) -> Expr:
 # Parser
 
 _PUNCT = set("+-*/^()[],")
+MAX_NESTING = 100  # brackets, parentheses and exponents; keeps recursion bounded
 
 
 @dataclass(frozen=True)
@@ -174,6 +175,13 @@ class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
+
+    def enter(self, offset: int) -> None:
+        """Open one level of nesting; the caller closes it with depth -= 1."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ExprSyntaxError(f"nested deeper than {MAX_NESTING} levels", offset)
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -225,16 +233,22 @@ class _Parser:
         return Call("Times", tuple(factors))
 
     def parse_factor(self) -> Expr:
-        if self.at_punct("-"):
+        signs = 0
+        while self.at_punct("-"):
             self.advance()
-            return _negate(self.parse_factor())
-        return self.parse_power()
+            signs += 1
+        factor = self.parse_power()
+        for _ in range(signs):
+            factor = _negate(factor)
+        return factor
 
     def parse_power(self) -> Expr:
         base = self.parse_atom()
         if self.at_punct("^"):
-            self.advance()
-            return Call("Power", (base, self.parse_factor()))
+            self.enter(self.advance().offset)
+            exponent = self.parse_factor()
+            self.depth -= 1
+            return Call("Power", (base, exponent))
         return base
 
     def parse_atom(self) -> Expr:
@@ -250,8 +264,8 @@ class _Parser:
         if tok.kind == "ident":
             self.advance()
             if self.at_punct("["):
-                opened = self.peek().offset
-                self.advance()
+                opened = self.advance().offset
+                self.enter(opened)
                 args: list[Expr] = []
                 if not self.at_punct("]"):
                     args.append(self.parse_expr())
@@ -259,6 +273,7 @@ class _Parser:
                         self.advance()
                         args.append(self.parse_expr())
                 self.expect_punct("]", opened_at=opened)
+                self.depth -= 1
                 if tok.text == "HoldForm":
                     if len(args) != 1:
                         raise ExprSyntaxError("HoldForm takes exactly one argument", tok.offset)
@@ -266,10 +281,11 @@ class _Parser:
                 return Call(tok.text, tuple(args))
             return Sym(tok.text)
         if self.at_punct("("):
-            opened = tok.offset
-            self.advance()
+            opened = self.advance().offset
+            self.enter(opened)
             inner = self.parse_expr()
             self.expect_punct(")", opened_at=opened)
+            self.depth -= 1
             return inner
         found = tok.text if tok.kind != "eof" else "end of input"
         raise ExprSyntaxError(f"expected expression, found {found!r}", tok.offset)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import epsio
-from .directives import LabelDirective, PosCode
+from .directives import LabelDirective, PosCode, is_valid_tag
 from .exprkit import EMPTY_HOOKS, HookSet, guess_tex, print_source
 from .fileio import atomic_write_bytes, atomic_write_text
 from .scene import ExportOptions, Scene, auto_wrap, expand_decorations
@@ -34,12 +34,6 @@ class UnbalancedBraceWarning(UserWarning):
 
 
 FALLBACK_POSITION = PosCode("b", "c")
-
-_TAG_RE = re.compile(r"[A-Za-z0-9]+")
-
-
-def is_valid_tag(tag: str) -> bool:
-    return bool(_TAG_RE.fullmatch(tag))
 
 
 @dataclass(frozen=True)
@@ -249,29 +243,33 @@ def _parse_slot(text: str, what: str, default: float) -> float:
 
 
 def parse_psfrag_line(line: str) -> PsfragEntry | None:
-    """Parse one `\\psfrag{tag}[posn][psposn][scale][rot]{body}` line."""
+    """Parse one `\\psfrag{tag}[posn][psposn][scale][rot]{body}` line.
+
+    None if the line does not start with `\\psfrag{`; else an entry or a ValueError.
+    """
     stripped = line.strip()
     if not stripped.startswith("\\psfrag{"):
         return None
     i = len("\\psfrag{")
     close = stripped.find("}", i)
     if close < 0:
-        return None
+        raise ValueError("psfrag tag has no closing brace")
     tag = stripped[i:close]
     i = close + 1
     options: list[str] = []
     while len(options) < 4 and i < len(stripped) and stripped[i] == "[":
         end = stripped.find("]", i)
         if end < 0:
-            return None
+            raise ValueError("psfrag optional argument has no closing bracket")
         options.append(stripped[i + 1:end])
         i = end + 1
     if i < len(stripped) and stripped[i] == "[":
         raise ValueError("psfrag takes at most four optional arguments")
-    if i >= len(stripped) or stripped[i] != "{":
-        return None
+    if stripped[i:].lstrip()[:1] in ("", "%"):
+        raise ValueError("psfrag entry must be on one line")
+    if stripped[i] != "{":
+        raise ValueError(f"psfrag replacement must start with '{{': {stripped[i:]!r}")
     depth = 0
-    body_start = i + 1
     body_end = -1
     for j in range(i, len(stripped)):
         if stripped[j] == "{":
@@ -286,7 +284,7 @@ def parse_psfrag_line(line: str) -> PsfragEntry | None:
     rest = stripped[body_end + 1:].lstrip()
     if rest and not rest.startswith("%"):
         raise ValueError(f"unexpected text after psfrag replacement: {rest!r}")
-    body = stripped[body_start:body_end]
+    body = stripped[i + 1:body_end]
     options += [""] * (4 - len(options))
     posn = PosCode.parse(options[0]) if options[0] else FALLBACK_POSITION
     psposn = PosCode.parse(options[1]) if options[1] else posn

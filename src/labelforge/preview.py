@@ -50,7 +50,8 @@ def reference_point(box: LabelBox, code: PosCode) -> tuple[float, float]:
 
 def tag_box_for(occ: TagOccurrence) -> LabelBox:
     """Estimated box of the shown tag string at the occurrence's scale."""
-    width, height, depth = string_extents(occ.tag, occ.font_size)
+    # A mirroring (negative) size is measured at its magnitude, a zero one as tiny.
+    width, height, depth = string_extents(occ.tag, abs(occ.font_size) or 1e-6)
     s = occ.scale
     return LabelBox(max(width, 1e-6) * s, height * s, depth * s)
 
@@ -101,24 +102,26 @@ def _preview_block(occ: TagOccurrence, box: LabelBox, transform: Affine) -> byte
     return ("\n".join(lines) + "\n").encode("latin-1")
 
 
+@dataclass(frozen=True)
+class PreviewResult:
+    eps: bytes
+    matched: int  # occurrences substituted
+    unmatched: list[str]  # shown strings with no entry, sorted
+    stale: list[str]  # entries shown nowhere, in registry order
+
+
 def substitute_preview(eps: bytes,
                        registry: TagRegistry,
                        measure: Callable[[str], LabelBox] = default_measure,
-                       *,
-                       occurrences: list[TagOccurrence] | None = None,
-                       ) -> bytes:
+                       ) -> PreviewResult:
     """Replace matched shows by placed placeholder boxes.
 
     Each matched tag string is blanked and a stroked rectangle with a
     baseline line and the tag name in 4 pt type is drawn under the
     placement transform. Unmatched text is left untouched (with a
     warning). The output carries a labelforge-preview creator marker.
-
-    `occurrences` is `scan_tags(eps)` when the caller already has it;
-    when None, the EPS is scanned here.
     """
-    if occurrences is None:
-        occurrences = scan_tags(eps)
+    occurrences = scan_tags(eps)
     matched: list[tuple[TagOccurrence, bytes]] = []
     for occ in occurrences:
         entry = registry.get(occ.tag)
@@ -143,5 +146,9 @@ def substitute_preview(eps: bytes,
     first_eol = out.find(b"\n")
     banner = PREVIEW_CREATOR + b"\n"
     if first_eol >= 0:
-        return out[:first_eol + 1] + banner + out[first_eol + 1:]
-    return out + b"\n" + banner
+        out = out[:first_eol + 1] + banner + out[first_eol + 1:]
+    else:
+        out += b"\n" + banner
+    shown = {occ.tag for occ in occurrences}
+    return PreviewResult(out, len(matched), sorted(tag for tag in shown if tag not in registry),
+                         [tag for tag in registry.tags() if tag not in shown])

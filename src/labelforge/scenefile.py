@@ -25,7 +25,9 @@ class SceneFormatError(ValueError):
     """The document does not conform to the scene or hooks schema."""
 
 
-def _require_keys(obj: dict, allowed: set[str], required: set[str], what: str) -> None:
+def _require_keys(obj: Any, allowed: set[str], required: set[str], what: str) -> None:
+    if not isinstance(obj, dict):
+        raise SceneFormatError(f"{what} must be an object")
     unknown = set(obj) - allowed
     if unknown:
         raise SceneFormatError(f"unknown {what} keys: {', '.join(sorted(unknown))}")
@@ -42,6 +44,8 @@ def _loads(text: str) -> Any:
         return json.loads(text, parse_constant=reject)
     except json.JSONDecodeError as exc:
         raise SceneFormatError(f"not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise SceneFormatError("not valid JSON: nested too deeply") from None
 
 
 def _number(value: Any, what: str) -> float:
@@ -80,23 +84,16 @@ def _expr(source: Any, what: str) -> Expr:
 def _style(obj: Any) -> StrokeStyle:
     if obj is None:
         return StrokeStyle()
-    if not isinstance(obj, dict):
-        raise SceneFormatError("style must be an object")
     _require_keys(obj, {"width", "dash", "gray", "hue"}, set(), "style")
-    dash = None
-    if obj.get("dash") is not None:
-        dash = _pair(obj["dash"], "style dash")
     return StrokeStyle(
+        dash=None if obj.get("dash") is None else _pair(obj["dash"], "style dash"),
         width=_number(obj.get("width", 1.0), "style width"),
-        dash=dash,
         gray=None if obj.get("gray") is None else _number(obj["gray"], "style gray"),
         hue=None if obj.get("hue") is None else _number(obj["hue"], "style hue"),
     )
 
 
 def _directive(expr: Expr, obj: Any) -> LabelDirective:
-    if not isinstance(obj, dict):
-        raise SceneFormatError("psfrag override must be an object")
     _require_keys(obj, {"position", "ps_position", "tex", "tag", "rotation", "scaling"},
                   set(), "psfrag override")
     for key in ("position", "ps_position", "tex", "tag"):
@@ -109,18 +106,21 @@ def _directive(expr: Expr, obj: Any) -> LabelDirective:
         scaling_value = _number(scaling, "psfrag scaling")
     else:
         raise SceneFormatError(f"scaling must be a number or \"auto\": {scaling!r}")
-    try:
-        return LabelDirective(
-            expr=expr,
-            tex_command=obj.get("tex"),
-            psfrag_tag=obj.get("tag"),
-            position=PosCode.parse(obj["position"]) if obj.get("position") else None,
-            ps_position=PosCode.parse(obj["ps_position"]) if obj.get("ps_position") else None,
-            rotation=_number(obj.get("rotation", 0.0), "psfrag rotation"),
-            scaling=scaling_value,
-        )
-    except ValueError as exc:
-        raise SceneFormatError(str(exc)) from exc
+    return LabelDirective(
+        expr=expr,
+        tex_command=obj.get("tex"),
+        psfrag_tag=obj.get("tag"),
+        position=PosCode.parse(obj["position"]) if obj.get("position") else None,
+        ps_position=PosCode.parse(obj["ps_position"]) if obj.get("ps_position") else None,
+        rotation=_number(obj.get("rotation", 0.0), "psfrag rotation"),
+        scaling=scaling_value,
+    )
+
+
+def _content(obj: dict, key: str, what: str) -> Expr | LabelDirective:
+    """The expression at obj[key], under obj's psfrag override if it has one."""
+    expr = _expr(obj[key], what)
+    return _directive(expr, obj["psfrag"]) if "psfrag" in obj else expr
 
 
 def _label(obj: Any, what: str):
@@ -129,20 +129,14 @@ def _label(obj: Any, what: str):
         return _expr(obj, what)
     if isinstance(obj, dict):
         _require_keys(obj, {"expr", "psfrag"}, {"expr"}, what)
-        expr = _expr(obj["expr"], what)
-        if "psfrag" in obj:
-            return _directive(expr, obj["psfrag"])
-        return expr
+        return _content(obj, "expr", what)
     raise SceneFormatError(f"{what} must be a string or an object")
 
 
 def _text_primitive(obj: dict) -> TextPrimitive:
     _require_keys(obj, {"type", "expr", "pos", "anchor", "dir", "psfrag"},
                   {"type", "expr", "pos"}, "text primitive")
-    expr = _expr(obj["expr"], "text primitive")
-    content: Expr | LabelDirective = expr
-    if "psfrag" in obj:
-        content = _directive(expr, obj["psfrag"])
+    content = _content(obj, "expr", "text primitive")
     direction = (1.0, 0.0)
     if "dir" in obj:
         dx, dy = _pair(obj["dir"], "text dir")
@@ -150,47 +144,39 @@ def _text_primitive(obj: dict) -> TextPrimitive:
         if norm == 0:
             raise SceneFormatError("text dir must be nonzero")
         direction = (dx / norm, dy / norm)
-    try:
-        return TextPrimitive(
-            content=content,
-            position=_pair(obj["pos"], "text pos"),
-            anchor=_pair(obj["anchor"], "text anchor") if "anchor" in obj else (0.0, 0.0),
-            direction=direction,
-        )
-    except ValueError as exc:
-        raise SceneFormatError(str(exc)) from exc
+    return TextPrimitive(
+        content=content,
+        position=_pair(obj["pos"], "text pos"),
+        anchor=_pair(obj["anchor"], "text anchor") if "anchor" in obj else (0.0, 0.0),
+        direction=direction,
+    )
 
 
 def _primitive(obj: Any):
     if not isinstance(obj, dict) or "type" not in obj:
         raise SceneFormatError("each primitive must be an object with a type")
     kind = obj["type"]
-    try:
-        if kind == "polyline":
-            _require_keys(obj, {"type", "points", "style"}, {"type", "points"}, "polyline")
-            if not isinstance(obj["points"], list):
-                raise SceneFormatError("polyline points must be a list")
-            points = tuple(_pair(p, "polyline point") for p in obj["points"])
-            return Polyline(points, style=_style(obj.get("style")))
-        if kind == "circle":
-            _require_keys(obj, {"type", "center", "radius", "arc", "style"},
-                          {"type", "center", "radius"}, "circle")
-            start, end = (0.0, 360.0)
-            if "arc" in obj:
-                start, end = _pair(obj["arc"], "circle arc")
-            return CircleArc(_pair(obj["center"], "circle center"),
-                             _number(obj["radius"], "circle radius"), start, end,
-                             style=_style(obj.get("style")))
-        if kind == "arrow":
-            _require_keys(obj, {"type", "from", "to", "style"}, {"type", "from", "to"}, "arrow")
-            return Arrow(_pair(obj["from"], "arrow from"), _pair(obj["to"], "arrow to"),
+    if kind == "polyline":
+        _require_keys(obj, {"type", "points", "style"}, {"type", "points"}, "polyline")
+        if not isinstance(obj["points"], list):
+            raise SceneFormatError("polyline points must be a list")
+        points = tuple(_pair(p, "polyline point") for p in obj["points"])
+        return Polyline(points, style=_style(obj.get("style")))
+    if kind == "circle":
+        _require_keys(obj, {"type", "center", "radius", "arc", "style"},
+                      {"type", "center", "radius"}, "circle")
+        start, end = (0.0, 360.0)
+        if "arc" in obj:
+            start, end = _pair(obj["arc"], "circle arc")
+        return CircleArc(_pair(obj["center"], "circle center"),
+                         _number(obj["radius"], "circle radius"), start, end,
                          style=_style(obj.get("style")))
-        if kind == "text":
-            return _text_primitive(obj)
-    except SceneFormatError:
-        raise
-    except ValueError as exc:
-        raise SceneFormatError(str(exc)) from exc
+    if kind == "arrow":
+        _require_keys(obj, {"type", "from", "to", "style"}, {"type", "from", "to"}, "arrow")
+        return Arrow(_pair(obj["from"], "arrow from"), _pair(obj["to"], "arrow to"),
+                     style=_style(obj.get("style")))
+    if kind == "text":
+        return _text_primitive(obj)
     raise SceneFormatError(f"unknown primitive type {kind!r}")
 
 
@@ -202,19 +188,14 @@ def _ticks(items: Any, edge: str) -> tuple[Tick, ...]:
         if not isinstance(item, dict):
             raise SceneFormatError("each tick must be an object")
         _require_keys(item, {"value", "label", "psfrag"}, {"value", "label"}, "tick")
-        label = _expr(item["label"], "tick label")
-        content: Expr | LabelDirective = label
-        if "psfrag" in item:
-            content = _directive(label, item["psfrag"])
-        ticks.append(Tick(value=_number(item["value"], "tick value"), label=content))
+        label = _content(item, "label", "tick label")  # reported before a bad value
+        ticks.append(Tick(value=_number(item["value"], "tick value"), label=label))
     return tuple(ticks)
 
 
 def _decorations(obj: Any) -> DecorationSpec:
     if obj is None:
         return DecorationSpec()
-    if not isinstance(obj, dict):
-        raise SceneFormatError("decorations must be an object")
     _require_keys(obj, {"plot_label", "axes_labels", "frame_ticks", "gridlines"},
                   set(), "decorations")
     plot_label = _label(obj["plot_label"], "plot label") if obj.get("plot_label") else None
@@ -228,18 +209,11 @@ def _decorations(obj: Any) -> DecorationSpec:
     frame_ticks = FrameTicks()
     if obj.get("frame_ticks") is not None:
         ft = obj["frame_ticks"]
-        if not isinstance(ft, dict):
-            raise SceneFormatError("frame_ticks must be an object")
         _require_keys(ft, {"bottom", "left", "top", "right"}, set(), "frame_ticks")
-        try:
-            frame_ticks = FrameTicks(**{edge: _ticks(items, edge) for edge, items in ft.items()})
-        except ValueError as exc:
-            raise SceneFormatError(str(exc)) from exc
+        frame_ticks = FrameTicks(**{edge: _ticks(items, edge) for edge, items in ft.items()})
     gridlines = Gridlines()
     if obj.get("gridlines") is not None:
         gl = obj["gridlines"]
-        if not isinstance(gl, dict):
-            raise SceneFormatError("gridlines must be an object")
         _require_keys(gl, {"x", "y"}, set(), "gridlines")
         gridlines = Gridlines(x=_numbers(gl.get("x", []), "gridlines x"),
                               y=_numbers(gl.get("y", []), "gridlines y"))

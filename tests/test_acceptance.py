@@ -153,7 +153,7 @@ def test_criterion_5_geometry(export):
     # the fifteen-variant fixture previews fifteen boxes, each pinned
     eps, tex, _reg = export("fig2")
     registry = parse_psfrag_document(tex)
-    out = substitute_preview(eps, registry)
+    out = substitute_preview(eps, registry).eps
     assert out.count(b"closepath stroke") == 15
     from labelforge.preview import default_measure
     for occ2 in scan_tags(eps):

@@ -284,6 +284,12 @@ def test_renumber_empty_tex_still_rejects_truncated_eps(tmp_path, capsys):
     "\\psfrag{a}{x",
     "\\psfrag{a}[bc][bc][1][0][9]{x}",
     "\\psfrag{a}[bc]{x} junk",
+    "\\psfrag{a}[bc",
+    "\\psfrag{a",
+    "\\psfrag{a}x",
+    "\\psfrag{a}[bc]x{y}",
+    "\\psfrag{a}",
+    "\\psfrag{a}[bc][bc]",
 ])
 @pytest.mark.parametrize("command", ["preview", "renumber"])
 def test_bad_psfrag_line_exits_one_naming_the_line(tmp_path, capsys, command, line):
@@ -344,6 +350,23 @@ def test_preview_strict_stale_tag_exits_two(tmp_path, capsys):
                  "--strict"])
     assert code == 2
     assert "stale" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("size", ["0", "-10"])
+def test_preview_takes_a_zero_or_negative_font_size(tmp_path, capsys, size):
+    eps_path, tex_path = tmp_path / "z.eps", tmp_path / "z.tex"
+    eps_path.write_text(f"%!PS-Adobe-3.0 EPSF-3.0\n/Times-Roman {size} selectfont"
+                        " 10 10 moveto (a) show\nshowpage\n")
+    tex_path.write_text("\\psfrag{a}[bc][bc][1][0]{x}\n")
+    out_path = tmp_path / "prev.eps"
+    assert main(["preview", str(eps_path), str(tex_path), str(out_path)]) == 0
+    assert capsys.readouterr().out.strip() == "1 occurrences substituted"
+    out_path.unlink()
+    with tex_path.open("a") as handle:
+        handle.write("\\psfrag{stale}{y}\n")
+    argv = ["preview", str(eps_path), str(tex_path), str(out_path), "--strict"]
+    assert main(argv) == 2
     assert not out_path.exists()
 
 
@@ -437,6 +460,40 @@ def test_probe_scene_itself_exports(tmp_path, capsys):
     path.write_text(_PROBE_SCENE)
     assert main(["export", str(path), "--basename", str(tmp_path / "p")]) == 0
     assert capsys.readouterr().out.strip() == "1 labels, 1 tagged"
+
+
+def _text_scene(expr: str) -> str:
+    return json.dumps({"version": 1, "plot_range": [[0, 1], [0, 1]], "size": [100, 100],
+                       "primitives": [{"type": "text", "expr": expr, "pos": [0.5, 0.5]}]})
+
+
+def test_export_takes_expressions_nested_a_hundred_deep(tmp_path, capsys):
+    path = tmp_path / "deep.scene"
+    path.write_text(_text_scene("(" * 100 + "x" + ")" * 100))
+    assert main(["export", str(path), "--basename", str(tmp_path / "p")]) == 0
+    assert capsys.readouterr().out.strip() == "1 labels, 1 tagged"
+
+
+_DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+@pytest.mark.parametrize("scene, hooks", [
+    (_text_scene("(" * 101 + "x" + ")" * 101), None),
+    (_PROBE_SCENE.replace('"primitives": [', '"primitives": [' + _DEEP_JSON + ","), None),
+    (_PROBE_SCENE, '{"pre_apply": ' + _DEEP_JSON + "}"),
+], ids=["expression", "scene", "hooks"])
+def test_export_rejects_too_deep_nesting(tmp_path, capsys, scene, hooks):
+    path = tmp_path / "deep.scene"
+    path.write_text(scene)
+    argv = ["export", str(path), "--basename", str(tmp_path / "p")]
+    if hooks is not None:
+        (tmp_path / "hooks.json").write_text(hooks)
+        argv += ["--hooks", str(tmp_path / "hooks.json")]
+    before = sorted(tmp_path.iterdir())
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def test_scene_normalizes_direction():

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from labelforge.exprkit import (Call, ExprSyntaxError, Hold, HookSet, LabelClass,
-                                Num, Str, Sym, UnknownHeadWarning, classify,
+from labelforge.exprkit import (MAX_NESTING, Call, ExprSyntaxError, Hold, HookSet,
+                                LabelClass, Num, Str, Sym, UnknownHeadWarning, classify,
                                 expand_negations, guess_tex, hold_transform, num,
                                 numeric_q, parse_expr, plain_text, print_source,
                                 to_tex)
@@ -84,6 +84,21 @@ def test_parse_error_offset_points_at_problem():
     with pytest.raises(ExprSyntaxError) as info:
         parse_expr("Sin[x] @")
     assert info.value.offset == 7
+
+
+@pytest.mark.parametrize("opener, closer", [("(", ")"), ("Sin[", "]"), ("x^", "")])
+def test_parse_nesting_limit(opener, closer):
+    deepest = parse_expr(opener * MAX_NESTING + "y" + closer * MAX_NESTING)
+    assert print_source(deepest) and guess_tex(deepest)
+    with pytest.raises(ExprSyntaxError, match=f"nested deeper than {MAX_NESTING} levels") as info:
+        parse_expr(opener * (MAX_NESTING + 1) + "y" + closer * (MAX_NESTING + 1))
+    # the offset is that of the bracket or caret opening the extra level
+    assert info.value.offset == len(opener) * (MAX_NESTING + 1) - 1
+
+
+def test_parse_long_unary_minus_chain_is_not_nesting():
+    assert parse_expr("-" * 5000 + "x") == parse_expr("--x")
+    assert parse_expr("-" * 5001 + "x") == parse_expr("-x")
 
 
 ROUNDTRIP_SOURCES = [

@@ -265,6 +265,13 @@ def test_parse_psfrag_line_allows_a_trailing_comment():
     ("\\psfrag{a}{x", "no closing brace"),
     ("\\psfrag{a}[bc][bc][1][0][9]{x}", "at most four optional arguments"),
     ("\\psfrag{a}[bc]{x} junk", "unexpected text after"),
+    ("\\psfrag{a}[bc", "no closing bracket"),
+    ("\\psfrag{a", "tag has no closing brace"),
+    ("\\psfrag{a}x", "must start with '{'"),
+    ("\\psfrag{a}[bc]x{y}", "must start with '{'"),
+    ("\\psfrag{a}", "must be on one line"),
+    ("\\psfrag{a}[bc][bc]", "must be on one line"),
+    ("\\psfrag{a}[bc][bc]  % body follows", "must be on one line"),
 ])
 def test_parse_psfrag_line_rejects_malformed_entries(line, message):
     with pytest.raises(ValueError, match=message):

@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import pytest
 
-from labelforge import (LabelBox, TagRegistry, place, reference_point, scan_tags,
+from labelforge import (ExportOptions, LabelBox, TagRegistry, place, reference_point, scan_tags,
                         substitute_preview)
 from labelforge.directives import PosCode
 from labelforge.epsio import TagOccurrence
@@ -138,7 +139,7 @@ def test_nonpositive_scale_rejected_at_entry_construction():
 def test_preview_empty_registry_only_banner(export):
     eps, _tex, _reg = export("ex_auto")
     with pytest.warns(UnmatchedTagWarning):
-        out = substitute_preview(eps, TagRegistry())
+        out = substitute_preview(eps, TagRegistry()).eps
     lines_in = eps.split(b"\n")
     lines_out = out.split(b"\n")
     assert len(lines_out) == len(lines_in) + 1
@@ -147,11 +148,18 @@ def test_preview_empty_registry_only_banner(export):
 
 
 @pytest.mark.parametrize("name", [p.stem for p in sorted(FIXTURES.glob("*.scene"))])
-def test_preview_with_given_occurrences_matches_own_scan(export, name):
-    eps, tex, _reg = export(name)
-    registry = parse_psfrag_document(tex)
-    assert substitute_preview(eps, registry, occurrences=scan_tags(eps)) == \
-        substitute_preview(eps, registry)
+@pytest.mark.parametrize("no_auto_convert", [False, True])
+def test_preview_counts_match_scan_and_registry(export, name, no_auto_convert):
+    eps, tex, _reg = export(name, opts=ExportOptions(auto_convert_text=not no_auto_convert))
+    registry = parse_psfrag_document(tex + "\\psfrag{staleTag}{x}\n")
+    shown = [occ.tag for occ in scan_tags(eps)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UnmatchedTagWarning)
+        result = substitute_preview(eps, registry)
+    assert result.matched == sum(1 for tag in shown if tag in registry)
+    assert result.unmatched == sorted({tag for tag in shown if tag not in registry})
+    assert result.stale == [tag for tag in registry.tags() if tag not in shown]
+    assert result.stale[-1] == "staleTag"
 
 
 def test_preview_unmatched_tag_warns_and_passes_through(export):
@@ -159,7 +167,7 @@ def test_preview_unmatched_tag_warns_and_passes_through(export):
         auto_convert_text=False))
     registry = parse_psfrag_document(tex)
     with pytest.warns(UnmatchedTagWarning):
-        out = substitute_preview(eps, registry)
+        out = substitute_preview(eps, registry).eps
     # untagged plain labels are still shown verbatim
     remaining = {occ.tag for occ in scan_tags(out)}
     assert "Example 0" in remaining
@@ -168,7 +176,7 @@ def test_preview_unmatched_tag_warns_and_passes_through(export):
 def test_preview_fig2_places_fifteen_boxes(export):
     eps, tex, _reg = export("fig2")
     registry = parse_psfrag_document(tex)
-    out = substitute_preview(eps, registry)
+    out = substitute_preview(eps, registry).eps
     assert out.count(b"closepath stroke") == 15
     assert PREVIEW_CREATOR in out
     # every original tag string was blanked
@@ -210,6 +218,6 @@ def test_preview_rot_zero_boxes_parallel_tag_direction(export):
 def test_preview_output_is_valid_eps(export):
     eps, tex, _reg = export("fig2")
     registry = parse_psfrag_document(tex)
-    out = substitute_preview(eps, registry)
+    out = substitute_preview(eps, registry).eps
     occs = scan_tags(out)  # must tokenize and scan cleanly
     assert len(occs) == 30  # 15 blanked shows + 15 box identification labels
