@@ -19,7 +19,7 @@ from .exprkit import EMPTY_HOOKS, ExprSyntaxError
 from .fileio import atomic_write_bytes, atomic_write_text, make_backup
 from .labeling import (DuplicateTagError, PsfragSyntaxError, parse_psfrag_document,
                        parse_psfrag_line, psfrag_export, renumber)
-from .preview import UnmatchedTagWarning, substitute_preview
+from .preview import substitute_preview
 from .scene import ExportOptions, expand_decorations
 from .scenefile import SceneFormatError, load_hooks, load_scene
 
@@ -135,9 +135,7 @@ def cmd_renumber(args: argparse.Namespace) -> int:
 def cmd_preview(args: argparse.Namespace) -> int:
     eps_data = Path(args.eps).read_bytes()
     registry = parse_psfrag_document(Path(args.tex).read_text(encoding="utf-8"))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UnmatchedTagWarning)
-        result = substitute_preview(eps_data, registry)
+    result = substitute_preview(eps_data, registry)
     if args.strict and (result.stale or result.unmatched):
         for tag in result.stale:
             print(f"error: entry {tag!r} matches nothing in the EPS", file=sys.stderr)
@@ -149,20 +147,26 @@ def cmd_preview(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except (SceneFormatError, ExprSyntaxError, PsfragSyntaxError, TokenizeError,
-            ScanError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (DuplicateTagError, RewriteError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SEMANTIC
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    with warnings.catch_warnings():
+        warnings.showwarning = _print_warning
+        try:
+            return args.func(args)
+        except (SceneFormatError, ExprSyntaxError, PsfragSyntaxError, TokenizeError,
+                ScanError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_PARSE
+        except (DuplicateTagError, RewriteError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_SEMANTIC
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -14,6 +14,7 @@ a warning instead of failing.
 
 from __future__ import annotations
 
+import re
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -106,7 +107,6 @@ def _negate(e: Expr) -> Expr:
 # ---------------------------------------------------------------------------
 # Parser
 
-_PUNCT = set("+-*/^()[],")
 MAX_NESTING = 100  # brackets, parentheses and exponents; keeps recursion bounded
 
 
@@ -117,57 +117,36 @@ class _Token:
     offset: int
 
 
+# One alternative per token kind after optional whitespace. Numbers are
+# decimal digits only (what int() reads); a word that does not start with
+# a letter or `_` (say `½x`) is rejected in _lex. A string ends at its
+# closing quote, at a bad escape, or at the end of the input.
+_TOKEN = re.compile(r"""\s*(?:
+    (?P<number>\d+(?:\.\d*)?)
+  | (?P<ident>\w+)
+  | (?P<string>"(?P<body>(?:[^"\\]|\\["\\])*)(?P<close>"|\\.|))
+  | (?P<punct>[-+*/^()\[\],])
+  | (?P<other>\S))""", re.VERBOSE | re.DOTALL)
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+
+
 def _lex(source: str) -> list[_Token]:
     tokens = []
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch.isdigit():
-            start = i
-            while i < n and source[i].isdigit():
-                i += 1
-            if i < n and source[i] == ".":
-                i += 1
-                while i < n and source[i].isdigit():
-                    i += 1
-            tokens.append(_Token("number", source[start:i], start))
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (source[i].isalnum() or source[i] == "_"):
-                i += 1
-            tokens.append(_Token("ident", source[start:i], start))
-            continue
-        if ch == '"':
-            start = i
-            i += 1
-            chars = []
-            while i < n and source[i] != '"':
-                if source[i] == "\\":
-                    if i + 1 >= n:
-                        raise ExprSyntaxError("unterminated string", start)
-                    esc = source[i + 1]
-                    if esc not in ('"', "\\"):
-                        raise ExprSyntaxError(f"invalid string escape '\\{esc}'", i)
-                    chars.append(esc)
-                    i += 2
-                else:
-                    chars.append(source[i])
-                    i += 1
-            if i >= n:
+    pos = 0
+    while (m := _TOKEN.match(source, pos)) is not None:
+        kind, start, pos = m.lastgroup, m.start(m.lastgroup), m.end()
+        text = m[kind]
+        if kind == "other" or (kind == "ident" and not (text[0].isalpha() or text[0] == "_")):
+            raise ExprSyntaxError(f"unexpected character {text[0]!r}", start)
+        if kind == "string":
+            close = m["close"]
+            if close.startswith("\\"):
+                raise ExprSyntaxError(f"invalid string escape '{close}'", m.start("close"))
+            if not close:
                 raise ExprSyntaxError("unterminated string", start)
-            i += 1
-            tokens.append(_Token("string", "".join(chars), start))
-            continue
-        if ch in _PUNCT:
-            tokens.append(_Token("punct", ch, i))
-            i += 1
-            continue
-        raise ExprSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("eof", "", n))
+            text = _ESCAPE.sub(r"\1", m["body"])
+        tokens.append(_Token(kind, text, start))
+    tokens.append(_Token("eof", "", len(source)))
     return tokens
 
 
@@ -278,6 +257,9 @@ class _Parser:
                     if len(args) != 1:
                         raise ExprSyntaxError("HoldForm takes exactly one argument", tok.offset)
                     return Hold(args[0])
+                if not tok.text.isidentifier():
+                    raise ExprSyntaxError(f"call head {tok.text!r} is not an identifier",
+                                          tok.offset)
                 return Call(tok.text, tuple(args))
             return Sym(tok.text)
         if self.at_punct("("):
@@ -327,24 +309,14 @@ def _frac_source(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _source_prec(e: Expr) -> int:
-    # 1 = additive, 2 = multiplicative, 3 = power, 4 = atom
-    if isinstance(e, Num):
-        if e.value < 0 or (e.literal or "").startswith("-"):
-            return 1
-        if e.literal is None and e.value.denominator != 1:
-            return 2
-        return 4
-    if isinstance(e, Call):
-        if e.head == "Plus":
-            return 1
-        if e.head == "Times":
-            return 2
-        if e.head == "Divide" and not _folds_on_reparse(e.args):
-            return 2
-        if e.head == "Power":
-            return 3
-    return 4
+def _paren(printed: tuple[str, int], ctx: int) -> str:
+    # Precedence: 1 = additive, 2 = multiplicative, 3 = power, 4 = atom.
+    text, prec = printed
+    return f"({text})" if prec < ctx else text
+
+
+# A bracket form such as Plus[x] keeps the precedence of its infix form.
+_BRACKET_PREC = {"Plus": 1, "Times": 2, "Divide": 2, "Power": 3}
 
 
 def _folds_on_reparse(args: tuple[Expr, ...]) -> bool:
@@ -373,49 +345,45 @@ def _positive_term(e: Expr) -> Expr:
     return Call("Times", (head,) + e.args[1:])
 
 
-def _src(e: Expr, ctx: int) -> str:
-    s = _src_raw(e)
-    if _source_prec(e) < ctx:
-        return f"({s})"
-    return s
-
-
-def _src_raw(e: Expr) -> str:
+def _src(e: Expr) -> tuple[str, int]:
     if isinstance(e, Num):
-        if e.literal is not None:
-            return e.literal
-        return _frac_source(e.value)
+        text = e.literal if e.literal is not None else _frac_source(e.value)
+        if _is_negative_term(e):
+            return text, 1
+        return text, (2 if e.is_exact() and e.value.denominator != 1 else 4)
     if isinstance(e, Sym):
-        return e.name
+        return e.name, 4
     if isinstance(e, Str):
         escaped = e.text.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
+        return f'"{escaped}"', 4
     if isinstance(e, Hold):
-        return f"HoldForm[{_src(e.inner, 0)}]"
+        return f"HoldForm[{_src(e.inner)[0]}]", 4
     assert isinstance(e, Call)
     if e.head == "Plus" and len(e.args) >= 2:
         first = e.args[0]
-        parts = [_src_raw(first) if isinstance(first, Num) else _src(first, 2)]
+        parts = [_src(first)[0] if isinstance(first, Num) else _paren(_src(first), 2)]
         for term in e.args[1:]:
             if _is_negative_term(term):
-                parts.append(" - " + _src(_positive_term(term), 2))
+                parts.append(" - " + _paren(_src(_positive_term(term)), 2))
             else:
-                parts.append(" + " + _src(term, 2))
-        return "".join(parts)
+                parts.append(" + " + _paren(_src(term), 2))
+        return "".join(parts), 1
     if e.head == "Times" and len(e.args) >= 2:
         first = e.args[0]
         if isinstance(first, Num):
-            head_s = _src_raw(first)
+            head_s = _src(first)[0]
         elif isinstance(first, Call) and first.head in ("Plus", "Times"):
-            head_s = f"({_src_raw(first)})"
+            head_s = f"({_src(first)[0]})"
         else:
-            head_s = _src(first, 2)
-        return head_s + "".join("*" + _src(a, 3) for a in e.args[1:])
+            head_s = _paren(_src(first), 2)
+        return head_s + "".join("*" + _paren(_src(a), 3) for a in e.args[1:]), 2
     if e.head == "Divide" and len(e.args) == 2 and not _folds_on_reparse(e.args):
-        return _src(e.args[0], 2) + "/" + _src(e.args[1], 3)
+        return _paren(_src(e.args[0]), 2) + "/" + _paren(_src(e.args[1]), 3), 2
     if e.head == "Power" and len(e.args) == 2:
-        return _src(e.args[0], 4) + "^" + _src(e.args[1], 3)
-    return e.head + "[" + ", ".join(_src(a, 0) for a in e.args) + "]"
+        return _paren(_src(e.args[0]), 4) + "^" + _paren(_src(e.args[1]), 3), 3
+    # A quotient that would fold on reparse keeps its brackets and binds as an atom.
+    prec = 4 if e.head == "Divide" and len(e.args) == 2 else _BRACKET_PREC.get(e.head, 4)
+    return e.head + "[" + ", ".join(_src(a)[0] for a in e.args) + "]", prec
 
 
 def print_source(e: Expr) -> str:
@@ -423,7 +391,7 @@ def print_source(e: Expr) -> str:
 
     parse_expr(print_source(e)) == e for every tree the parser produces.
     """
-    return _src(e, 0)
+    return _src(e)[0]
 
 
 def plain_text(e: Expr) -> str:
@@ -432,10 +400,6 @@ def plain_text(e: Expr) -> str:
         return e.text
     if isinstance(e, Hold):
         return plain_text(e.inner)
-    if isinstance(e, Num):
-        return e.literal if e.literal is not None else _frac_source(e.value)
-    if isinstance(e, Sym):
-        return e.name
     return print_source(e)
 
 
@@ -520,30 +484,23 @@ def _canonical(args: tuple[Expr, ...]) -> tuple[Expr, ...]:
     return tuple(sorted(args, key=key))
 
 
-def _tex_prec(s_prec: int, ctx: int, s: str) -> str:
-    if s_prec < ctx:
-        return f"({s})"
-    return s
-
-
 def _frac_tex(p: int | str, q: int | str) -> str:
     return f"\\frac{{{p}}}{{{q}}}"
 
 
 def _tex(e: Expr, ctx: int, held: bool) -> str:
-    s, prec = _tex_raw(e, held)
-    return _tex_prec(prec, ctx, s)
+    return _paren(_tex_raw(e, held), ctx)
 
 
 def _tex_num(e: Num) -> tuple[str, int]:
-    if e.literal is not None:
-        return e.literal, (1 if e.literal.startswith("-") else 4)
+    negative = _is_negative_term(e)
+    prec = 1 if negative else 4
     v = e.value
+    if e.literal is not None:
+        return e.literal, prec
     if v.denominator == 1:
-        return str(v.numerator), (1 if v < 0 else 4)
-    if v < 0:
-        return "-" + _frac_tex(-v.numerator, v.denominator), 1
-    return _frac_tex(v.numerator, v.denominator), 4
+        return str(v.numerator), prec
+    return ("-" if negative else "") + _frac_tex(abs(v.numerator), v.denominator), prec
 
 
 def _tex_exponent(e: Expr, held: bool) -> str:
@@ -562,9 +519,8 @@ def _tex_times(args: tuple[Expr, ...], held: bool) -> tuple[str, int]:
             factors = factors[1:]
         else:
             factors[0] = flipped
-    if len(factors) == 1:
-        inner = _tex(factors[0], 2 if sign else 0, held)
-        return sign + inner, (1 if sign else _tex_raw(factors[0], held)[1])
+    if len(factors) == 1:  # only after dropping a leading -1
+        return "-" + _tex(factors[0], 2, held), 1
     head = factors[0]
     if (not held and isinstance(head, Num) and head.is_exact()
             and head.value.denominator != 1 and head.value > 0):

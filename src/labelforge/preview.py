@@ -9,9 +9,7 @@ typesetting anything.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 from .affine import Affine
 from .directives import PosCode
@@ -20,10 +18,6 @@ from .fontmetrics import string_extents
 from .labeling import PsfragEntry, TagRegistry
 
 PREVIEW_CREATOR = b"%%Creator: labelforge-preview"
-
-
-class UnmatchedTagWarning(UserWarning):
-    """A shown string had no registry entry and was passed through."""
 
 
 @dataclass(frozen=True)
@@ -110,26 +104,22 @@ class PreviewResult:
     stale: list[str]  # entries shown nowhere, in registry order
 
 
-def substitute_preview(eps: bytes,
-                       registry: TagRegistry,
-                       measure: Callable[[str], LabelBox] = default_measure,
-                       ) -> PreviewResult:
+def substitute_preview(eps: bytes, registry: TagRegistry) -> PreviewResult:
     """Replace matched shows by placed placeholder boxes.
 
     Each matched tag string is blanked and a stroked rectangle with a
     baseline line and the tag name in 4 pt type is drawn under the
-    placement transform. Unmatched text is left untouched (with a
-    warning). The output carries a labelforge-preview creator marker.
+    placement transform, its box measured by default_measure. Unmatched
+    text is left untouched and listed in the result. The output carries a
+    labelforge-preview creator marker.
     """
     occurrences = scan_tags(eps)
     matched: list[tuple[TagOccurrence, bytes]] = []
     for occ in occurrences:
         entry = registry.get(occ.tag)
         if entry is None:
-            warnings.warn(f"shown text {occ.tag!r} has no psfrag entry",
-                          UnmatchedTagWarning, stacklevel=2)
             continue
-        box = measure(entry.body)
+        box = default_measure(entry.body)
         transform = place(box, entry, occ, tag_box_for(occ))
         matched.append((occ, _preview_block(occ, box, transform)))
 

@@ -126,6 +126,31 @@ def test_export_bad_expression_reports_offset(tmp_path, capsys):
     assert "offset" in capsys.readouterr().err
 
 
+def test_export_non_decimal_digit_is_a_bad_expression(tmp_path, capsys):
+    path = tmp_path / "bad.scene"
+    path.write_text(_text_scene("2\u00b2"))
+    before = sorted(tmp_path.iterdir())
+    assert main(["export", str(path), "--basename", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad expression ") and err.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == before
+
+
+def test_export_prints_one_line_per_warning(tmp_path, capsys):
+    path = tmp_path / "warn.scene"
+    path.write_text(json.dumps({
+        "version": 1, "plot_range": [[0, 1], [0, 1]], "size": [100, 100],
+        "primitives": [
+            {"type": "text", "expr": "f[x]", "pos": [0.2, 0.5]},
+            {"type": "text", "expr": "y", "psfrag": {"tex": "{a"}, "pos": [0.8, 0.5]}]}))
+    assert main(["export", str(path), "--basename", str(tmp_path / "w")]) == 0
+    out, err = capsys.readouterr()
+    assert out == "2 labels, 2 tagged\n"
+    lines = err.splitlines()
+    assert len(lines) == 2 and err.endswith("\n")
+    assert all(line.startswith("warning: ") and ".py:" not in line for line in lines)
+
+
 def test_export_duplicate_tag_is_semantic_error(tmp_path, capsys):
     bad = tmp_path / "dup.scene"
     bad.write_text(json.dumps({

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from labelforge.exprkit import (MAX_NESTING, Call, ExprSyntaxError, Hold, HookSet,
                                 LabelClass, Num, Str, Sym, UnknownHeadWarning, classify,
@@ -71,6 +74,9 @@ def test_parse_empty_call():
     ('"abc', "unterminated string"),
     ("", "empty expression"),
     ("@", "unexpected character"),
+    ("2²", "unexpected character '²'"),
+    ("1.5²", "unexpected character '²'"),
+    ("x²[1]", "call head 'x²' is not an identifier"),
 ])
 def test_parse_errors(source, offset_text):
     with pytest.raises(ExprSyntaxError) as info:
@@ -167,6 +173,26 @@ def test_print_source_roundtrip_random_trees():
         assert parse_expr(printed) == tree, printed
 
 
+# The grammar's ASCII characters, a few letters, and ² ١ é Ⅻ ½ and a no-break
+# space: characters that str.isdigit, isdecimal, isalpha, isnumeric or isspace
+# accept but the grammar treats otherwise.
+_SOURCE_CHARS = "0123456789.xyPSin_+-*/^()[],\"\\ \u00b2\u0661\u00e9\u216b\u00bd\u00a0"
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(alphabet=_SOURCE_CHARS, max_size=40))
+def test_parse_property_syntax_error_or_roundtrip(source):
+    try:
+        tree = parse_expr(source)
+    except ExprSyntaxError:
+        return
+    assert parse_expr(print_source(tree)) == tree
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UnknownHeadWarning)
+        to_tex(tree)
+        guess_tex(tree)
+
+
 def test_numeric_q_cases():
     assert numeric_q(Num(Fraction(3, 2), "1.5"))
     assert numeric_q(parse_expr("1/2*Pi"))
@@ -255,7 +281,6 @@ def _balanced(out: str) -> bool:
 
 def test_to_tex_balanced_braces_random_trees():
     rng = random.Random(97531)
-    import warnings
     for _ in range(300):
         tree = _random_expr(rng, 4)
         with warnings.catch_warnings():

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import math
-import warnings
 
 import pytest
 
@@ -10,7 +9,7 @@ from labelforge import (ExportOptions, LabelBox, TagRegistry, place, reference_p
 from labelforge.directives import PosCode
 from labelforge.epsio import TagOccurrence
 from labelforge.labeling import PsfragEntry, parse_psfrag_document
-from labelforge.preview import PREVIEW_CREATOR, UnmatchedTagWarning, tag_box_for
+from labelforge.preview import PREVIEW_CREATOR, tag_box_for
 
 from conftest import FIXTURES
 
@@ -138,8 +137,10 @@ def test_nonpositive_scale_rejected_at_entry_construction():
 
 def test_preview_empty_registry_only_banner(export):
     eps, _tex, _reg = export("ex_auto")
-    with pytest.warns(UnmatchedTagWarning):
-        out = substitute_preview(eps, TagRegistry()).eps
+    result = substitute_preview(eps, TagRegistry())
+    assert result.matched == 0
+    assert result.unmatched == sorted({occ.tag for occ in scan_tags(eps)})
+    out = result.eps
     lines_in = eps.split(b"\n")
     lines_out = out.split(b"\n")
     assert len(lines_out) == len(lines_in) + 1
@@ -153,21 +154,20 @@ def test_preview_counts_match_scan_and_registry(export, name, no_auto_convert):
     eps, tex, _reg = export(name, opts=ExportOptions(auto_convert_text=not no_auto_convert))
     registry = parse_psfrag_document(tex + "\\psfrag{staleTag}{x}\n")
     shown = [occ.tag for occ in scan_tags(eps)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UnmatchedTagWarning)
-        result = substitute_preview(eps, registry)
+    result = substitute_preview(eps, registry)
     assert result.matched == sum(1 for tag in shown if tag in registry)
     assert result.unmatched == sorted({tag for tag in shown if tag not in registry})
     assert result.stale == [tag for tag in registry.tags() if tag not in shown]
     assert result.stale[-1] == "staleTag"
 
 
-def test_preview_unmatched_tag_warns_and_passes_through(export):
+def test_preview_unmatched_tag_is_listed_and_passes_through(export):
     eps, tex, _reg = export("ex_rot", opts=__import__("labelforge").ExportOptions(
         auto_convert_text=False))
     registry = parse_psfrag_document(tex)
-    with pytest.warns(UnmatchedTagWarning):
-        out = substitute_preview(eps, registry).eps
+    result = substitute_preview(eps, registry)
+    assert "Example 0" in result.unmatched
+    out = result.eps
     # untagged plain labels are still shown verbatim
     remaining = {occ.tag for occ in scan_tags(out)}
     assert "Example 0" in remaining
