@@ -1,32 +1,41 @@
 """Command-line front end: export, inspect, renumber, preview.
 
-Exit codes: 0 success, 1 parse error, 2 semantic error, 3 I/O failure.
-Every failing path writes no output files; in-place commands always keep
-.bak copies of the originals.
+Exit codes: 0 success, 1 parse error, 2 semantic error (each error class
+carries its own as `exit_code`), 3 I/O failure. Every failing path writes no
+output files; in-place commands always keep .bak copies of the originals.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import sys
 import warnings
 from pathlib import Path
 
-from .epsio import RewriteError, ScanError, TokenizeError, rewrite_tags, scan_tags
-from .exprkit import EMPTY_HOOKS, ExprSyntaxError
+from .epsio import rewrite_tags, scan_tags
 from .fileio import atomic_write_bytes, atomic_write_text, make_backup
-from .labeling import (DuplicateTagError, PsfragSyntaxError, parse_psfrag_document,
-                       parse_psfrag_line, psfrag_export, renumber)
-from .preview import substitute_preview
-from .scene import ExportOptions, expand_decorations
-from .scenefile import SceneFormatError, load_hooks, load_scene
 
 EXIT_OK = 0
-EXIT_PARSE = 1
 EXIT_SEMANTIC = 2
 EXIT_IO = 3
+
+# What the commands call beyond the EPS reader, by defining module: each name
+# resolves through `__getattr__` and is bound when a command that calls it is
+# chosen, unless already bound (to a wrapper), so `inspect` loads no more.
+_LAZY = {"load_scene": "scenefile", "load_hooks": "scenefile", "psfrag_export": "labeling",
+         "parse_psfrag_document": "labeling", "parse_psfrag_line": "labeling",
+         "renumber": "labeling", "substitute_preview": "preview", "ExportOptions": "scene",
+         "expand_decorations": "scene", "EMPTY_HOOKS": "exprkit"}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = getattr(importlib.import_module(f".{_LAZY[name]}", __package__), name)
+    return globals()[name]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -75,17 +84,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def cmd_export(args: argparse.Namespace) -> int:
     scene = load_scene(args.scene)
     hooks = load_hooks(args.hooks) if args.hooks else EMPTY_HOOKS
-    opts = ExportOptions(
-        tex_suffix=args.tex_suffix,
-        eps_suffix=args.eps_suffix,
-        renumber_tags=args.renumber_tags,
-        auto_convert_text=not args.no_auto_convert,
-        auto_position=not args.no_auto_position,
-    )
+    opts = ExportOptions(tex_suffix=args.tex_suffix, eps_suffix=args.eps_suffix,
+                         renumber_tags=args.renumber_tags,
+                         auto_convert_text=not args.no_auto_convert,
+                         auto_position=not args.no_auto_position)
     _eps, _tex, registry = psfrag_export(scene, args.basename, opts, hooks)
-    # write_eps shows each text primitive of the expanded scene once, and
-    # auto-wrapping neither adds nor drops one, so this counts the shows
-    # without scanning the EPS.
+    # write_eps shows each text primitive of the expanded scene once, and auto-wrapping
+    # neither adds nor drops one, so this counts the shows without scanning the EPS.
     total = len(expand_decorations(scene).text_primitives())
     print(f"{total} labels, {len(registry)} tagged")
     return EXIT_OK
@@ -153,17 +158,18 @@ def _print_warning(message, category, filename, lineno, file=None, line=None) ->
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    for name in _LAZY.keys() - globals().keys():  # bind what the chosen command calls
+        if name in args.func.__code__.co_names:
+            __getattr__(name)
     with warnings.catch_warnings():
         warnings.showwarning = _print_warning
         try:
             return args.func(args)
-        except (SceneFormatError, ExprSyntaxError, PsfragSyntaxError, TokenizeError,
-                ScanError) as exc:
+        except ValueError as exc:
+            if not hasattr(exc, "exit_code"):
+                raise
             print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PARSE
-        except (DuplicateTagError, RewriteError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_SEMANTIC
+            return exc.exit_code
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_IO

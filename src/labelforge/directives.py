@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .exprkit import Expr
+if TYPE_CHECKING:
+    from .exprkit import Expr
 
 _VERTICALS = ("t", "c", "b", "B")
 _HORIZONTALS = ("l", "c", "r")

@@ -15,21 +15,25 @@ import math
 import re
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from .affine import Affine
-from .exprkit import plain_text
-from .fontmetrics import string_extents
-from .scene import Arrow, CircleArc, Polyline, Scene, StrokeStyle, TextPrimitive
+
+if TYPE_CHECKING:
+    from .scene import Scene, StrokeStyle
 
 
 class TokenizeError(ValueError):
+    exit_code = 1
+
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} at byte offset {offset}")
         self.offset = offset
 
 
 class ScanError(ValueError):
+    exit_code = 1
+
     def __init__(self, message: str, span: tuple[int, int]):
         super().__init__(f"{message} at bytes {span[0]}..{span[1]}")
         self.span = span
@@ -41,6 +45,7 @@ class ScanWarning(UserWarning):
 
 class RewriteError(ValueError):
     """A tag scheduled for rewriting does not occur in the file."""
+    exit_code = 2
 
 
 # Token kinds
@@ -494,6 +499,9 @@ def write_eps(scene: Scene,
     presentable. Returns the bytes plus the exact device placement of
     every text primitive.
     """
+    from .exprkit import plain_text  # here, so that reading EPS loads no scene model
+    from .fontmetrics import string_extents
+    from .scene import Arrow, CircleArc, Polyline, TextPrimitive
     if not scene.decorations.is_empty():
         raise ValueError("scene decorations must be expanded before writing")
     tag_text = tag_text or {}

@@ -24,6 +24,7 @@ from typing import Callable, Mapping, Union
 
 class ExprSyntaxError(ValueError):
     """Parse failure, carrying the byte offset of the offending input."""
+    exit_code = 1
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} at offset {offset}")

@@ -23,10 +23,12 @@ from .scene import ExportOptions, Scene, auto_wrap, expand_decorations
 
 class DuplicateTagError(ValueError):
     """Two labels requested the same explicit psfrag tag."""
+    exit_code = 2
 
 
 class PsfragSyntaxError(ValueError):
     """A \\psfrag line of a .tex file does not parse; the message names the line."""
+    exit_code = 1
 
 
 class UnbalancedBraceWarning(UserWarning):
@@ -91,7 +93,11 @@ def derive_tag(expr, registry: TagRegistry) -> str:
 
     Collisions get the smallest decimal suffix >= 2 that is free.
     """
-    base = re.sub(r"[^A-Za-z0-9]", "", print_source(expr)) or "tag"
+    return _free_tag(print_source(expr), registry)
+
+
+def _free_tag(source: str, registry: TagRegistry) -> str:
+    base = re.sub(r"[^A-Za-z0-9]", "", source) or "tag"
     if base not in registry:
         return base
     n = 2
@@ -180,8 +186,8 @@ def build_entry(directive: LabelDirective,
     realized through the LaTeX scale hooks inside the body instead, since
     LaTeX-side scaling survives font substitution better.
     """
-    origin = f"label {print_source(directive.expr)!r}"
-    tag = directive.psfrag_tag or derive_tag(directive.expr, registry)
+    source = print_source(directive.expr)
+    tag = directive.psfrag_tag or _free_tag(source, registry)
     if directive.tex_command is not None:
         body = directive.tex_command
         _check_braces(body, tag)
@@ -192,7 +198,7 @@ def build_entry(directive: LabelDirective,
     scale = directive.scaling if directive.scaling is not None else 1.0
     entry = PsfragEntry(tag=tag, posn=posn, psposn=psposn, scale=scale,
                         rot=directive.rotation, body=body)
-    registry.add(entry, origin=origin)
+    registry.add(entry, origin=f"label {source!r}")
     return entry
 
 
@@ -331,14 +337,22 @@ def psfrag_export(scene: Scene,
         working = auto_wrap(working)
 
     registry = TagRegistry()
-    text_prims = working.text_primitives()
     tag_of_index: dict[int, str] = {}
-    for idx, prim in enumerate(text_prims):
-        directive = prim.directive
-        if directive is None:
-            continue
-        entry = build_entry(directive, prim.anchor, hooks, opts, registry)
-        tag_of_index[idx] = entry.tag
+    # Re-emit each built label's warnings, repeats included, naming the label.
+    labelled: list[tuple[str, warnings.WarningMessage]] = []
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for idx, prim in enumerate(working.text_primitives()):
+                if prim.directive is None:
+                    continue
+                seen = len(caught)
+                entry = build_entry(prim.directive, prim.anchor, hooks, opts, registry)
+                tag_of_index[idx] = entry.tag
+                labelled += [(registry.origin(entry.tag), w) for w in caught[seen:]]
+    finally:
+        for origin, w in labelled:
+            warnings.warn(f"{origin}: {w.message}", w.category, stacklevel=2)
 
     if opts.renumber_tags:
         registry, tag_map = renumber(registry)

@@ -23,6 +23,7 @@ SCENE_VERSION = 1
 
 class SceneFormatError(ValueError):
     """The document does not conform to the scene or hooks schema."""
+    exit_code = 1
 
 
 def _require_keys(obj: Any, allowed: set[str], required: set[str], what: str) -> None:

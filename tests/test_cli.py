@@ -1,14 +1,18 @@
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import shutil
 import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from labelforge import epsio, scan_tags
+import labelforge
+from labelforge import cli, epsio, labeling, scan_tags
 from labelforge.cli import main
 from labelforge.labeling import parse_psfrag_document
 from labelforge.scenefile import SceneFormatError, parse_hooks, parse_scene
@@ -126,6 +130,15 @@ def test_export_bad_expression_reports_offset(tmp_path, capsys):
     assert "offset" in capsys.readouterr().err
 
 
+def test_inspect_unbalanced_grestore_exits_one(tmp_path, capsys):
+    eps = tmp_path / "grestore.eps"
+    eps.write_bytes(b"%!PS\ngrestore\n")
+    assert main(["inspect", str(eps)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: grestore with no saved state") and err.count("\n") == 1
+
+
 def test_export_non_decimal_digit_is_a_bad_expression(tmp_path, capsys):
     path = tmp_path / "bad.scene"
     path.write_text(_text_scene("2\u00b2"))
@@ -149,6 +162,42 @@ def test_export_prints_one_line_per_warning(tmp_path, capsys):
     lines = err.splitlines()
     assert len(lines) == 2 and err.endswith("\n")
     assert all(line.startswith("warning: ") and ".py:" not in line for line in lines)
+
+
+def test_export_warns_once_per_label_naming_it(tmp_path, capsys):
+    exprs = ["f[x]", "f[y]", "g[x]", "f[x]+1"]
+    path = tmp_path / "heads.scene"
+    path.write_text(json.dumps({
+        "version": 1, "plot_range": [[0, 1], [0, 1]], "size": [100, 100],
+        "primitives": [{"type": "text", "expr": e, "pos": [0.2 * i, 0.5]}
+                       for i, e in enumerate(exprs)]}))
+    assert main(["export", str(path), "--basename", str(tmp_path / "h")]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: label {source!r}: no LaTeX mapping for head {head!r}"
+        for source, head in [("f[x]", "f"), ("f[y]", "f"), ("g[x]", "g"), ("f[x] + 1", "f")]]
+
+
+def test_export_failing_on_a_later_label_still_prints_earlier_warnings(tmp_path, capsys):
+    path = tmp_path / "dup.scene"
+    path.write_text(json.dumps({
+        "version": 1, "plot_range": [[0, 1], [0, 1]], "size": [100, 100],
+        "primitives": [{"type": "text", "expr": "f[x]", "pos": [0.1, 0.5]}] + [
+            {"type": "text", "expr": e, "pos": [0.5, 0.5], "psfrag": {"tag": "T"}}
+            for e in ("x", "y")]}))
+    assert main(["export", str(path), "--basename", str(tmp_path / "d")]) == 2
+    warning, error = capsys.readouterr().err.splitlines()
+    assert warning == "warning: label 'f[x]': no LaTeX mapping for head 'f'"
+    assert error.startswith("error: psfrag tag 'T' assigned to both label 'x' and label 'y'")
+
+
+def test_export_prints_each_label_source_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    original = labeling.print_source
+    monkeypatch.setattr(labeling, "print_source", lambda e: calls.append(1) or original(e))
+    scene = _copy_fixture("ex_auto", tmp_path)
+    assert main(["export", str(scene), "--basename", str(tmp_path / "a")]) == 0
+    assert capsys.readouterr().out == "13 labels, 13 tagged\n"
+    assert len(calls) == 13
 
 
 def test_export_duplicate_tag_is_semantic_error(tmp_path, capsys):
@@ -581,3 +630,67 @@ def test_hooks_parses_builtins():
     from labelforge.exprkit import LabelClass
     assert len(hooks.pre_for(LabelClass.MATH)) == 2
     assert hooks.post_for(LabelClass.TEXT) == (("a", "b"),)
+
+
+# ------------------------------------------------------ imports and call paths
+
+def _loaded_after(*argv: str) -> list[str]:
+    """The labelforge modules a fresh interpreter holds after `main(argv)`,
+    or after `import labelforge` when argv is empty."""
+    code = ("import json, sys\n"
+            "if sys.argv[1:]:\n"
+            "    import labelforge.cli\n"
+            "    labelforge.cli.main(sys.argv[1:])\n"
+            "else:\n"
+            "    import labelforge\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('labelforge'))),\n"
+            "      file=sys.stderr)\n")
+    src = str(Path(labelforge.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env=env, check=True)
+    return json.loads(proc.stderr.splitlines()[-1])
+
+
+def test_each_command_imports_only_what_it_runs(tmp_path, capsys):
+    scene = _copy_fixture("fig2", tmp_path)
+    assert main(["export", str(scene), "--basename", str(tmp_path / "f")]) == 0
+    eps, tex = str(tmp_path / "f-psfrag.eps"), str(tmp_path / "f-psfrag.tex")
+    assert _loaded_after() == ["labelforge"]
+    assert _loaded_after("inspect", eps) == [
+        "labelforge", "labelforge.affine", "labelforge.cli", "labelforge.epsio",
+        "labelforge.fileio"]
+    assert "labelforge.preview" not in _loaded_after(
+        "export", str(scene), "--basename", str(tmp_path / "g"))
+    assert "labelforge.scenefile" not in _loaded_after("preview", eps, tex, str(tmp_path / "p.eps"))
+    loaded = _loaded_after("renumber", eps, tex)
+    assert "labelforge.scenefile" not in loaded and "labelforge.preview" not in loaded
+
+
+def test_cli_resolves_each_name_a_command_calls_before_it_runs():
+    for name, module in cli._LAZY.items():
+        defining = importlib.import_module(f"labelforge.{module}")
+        assert cli.__getattr__(name) is getattr(defining, name)
+    with pytest.raises(AttributeError):
+        cli.no_such_name
+
+
+def test_commands_call_through_the_cli_module_names(tmp_path, capsys, monkeypatch):
+    calls = dict.fromkeys(["load_scene", "psfrag_export", "parse_psfrag_document", "renumber",
+                           "rewrite_tags", "substitute_preview"], 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+    scene = _copy_fixture("fig2", tmp_path)
+    eps, tex = str(tmp_path / "f-psfrag.eps"), str(tmp_path / "f-psfrag.tex")
+    assert main(["export", str(scene), "--basename", str(tmp_path / "f")]) == 0
+    assert main(["preview", eps, tex, str(tmp_path / "p.eps")]) == 0
+    assert main(["renumber", eps, tex]) == 0
+    assert calls == {"load_scene": 1, "psfrag_export": 1, "parse_psfrag_document": 2,
+                     "renumber": 1, "rewrite_tags": 1, "substitute_preview": 1}
