@@ -26,9 +26,8 @@ EXIT_IO = 3
 # resolves through `__getattr__` and is bound when a command that calls it is
 # chosen, unless already bound (to a wrapper), so `inspect` loads no more.
 _LAZY = {"load_scene": "scenefile", "load_hooks": "scenefile", "psfrag_export": "labeling",
-         "parse_psfrag_document": "labeling", "parse_psfrag_line": "labeling",
-         "renumber": "labeling", "substitute_preview": "preview", "ExportOptions": "scene",
-         "expand_decorations": "scene", "EMPTY_HOOKS": "exprkit"}
+         "parse_psfrag_document": "labeling", "renumber": "labeling",
+         "substitute_preview": "preview", "ExportOptions": "scene", "expand_decorations": "scene"}
 
 
 def __getattr__(name: str):
@@ -83,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def cmd_export(args: argparse.Namespace) -> int:
     scene = load_scene(args.scene)
-    hooks = load_hooks(args.hooks) if args.hooks else EMPTY_HOOKS
+    hooks = load_hooks(args.hooks) if args.hooks else None
     opts = ExportOptions(tex_suffix=args.tex_suffix, eps_suffix=args.eps_suffix,
                          renumber_tags=args.renumber_tags,
                          auto_convert_text=not args.no_auto_convert,
@@ -120,14 +119,14 @@ def cmd_renumber(args: argparse.Namespace) -> int:
     registry = parse_psfrag_document(tex_text)
     _renumbered, tag_map = renumber(registry)
     new_eps = rewrite_tags(eps_data, tag_map)
-    # Retag exactly the lines parse_psfrag_document read as entries; the
-    # parsed tag is the line's first brace group.
+    # parse_psfrag_document took each line starting `\psfrag{` as an entry, in tag_map's order.
+    retag = iter(tag_map.items())
     new_tex = []
     for line in tex_text.splitlines(keepends=True):
-        entry = parse_psfrag_line(line)
-        if entry is not None:
-            start = line.index("{") + 1
-            line = line[:start] + tag_map[entry.tag] + line[start + len(entry.tag):]
+        if line.lstrip().startswith("\\psfrag{"):
+            old, new = next(retag)
+            head, _, tail = line.partition("{")
+            line = f"{head}{{{new}{tail[len(old):]}"
         new_tex.append(line)
     make_backup(eps_path)
     make_backup(tex_path)

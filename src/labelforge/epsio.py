@@ -255,7 +255,8 @@ _ARITY = {
     "showpage": 0, "pop": 1, "def": 2, "bind": 0, "exch": 0, "dup": 0,
 }
 
-_TEXT_VARIANTS = {"widthshow": 4, "ashow": 3, "kshow": 2}
+_TEXT_VARIANTS = {"widthshow": 4, "awidthshow": 6, "ashow": 3, "kshow": 2, "xshow": 2,
+                  "xyshow": 2, "glyphshow": 1, "cshow": 2}
 
 
 class _Interpreter:

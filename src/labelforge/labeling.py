@@ -8,17 +8,35 @@ the anchor-to-alignment mapping, and the top-level export orchestration.
 
 from __future__ import annotations
 
+import importlib
 import math
 import re
+import sys
 import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import epsio
 from .directives import LabelDirective, PosCode, is_valid_tag
-from .exprkit import EMPTY_HOOKS, HookSet, guess_tex, print_source
 from .fileio import atomic_write_bytes, atomic_write_text
-from .scene import ExportOptions, Scene, auto_wrap, expand_decorations
+
+if TYPE_CHECKING:
+    from .exprkit import HookSet
+    from .scene import ExportOptions, Scene
+
+# Export-side names by defining module, read as attributes of `_this` so that `__getattr__`
+# binds each on its first read: reading \psfrag files loads neither exprkit nor scene.
+_LAZY = {"print_source": "exprkit", "guess_tex": "exprkit", "EMPTY_HOOKS": "exprkit",
+         "expand_decorations": "scene", "auto_wrap": "scene", "ExportOptions": "scene"}
+_this = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = getattr(importlib.import_module(f".{_LAZY[name]}", __package__), name)
+    return globals()[name]
 
 
 class DuplicateTagError(ValueError):
@@ -93,7 +111,7 @@ def derive_tag(expr, registry: TagRegistry) -> str:
 
     Collisions get the smallest decimal suffix >= 2 that is free.
     """
-    return _free_tag(print_source(expr), registry)
+    return _free_tag(_this.print_source(expr), registry)
 
 
 def _free_tag(source: str, registry: TagRegistry) -> str:
@@ -186,14 +204,14 @@ def build_entry(directive: LabelDirective,
     realized through the LaTeX scale hooks inside the body instead, since
     LaTeX-side scaling survives font substitution better.
     """
-    source = print_source(directive.expr)
+    source = _this.print_source(directive.expr)
     tag = directive.psfrag_tag or _free_tag(source, registry)
     if directive.tex_command is not None:
         body = directive.tex_command
         _check_braces(body, tag)
     else:
-        body = guess_tex(directive.expr, hooks,
-                         include_scale_hook=directive.scaling is None)
+        body = _this.guess_tex(directive.expr, hooks,
+                               include_scale_hook=directive.scaling is None)
     posn, psposn = resolve_alignment(directive, anchor, opts.auto_position)
     scale = directive.scaling if directive.scaling is not None else 1.0
     entry = PsfragEntry(tag=tag, posn=posn, psposn=psposn, scale=scale,
@@ -318,8 +336,8 @@ def parse_psfrag_document(text: str) -> TagRegistry:
 
 def psfrag_export(scene: Scene,
                   basename: str | Path,
-                  opts: ExportOptions = ExportOptions(),
-                  hooks: HookSet = EMPTY_HOOKS,
+                  opts: ExportOptions | None = None,
+                  hooks: HookSet | None = None,
                   ) -> tuple[bytes, str, TagRegistry]:
     """Export a scene to `basename+eps_suffix` and `basename+tex_suffix`.
 
@@ -327,14 +345,16 @@ def psfrag_export(scene: Scene,
     stay taggable even with automatic positioning off), bare text is
     auto-wrapped when enabled, one entry is built per directive-bearing
     text primitive, tags are optionally renumbered, and both files are
-    written atomically. Bare text primitives that remain are drawn as
-    plain PostScript text and not tagged.
+    written atomically. Bare text primitives that remain are drawn as plain
+    PostScript text and not tagged. Defaults: `ExportOptions()`, `EMPTY_HOOKS`.
     """
     if not str(basename):
         raise ValueError("basename must be nonempty")
-    working = expand_decorations(scene)
+    opts = _this.ExportOptions() if opts is None else opts
+    hooks = _this.EMPTY_HOOKS if hooks is None else hooks
+    working = _this.expand_decorations(scene)
     if opts.effective_auto_convert:
-        working = auto_wrap(working)
+        working = _this.auto_wrap(working)
 
     registry = TagRegistry()
     tag_of_index: dict[int, str] = {}

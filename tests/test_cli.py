@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import importlib
+import importlib.util
 import json
 import os
 import shutil
@@ -137,6 +138,18 @@ def test_inspect_unbalanced_grestore_exits_one(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: grestore with no saved state") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("program", [
+    b"(ab) [5 5] xshow", b"(ab) [1 2 3 4] xyshow", b"/a glyphshow", b"{pop pop pop} (ab) cshow",
+    b"1 0 32 0.5 0 (ab) awidthshow"])
+def test_inspect_show_variant_prints_one_warning(tmp_path, capsys, program):
+    eps = tmp_path / "variant.eps"
+    eps.write_bytes(b"%!PS\n" + program + b"\n")
+    assert main(["inspect", str(eps)]) == 0
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("warning: ") and err.count("\n") == 1
 
 
 def test_export_non_decimal_digit_is_a_bad_expression(tmp_path, capsys):
@@ -336,6 +349,36 @@ def test_renumber_leaves_commented_psfrag_line_alone(tmp_path, capsys):
         handle.write(comment)
     assert main(["renumber", str(eps_path), str(tex_path)]) == 0
     assert tex_path.read_text().endswith(comment)
+
+
+def test_renumber_retags_indented_entries_and_keeps_other_lines(tmp_path, capsys):
+    eps_path, tex_path = _export_3d(tmp_path)
+    tex_path.write_text("% header\n"
+                        "  \\psfrag{1}[Br][Br][1][0]{a}\n"
+                        "\t\\psfrag{05}{b} % note\n"
+                        "% \\psfrag{0}{c}\n"
+                        "x \\psfrag{0}{c}\n"
+                        "\\psfrag{0}[Br]{d}")
+    assert main(["renumber", str(eps_path), str(tex_path)]) == 0
+    assert tex_path.read_text() == ("% header\n"
+                                    "  \\psfrag{a}[Br][Br][1][0]{a}\n"
+                                    "\t\\psfrag{b}{b} % note\n"
+                                    "% \\psfrag{0}{c}\n"
+                                    "x \\psfrag{0}{c}\n"
+                                    "\\psfrag{c}[Br]{d}")
+    assert {"a", "b", "c", "12"} <= {occ.tag for occ in scan_tags(eps_path.read_bytes())}
+
+
+def test_renumber_reads_each_tex_line_once(tmp_path, capsys, monkeypatch):
+    eps_path, tex_path = _export_3d(tmp_path)
+    read = []
+    original = labeling.parse_psfrag_line
+    monkeypatch.setattr(labeling, "parse_psfrag_line",
+                        lambda line: read.append(line) or original(line))
+    lines = tex_path.read_text().splitlines()
+    assert main(["renumber", str(eps_path), str(tex_path)]) == 0
+    assert read == lines
+    assert not hasattr(cli, "parse_psfrag_line")  # no second reader in the CLI
 
 
 def test_renumber_empty_tex_still_rejects_truncated_eps(tmp_path, capsys):
@@ -634,22 +677,27 @@ def test_hooks_parses_builtins():
 
 # ------------------------------------------------------ imports and call paths
 
+def _fresh_python(code: str, *argv: str) -> subprocess.CompletedProcess:
+    """Run `code` with `argv` in a fresh interpreter that imports this checkout's labelforge."""
+    src = str(Path(labelforge.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env=env, check=True)
+
+
 def _loaded_after(*argv: str) -> list[str]:
-    """The labelforge modules a fresh interpreter holds after `main(argv)`,
-    or after `import labelforge` when argv is empty."""
+    """The labelforge modules (and `fractions` and `decimal`, which only the expression
+    model needs) a fresh interpreter holds after `main(argv)`, or after `import labelforge`
+    when argv is empty."""
     code = ("import json, sys\n"
             "if sys.argv[1:]:\n"
             "    import labelforge.cli\n"
             "    labelforge.cli.main(sys.argv[1:])\n"
             "else:\n"
             "    import labelforge\n"
-            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('labelforge'))),\n"
-            "      file=sys.stderr)\n")
-    src = str(Path(labelforge.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
-                          env=env, check=True)
-    return json.loads(proc.stderr.splitlines()[-1])
+            "watched = lambda m: m.startswith('labelforge') or m in ('fractions', 'decimal')\n"
+            "print(json.dumps(sorted(filter(watched, sys.modules))), file=sys.stderr)\n")
+    return json.loads(_fresh_python(code, *argv).stderr.splitlines()[-1])
 
 
 def test_each_command_imports_only_what_it_runs(tmp_path, capsys):
@@ -662,9 +710,75 @@ def test_each_command_imports_only_what_it_runs(tmp_path, capsys):
         "labelforge.fileio"]
     assert "labelforge.preview" not in _loaded_after(
         "export", str(scene), "--basename", str(tmp_path / "g"))
-    assert "labelforge.scenefile" not in _loaded_after("preview", eps, tex, str(tmp_path / "p.eps"))
-    loaded = _loaded_after("renumber", eps, tex)
-    assert "labelforge.scenefile" not in loaded and "labelforge.preview" not in loaded
+    reader = ["labelforge", "labelforge.affine", "labelforge.cli", "labelforge.directives",
+              "labelforge.epsio", "labelforge.fileio", "labelforge.labeling"]
+    assert _loaded_after("preview", eps, tex, str(tmp_path / "p.eps")) == sorted(
+        reader + ["labelforge.fontmetrics", "labelforge.preview"])
+    assert _loaded_after("renumber", eps, tex) == reader
+
+
+def test_library_export_side_binds_its_names_on_first_use(tmp_path, capsys):
+    """derive_tag, build_entry and psfrag_export with default opts and hooks work in a
+    fresh interpreter that imported nothing of the export side through labeling."""
+    scene = _copy_fixture("fig2", tmp_path)
+    assert main(["export", str(scene), "--basename", str(tmp_path / "cli")]) == 0
+    code = ("import json, sys\n"
+            "from labelforge import labeling\n"
+            "from labelforge.directives import LabelDirective\n"
+            "from labelforge.exprkit import EMPTY_HOOKS, parse_expr\n"
+            "from labelforge.scene import ExportOptions\n"
+            "from labelforge.scenefile import load_scene\n"
+            "registry = labeling.TagRegistry()\n"
+            "tag = labeling.derive_tag(parse_expr('x^2'), registry)\n"
+            "entry = labeling.build_entry(LabelDirective(parse_expr('Sin[x]')), None,\n"
+            "                             EMPTY_HOOKS, ExportOptions(), registry)\n"
+            "unbound = sorted(set(labeling._LAZY) - set(vars(labeling)))\n"
+            "labeling.psfrag_export(load_scene(sys.argv[1]), sys.argv[2])\n"
+            "print(json.dumps([tag, entry.tag, entry.body, unbound]))\n")
+    proc = _fresh_python(code, str(scene), str(tmp_path / "lib"))
+    from labelforge.exprkit import EMPTY_HOOKS, guess_tex, parse_expr
+    assert json.loads(proc.stdout) == [
+        "x2", "Sinx", guess_tex(parse_expr("Sin[x]"), EMPTY_HOOKS),
+        ["EMPTY_HOOKS", "ExportOptions", "auto_wrap", "expand_decorations"]]
+    for suffix in ("-psfrag.eps", "-psfrag.tex"):
+        lib, cli_out = tmp_path / f"lib{suffix}", tmp_path / f"cli{suffix}"
+        assert lib.read_bytes() == cli_out.read_bytes()
+
+
+def test_labeling_resolves_each_export_side_name():
+    for name, module in labeling._LAZY.items():
+        defining = importlib.import_module(f"labelforge.{module}")
+        assert getattr(labeling, name) is getattr(defining, name)
+    with pytest.raises(AttributeError):
+        labeling.no_such_name
+
+
+def test_tracer_reaches_every_layer_the_benchmark_names(tmp_path, capsys):
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", Path(__file__).parents[1] / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        for module, attr in spans.SITES:
+            assert hasattr(getattr(importlib.import_module(f"labelforge.{module}"), attr),
+                           "__wrapped__"), (module, attr)
+        scene = _copy_fixture("fig2", tmp_path)
+        eps, tex = str(tmp_path / "f-psfrag.eps"), str(tmp_path / "f-psfrag.tex")
+        assert main(["export", str(scene), "--basename", str(tmp_path / "f")]) == 0
+        # fig2 gives every label its TeX; ex_auto's labels have theirs guessed.
+        auto = _copy_fixture("ex_auto", tmp_path)
+        assert main(["export", str(auto), "--basename", str(tmp_path / "a")]) == 0
+        assert main(["preview", eps, tex, str(tmp_path / "p.eps")]) == 0
+        assert main(["renumber", eps, tex]) == 0
+    finally:
+        tracer.uninstall()
+    layers = {span[spans.NAME] for span in tracer.spans}
+    assert layers >= {"exprkit.print_source", "exprkit.guess_tex", "scene.expand_decorations",
+                      "scene.auto_wrap", "labeling.build_entry", "labeling.emit_tex",
+                      "labeling.parse_psfrag_document", "labeling.renumber"}
+    assert not hasattr(labeling.print_source, "__wrapped__")
 
 
 def test_cli_resolves_each_name_a_command_calls_before_it_runs():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from labelforge import (ExportOptions, RewriteError, Scene, ScanError,
                         TextPrimitive, TokenizeError, auto_wrap,
                         expand_decorations, rewrite_tags, scan_tags, tokenize,
                         write_eps)
+from labelforge import epsio
 from labelforge.epsio import (ARRAY_DELIM, COMMENT, LITERAL_NAME, NAME, NUMBER,
                               PROC_DELIM, STRING, ScanWarning)
 from labelforge.exprkit import Str
@@ -179,6 +181,22 @@ def test_scan_widthshow_warns_and_is_not_an_occurrence():
     with pytest.warns(ScanWarning):
         occs = scan_tags(b"1 2 32 (skipped) widthshow (kept) show")
     assert [occ.tag for occ in occs] == ["kept"]
+
+
+_SHOW_FAMILY = [
+    b"1 2 32 (ab) widthshow", b"1 0 32 0.5 0 (ab) awidthshow", b"0.5 0 (ab) ashow",
+    b"{pop pop} (ab) kshow", b"(ab) [5 5] xshow", b"(ab) [1 2 3 4] xyshow", b"/a glyphshow",
+    b"{pop pop pop} (ab) cshow"]
+
+
+@pytest.mark.parametrize("program", _SHOW_FAMILY)
+def test_scan_show_variant_pops_its_operands_and_warns_once(program):
+    interp = epsio._Interpreter(program)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        interp.run(tokenize(program))
+    assert interp.stack == [] and interp.occurrences == []
+    assert [w.category for w in caught] == [ScanWarning]
 
 
 def test_scan_occurrences_in_byte_order(export):
