@@ -8,10 +8,11 @@ x vector and (c, d) the image of the unit y vector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+from .records import record
 
 
-@dataclass(frozen=True)
+@record
 class Affine:
     a: float = 1.0
     b: float = 0.0
@@ -19,10 +20,6 @@ class Affine:
     d: float = 1.0
     tx: float = 0.0
     ty: float = 0.0
-
-    @staticmethod
-    def identity() -> "Affine":
-        return Affine()
 
     @staticmethod
     def translation(tx: float, ty: float) -> "Affine":

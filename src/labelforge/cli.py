@@ -16,7 +16,7 @@ import warnings
 from pathlib import Path
 
 from .epsio import rewrite_tags, scan_tags
-from .fileio import atomic_write_bytes, atomic_write_text, make_backup
+from .fileio import atomic_write_bytes, atomic_write_text, make_backup, read_text
 
 EXIT_OK = 0
 EXIT_SEMANTIC = 2
@@ -115,7 +115,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 def cmd_renumber(args: argparse.Namespace) -> int:
     eps_path, tex_path = Path(args.eps), Path(args.tex)
     eps_data = eps_path.read_bytes()
-    tex_text = tex_path.read_text(encoding="utf-8")
+    tex_text = read_text(tex_path)
     registry = parse_psfrag_document(tex_text)
     _renumbered, tag_map = renumber(registry)
     new_eps = rewrite_tags(eps_data, tag_map)
@@ -138,7 +138,7 @@ def cmd_renumber(args: argparse.Namespace) -> int:
 
 def cmd_preview(args: argparse.Namespace) -> int:
     eps_data = Path(args.eps).read_bytes()
-    registry = parse_psfrag_document(Path(args.tex).read_text(encoding="utf-8"))
+    registry = parse_psfrag_document(read_text(args.tex))
     result = substitute_preview(eps_data, registry)
     if args.strict and (result.stale or result.unmatched):
         for tag in result.stale:

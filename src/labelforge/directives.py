@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
+
+from .records import record
 
 if TYPE_CHECKING:
     from .exprkit import Expr
@@ -19,7 +20,7 @@ def is_valid_tag(tag: str) -> bool:
     return bool(_TAG_RE.fullmatch(tag))
 
 
-@dataclass(frozen=True)
+@record
 class PosCode:
     """Two-character alignment code, vertical first: {t,c,b,B} x {l,c,r}."""
 
@@ -42,7 +43,7 @@ class PosCode:
         return self.vertical + self.horizontal
 
 
-@dataclass(frozen=True)
+@record
 class LabelDirective:
     """Manual control over one label's replacement.
 

@@ -14,10 +14,10 @@ from __future__ import annotations
 import math
 import re
 import warnings
-from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Mapping
 
 from .affine import Affine
+from .records import record, replace
 
 if TYPE_CHECKING:
     from .scene import Scene, StrokeStyle
@@ -58,17 +58,18 @@ PROC_DELIM = "proc_delim"
 COMMENT = "comment"
 
 
-# Not frozen: a frozen __init__ sets each field through object.__setattr__,
-# which nearly triples the cost of building a token, and an EPS file holds
-# tens of thousands of them. Nothing hashes or mutates a token.
-@dataclass(slots=True)
+# Mutable and slotted: an EPS file holds tens of thousands of tokens, and
+# plain slot stores are the cheapest way to build one. Nothing hashes or
+# mutates a token.
+@record(frozen=False)
 class PsToken:
+    __slots__ = ("kind", "value", "start", "end", "raw", "lit_start")
     kind: str
     value: object  # float | str | bytes depending on kind
     start: int  # span start, including attached leading whitespace
     end: int
     raw: bytes
-    lit_start: int = -1  # strings only: offset of the opening parenthesis
+    lit_start: int  # strings only: offset of the opening parenthesis, else -1
 
 
 _WS = b" \t\r\n\f\x00"
@@ -212,14 +213,14 @@ def tokenize(data: bytes) -> list[PsToken]:
 # ---------------------------------------------------------------------------
 # Conservative interpreter
 
-@dataclass
+@record(frozen=False)
 class GraphicsState:
-    ctm: Affine = field(default_factory=Affine.identity)
+    ctm: Affine = Affine()  # shared by every fresh state; an Affine is immutable
     current_point: tuple[float, float] | None = None  # user space
     font_size: float = 10.0
 
 
-@dataclass(frozen=True)
+@record
 class TagOccurrence:
     tag: str
     device_position: tuple[float, float]
@@ -233,13 +234,13 @@ _MARK = object()  # the stack entry `[` leaves
 _PROC = object()  # a skipped procedure body
 
 
-@dataclass(frozen=True)
+@record
 class _Font:
     name: str
     size: float
 
 
-@dataclass(frozen=True)
+@record
 class _PsString:
     data: bytes
     span: tuple[int, int]
@@ -437,7 +438,7 @@ _ARROW_HEAD_LENGTH = 8.0  # points
 _ARROW_HEAD_HALF_ANGLE = 25.0  # degrees
 
 
-@dataclass(frozen=True)
+@record
 class TextPlacement:
     """Exact device placement of one text primitive, for round-trips."""
 

@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Callable, Mapping, Union
+
+from .records import record
 
 
 class ExprSyntaxError(ValueError):
@@ -38,7 +40,7 @@ class UnknownHeadWarning(UserWarning):
 # ---------------------------------------------------------------------------
 # AST
 
-@dataclass(frozen=True)
+@record
 class Num:
     """Exact rational, or a decimal literal whose spelling is preserved."""
 
@@ -52,17 +54,17 @@ class Num:
         return self.literal is None
 
 
-@dataclass(frozen=True)
+@record
 class Sym:
     name: str
 
 
-@dataclass(frozen=True)
+@record
 class Str:
     text: str
 
 
-@dataclass(frozen=True)
+@record
 class Call:
     head: str
     args: tuple["Expr", ...]
@@ -73,7 +75,7 @@ class Call:
         object.__setattr__(self, "args", tuple(self.args))
 
 
-@dataclass(frozen=True)
+@record
 class Hold:
     """Barrier against canonical reordering, collapsing nested holds."""
 
@@ -111,7 +113,7 @@ def _negate(e: Expr) -> Expr:
 MAX_NESTING = 100  # brackets, parentheses and exponents; keeps recursion bounded
 
 
-@dataclass(frozen=True)
+@record
 class _Token:
     kind: str  # number | ident | string | punct | eof
     text: str
@@ -618,9 +620,10 @@ def to_tex(e: Expr) -> str:
 # GuessTeX: class-dependent wrapping with hooks
 
 TransformFn = Callable[[Expr], Expr]
+_NO_HOOKS: Mapping = MappingProxyType({})  # the default of both maps, shared and read-only
 
 
-@dataclass(frozen=True)
+@record
 class HookSet:
     """Per-class expression transforms and literal string replacements.
 
@@ -629,8 +632,8 @@ class HookSet:
     Both apply in list order.
     """
 
-    pre_apply: Mapping[LabelClass, tuple[TransformFn, ...]] = field(default_factory=dict)
-    post_replace: Mapping[LabelClass, tuple[tuple[str, str], ...]] = field(default_factory=dict)
+    pre_apply: Mapping[LabelClass, tuple[TransformFn, ...]] = _NO_HOOKS
+    post_replace: Mapping[LabelClass, tuple[tuple[str, str], ...]] = _NO_HOOKS
 
     def pre_for(self, cls: LabelClass) -> tuple[TransformFn, ...]:
         return tuple(self.pre_apply.get(cls, ()))

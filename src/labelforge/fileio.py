@@ -1,4 +1,4 @@
-"""Write-to-temp-then-rename file helpers."""
+"""The CLI's file access: one text reader and write-to-temp-then-rename helpers."""
 
 from __future__ import annotations
 
@@ -6,6 +6,21 @@ import os
 import shutil
 import tempfile
 from pathlib import Path
+
+
+class TextDecodeError(ValueError):
+    """A text input is not UTF-8; the message names the file and the byte offset."""
+    exit_code = 1
+
+
+def read_text(path: str | Path) -> str:
+    """The file at `path` decoded as strict UTF-8, its line endings kept as they are."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise TextDecodeError(f"{path}: not UTF-8: byte 0x{data[exc.start]:02X} "
+                              f"at byte offset {exc.start}") from None
 
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:

@@ -13,13 +13,13 @@ import math
 import re
 import sys
 import warnings
-from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import epsio
 from .directives import LabelDirective, PosCode, is_valid_tag
 from .fileio import atomic_write_bytes, atomic_write_text
+from .records import record, replace
 
 if TYPE_CHECKING:
     from .exprkit import HookSet
@@ -56,7 +56,7 @@ class UnbalancedBraceWarning(UserWarning):
 FALLBACK_POSITION = PosCode("b", "c")
 
 
-@dataclass(frozen=True)
+@record
 class PsfragEntry:
     tag: str
     posn: PosCode

@@ -9,18 +9,17 @@ typesetting anything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .affine import Affine
 from .directives import PosCode
 from .epsio import TagOccurrence, _fmt, scan_tags, splice
 from .fontmetrics import string_extents
 from .labeling import PsfragEntry, TagRegistry
+from .records import record
 
 PREVIEW_CREATOR = b"%%Creator: labelforge-preview"
 
 
-@dataclass(frozen=True)
+@record
 class LabelBox:
     """Box frame: origin bottom-left, baseline at y = depth."""
 
@@ -96,7 +95,7 @@ def _preview_block(occ: TagOccurrence, box: LabelBox, transform: Affine) -> byte
     return ("\n".join(lines) + "\n").encode("latin-1")
 
 
-@dataclass(frozen=True)
+@record
 class PreviewResult:
     eps: bytes
     matched: int  # occurrences substituted

@@ -10,16 +10,16 @@ text for automatic replacement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import Union
 
 from .directives import LabelDirective
 from .exprkit import Expr, num
+from .records import record, replace
 
 Point = tuple[float, float]
 
 
-@dataclass(frozen=True)
+@record
 class StrokeStyle:
     width: float = 1.0
     dash: tuple[float, float] | None = None  # on/off lengths in points
@@ -27,7 +27,7 @@ class StrokeStyle:
     hue: float | None = None
 
 
-@dataclass(frozen=True)
+@record
 class Polyline:
     points: tuple[Point, ...]
     style: StrokeStyle = StrokeStyle()
@@ -38,7 +38,7 @@ class Polyline:
             raise ValueError("polyline needs at least 2 points")
 
 
-@dataclass(frozen=True)
+@record
 class CircleArc:
     center: Point
     radius: float
@@ -52,7 +52,7 @@ class CircleArc:
             raise ValueError("circle radius must be positive")
 
 
-@dataclass(frozen=True)
+@record
 class Arrow:
     start: Point
     end: Point
@@ -63,7 +63,7 @@ class Arrow:
         object.__setattr__(self, "end", tuple(self.end))
 
 
-@dataclass(frozen=True)
+@record
 class TextPrimitive:
     """Text at a position; anchor picks the box point placed there.
 
@@ -102,13 +102,13 @@ class TextPrimitive:
 Primitive = Union[Polyline, CircleArc, Arrow, TextPrimitive]
 
 
-@dataclass(frozen=True)
+@record
 class Tick:
     value: float
     label: Union[Expr, LabelDirective]
 
 
-@dataclass(frozen=True)
+@record
 class FrameTicks:
     bottom: tuple[Tick, ...] = ()
     left: tuple[Tick, ...] = ()
@@ -124,7 +124,7 @@ class FrameTicks:
                 raise ValueError(f"{edge} tick values must be strictly increasing")
 
 
-@dataclass(frozen=True)
+@record
 class Gridlines:
     x: tuple[float, ...] = ()
     y: tuple[float, ...] = ()
@@ -134,7 +134,7 @@ class Gridlines:
         object.__setattr__(self, "y", tuple(self.y))
 
 
-@dataclass(frozen=True)
+@record
 class DecorationSpec:
     plot_label: Expr | LabelDirective | None = None
     axes_labels: tuple[Union[Expr, LabelDirective, None], Union[Expr, LabelDirective, None]] | None = None
@@ -149,7 +149,7 @@ class DecorationSpec:
                 and not self.gridlines.x and not self.gridlines.y)
 
 
-@dataclass(frozen=True)
+@record
 class Scene:
     plot_range: tuple[tuple[float, float], tuple[float, float]]
     target_size: tuple[float, float]  # PostScript points
@@ -171,7 +171,7 @@ class Scene:
         return [p for p in self.primitives if isinstance(p, TextPrimitive)]
 
 
-@dataclass(frozen=True)
+@record
 class ExportOptions:
     tex_suffix: str = "-psfrag.tex"
     eps_suffix: str = "-psfrag.eps"

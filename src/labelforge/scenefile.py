@@ -15,6 +15,7 @@ from typing import Any
 from .directives import LabelDirective, PosCode
 from .exprkit import (BUILTIN_TRANSFORMS, Expr, ExprSyntaxError, HookSet,
                       LabelClass, parse_expr)
+from .fileio import read_text
 from .scene import (Arrow, CircleArc, DecorationSpec, FrameTicks, Gridlines,
                     Polyline, Scene, StrokeStyle, TextPrimitive, Tick)
 
@@ -251,7 +252,7 @@ def parse_scene(text: str) -> Scene:
 
 
 def load_scene(path: str | Path) -> Scene:
-    return parse_scene(Path(path).read_text(encoding="utf-8"))
+    return parse_scene(read_text(path))
 
 
 _CLASS_KEYS = {"text": LabelClass.TEXT, "math": LabelClass.MATH,
@@ -305,4 +306,4 @@ def parse_hooks(text: str) -> HookSet:
 
 
 def load_hooks(path: str | Path) -> HookSet:
-    return parse_hooks(Path(path).read_text(encoding="utf-8"))
+    return parse_hooks(read_text(path))

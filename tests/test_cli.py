@@ -4,6 +4,7 @@ import importlib
 import importlib.util
 import json
 import os
+import re
 import shutil
 import stat
 import subprocess
@@ -392,6 +393,38 @@ def test_renumber_empty_tex_still_rejects_truncated_eps(tmp_path, capsys):
     assert list(tmp_path.glob("*.bak")) == []
 
 
+def test_renumber_keeps_crlf_line_endings(tmp_path, capsys):
+    eps_path, tex_path = _export_3d(tmp_path)
+    tex_path.write_bytes(tex_path.read_bytes().replace(b"\n", b"\r\n"))
+    assert main(["renumber", str(eps_path), str(tex_path)]) == 0
+    old = tex_path.with_name(tex_path.name + ".bak").read_bytes()
+    new = tex_path.read_bytes()
+    tag = re.compile(rb"\\psfrag\{[^}]*\}")
+    assert new != old and tag.split(new) == tag.split(old)  # only the tags changed
+    assert b"\r\n" in old
+
+
+@pytest.mark.parametrize("command", ["export", "hooks", "preview", "renumber"])
+def test_non_utf8_input_exits_one_naming_the_byte(tmp_path, capsys, command):
+    eps_path, tex_path = _export_3d(tmp_path)
+    scene, bad = _copy_fixture("mini", tmp_path), tmp_path / "bad.txt"
+    argv = {"export": ["export", str(bad), "--basename", str(tmp_path / "o")],
+            "hooks": ["export", str(scene), "--basename", str(tmp_path / "o"), "--hooks", str(bad)],
+            "preview": ["preview", str(eps_path), str(bad), str(tmp_path / "p.eps")],
+            "renumber": ["renumber", str(eps_path), str(bad)]}[command]
+    tex = b"% caf\xe9\n" + tex_path.read_bytes()
+    data = {"export": b'{"version": 1, "\xff": 0}', "hooks": b'{"pre_apply": {"\xffmath": []}}',
+            "preview": tex, "renumber": tex}[command]
+    bad.write_bytes(data)
+    before = sorted(tmp_path.iterdir())
+    capsys.readouterr()
+    assert main(argv) == 1
+    offset = re.search(rb"[\x80-\xff]", data).start()
+    assert capsys.readouterr().err == (
+        f"error: {bad}: not UTF-8: byte 0x{data[offset]:02X} at byte offset {offset}\n")
+    assert sorted(tmp_path.iterdir()) == before  # no output file, no .bak
+
+
 @pytest.mark.parametrize("line", [
     "\\psfrag{a}[zz]{x}",
     "\\psfrag{a-b}{x}",
@@ -687,15 +720,16 @@ def _fresh_python(code: str, *argv: str) -> subprocess.CompletedProcess:
 
 def _loaded_after(*argv: str) -> list[str]:
     """The labelforge modules (and `fractions` and `decimal`, which only the expression
-    model needs) a fresh interpreter holds after `main(argv)`, or after `import labelforge`
-    when argv is empty."""
+    model needs, and `dataclasses` and `inspect`, which nothing needs) a fresh interpreter
+    holds after `main(argv)`, or after `import labelforge` when argv is empty."""
     code = ("import json, sys\n"
             "if sys.argv[1:]:\n"
             "    import labelforge.cli\n"
             "    labelforge.cli.main(sys.argv[1:])\n"
             "else:\n"
             "    import labelforge\n"
-            "watched = lambda m: m.startswith('labelforge') or m in ('fractions', 'decimal')\n"
+            "watched = lambda m: (m.startswith('labelforge')\n"
+            "                    or m in ('fractions', 'decimal', 'dataclasses', 'inspect'))\n"
             "print(json.dumps(sorted(filter(watched, sys.modules))), file=sys.stderr)\n")
     return json.loads(_fresh_python(code, *argv).stderr.splitlines()[-1])
 
@@ -707,11 +741,13 @@ def test_each_command_imports_only_what_it_runs(tmp_path, capsys):
     assert _loaded_after() == ["labelforge"]
     assert _loaded_after("inspect", eps) == [
         "labelforge", "labelforge.affine", "labelforge.cli", "labelforge.epsio",
-        "labelforge.fileio"]
-    assert "labelforge.preview" not in _loaded_after(
-        "export", str(scene), "--basename", str(tmp_path / "g"))
+        "labelforge.fileio", "labelforge.records"]
+    exported = _loaded_after("export", str(scene), "--basename", str(tmp_path / "g"))
+    assert "labelforge.preview" not in exported
+    assert not {"dataclasses", "inspect"} & set(exported)
     reader = ["labelforge", "labelforge.affine", "labelforge.cli", "labelforge.directives",
-              "labelforge.epsio", "labelforge.fileio", "labelforge.labeling"]
+              "labelforge.epsio", "labelforge.fileio", "labelforge.labeling",
+              "labelforge.records"]
     assert _loaded_after("preview", eps, tex, str(tmp_path / "p.eps")) == sorted(
         reader + ["labelforge.fontmetrics", "labelforge.preview"])
     assert _loaded_after("renumber", eps, tex) == reader
