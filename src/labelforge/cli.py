@@ -8,13 +8,13 @@ output files; in-place commands always keep .bak copies of the originals.
 from __future__ import annotations
 
 import argparse
-import importlib
 import json
 import os
 import sys
 import warnings
 from pathlib import Path
 
+from . import deferred
 from .epsio import rewrite_tags, scan_tags
 from .fileio import atomic_write_bytes, atomic_write_text, make_backup, read_text
 
@@ -22,19 +22,12 @@ EXIT_OK = 0
 EXIT_SEMANTIC = 2
 EXIT_IO = 3
 
-# What the commands call beyond the EPS reader, by defining module: each name
-# resolves through `__getattr__` and is bound when a command that calls it is
-# chosen, unless already bound (to a wrapper), so `inspect` loads no more.
-_LAZY = {"load_scene": "scenefile", "load_hooks": "scenefile", "psfrag_export": "labeling",
-         "parse_psfrag_document": "labeling", "renumber": "labeling",
-         "substitute_preview": "preview", "ExportOptions": "scene", "expand_decorations": "scene"}
-
-
-def __getattr__(name: str):
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    globals()[name] = getattr(importlib.import_module(f".{_LAZY[name]}", __package__), name)
-    return globals()[name]
+# What the commands call beyond the EPS reader, read as attributes of `_this` so that
+# `__getattr__` imports each on its first read: `inspect` loads no more.
+__getattr__ = deferred(__name__, {"load_scene", "load_hooks", "ExportOptions", "psfrag_export",
+                                  "expand_decorations", "parse_psfrag_document", "renumber",
+                                  "is_psfrag_line", "substitute_preview"})
+_this = sys.modules[__name__]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -81,16 +74,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    scene = load_scene(args.scene)
-    hooks = load_hooks(args.hooks) if args.hooks else None
-    opts = ExportOptions(tex_suffix=args.tex_suffix, eps_suffix=args.eps_suffix,
-                         renumber_tags=args.renumber_tags,
-                         auto_convert_text=not args.no_auto_convert,
-                         auto_position=not args.no_auto_position)
-    _eps, _tex, registry = psfrag_export(scene, args.basename, opts, hooks)
+    scene = _this.load_scene(args.scene)
+    hooks = _this.load_hooks(args.hooks) if args.hooks else None
+    opts = _this.ExportOptions(tex_suffix=args.tex_suffix, eps_suffix=args.eps_suffix,
+                               renumber_tags=args.renumber_tags,
+                               auto_convert_text=not args.no_auto_convert,
+                               auto_position=not args.no_auto_position)
+    _eps, _tex, registry = _this.psfrag_export(scene, args.basename, opts, hooks)
     # write_eps shows each text primitive of the expanded scene once, and auto-wrapping
     # neither adds nor drops one, so this counts the shows without scanning the EPS.
-    total = len(expand_decorations(scene).text_primitives())
+    total = len(_this.expand_decorations(scene).text_primitives())
     print(f"{total} labels, {len(registry)} tagged")
     return EXIT_OK
 
@@ -116,14 +109,14 @@ def cmd_renumber(args: argparse.Namespace) -> int:
     eps_path, tex_path = Path(args.eps), Path(args.tex)
     eps_data = eps_path.read_bytes()
     tex_text = read_text(tex_path)
-    registry = parse_psfrag_document(tex_text)
-    _renumbered, tag_map = renumber(registry)
+    registry = _this.parse_psfrag_document(tex_text)
+    _renumbered, tag_map = _this.renumber(registry)
     new_eps = rewrite_tags(eps_data, tag_map)
-    # parse_psfrag_document took each line starting `\psfrag{` as an entry, in tag_map's order.
+    # parse_psfrag_document took each line is_psfrag_line accepts as an entry, in tag_map's order.
     retag = iter(tag_map.items())
     new_tex = []
     for line in tex_text.splitlines(keepends=True):
-        if line.lstrip().startswith("\\psfrag{"):
+        if _this.is_psfrag_line(line):
             old, new = next(retag)
             head, _, tail = line.partition("{")
             line = f"{head}{{{new}{tail[len(old):]}"
@@ -138,8 +131,8 @@ def cmd_renumber(args: argparse.Namespace) -> int:
 
 def cmd_preview(args: argparse.Namespace) -> int:
     eps_data = Path(args.eps).read_bytes()
-    registry = parse_psfrag_document(read_text(args.tex))
-    result = substitute_preview(eps_data, registry)
+    registry = _this.parse_psfrag_document(read_text(args.tex))
+    result = _this.substitute_preview(eps_data, registry)
     if args.strict and (result.stale or result.unmatched):
         for tag in result.stale:
             print(f"error: entry {tag!r} matches nothing in the EPS", file=sys.stderr)
@@ -157,9 +150,6 @@ def _print_warning(message, category, filename, lineno, file=None, line=None) ->
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    for name in _LAZY.keys() - globals().keys():  # bind what the chosen command calls
-        if name in args.func.__code__.co_names:
-            __getattr__(name)
     with warnings.catch_warnings():
         warnings.showwarning = _print_warning
         try:

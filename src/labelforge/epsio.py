@@ -17,7 +17,7 @@ import warnings
 from typing import TYPE_CHECKING, Mapping
 
 from .affine import Affine
-from .records import record, replace
+from .records import record
 
 if TYPE_CHECKING:
     from .scene import Scene, StrokeStyle
@@ -59,16 +59,15 @@ COMMENT = "comment"
 
 
 # Mutable and slotted: an EPS file holds tens of thousands of tokens, and
-# plain slot stores are the cheapest way to build one. Nothing hashes or
-# mutates a token.
+# plain slot stores are the cheapest way to build one. A token's bytes are
+# data[start:end]; tokenize extends the last token over trailing whitespace.
 @record(frozen=False)
 class PsToken:
-    __slots__ = ("kind", "value", "start", "end", "raw", "lit_start")
+    __slots__ = ("kind", "value", "start", "end", "lit_start")
     kind: str
     value: object  # float | str | bytes depending on kind
     start: int  # span start, including attached leading whitespace
     end: int
-    raw: bytes
     lit_start: int  # strings only: offset of the opening parenthesis, else -1
 
 
@@ -172,8 +171,7 @@ def tokenize(data: bytes) -> list[PsToken]:
         group = m.lastgroup
         if group is None:  # only whitespace is left
             if tokens:
-                last = tokens[-1]
-                tokens[-1] = replace(last, end=n, raw=data[last.start:n])
+                tokens[-1].end = n
             break
         text = m[group]
         pos = m.start(group)
@@ -203,7 +201,7 @@ def tokenize(data: bytes) -> list[PsToken]:
                     raise TokenizeError("unmatched '}'", pos)
                 proc_opens.pop()
             kind, value = _KINDS[group], text.decode("latin-1")
-        append(PsToken(kind, value, i, end, data[i:end], lit_start))
+        append(PsToken(kind, value, i, end, lit_start))
         i = end
     if proc_opens:
         raise TokenizeError("unterminated procedure", proc_opens[0])

@@ -8,7 +8,6 @@ the anchor-to-alignment mapping, and the top-level export orchestration.
 
 from __future__ import annotations
 
-import importlib
 import math
 import re
 import sys
@@ -16,7 +15,7 @@ import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import epsio
+from . import deferred, epsio
 from .directives import LabelDirective, PosCode, is_valid_tag
 from .fileio import atomic_write_bytes, atomic_write_text
 from .records import record, replace
@@ -25,18 +24,11 @@ if TYPE_CHECKING:
     from .exprkit import HookSet
     from .scene import ExportOptions, Scene
 
-# Export-side names by defining module, read as attributes of `_this` so that `__getattr__`
-# binds each on its first read: reading \psfrag files loads neither exprkit nor scene.
-_LAZY = {"print_source": "exprkit", "guess_tex": "exprkit", "EMPTY_HOOKS": "exprkit",
-         "expand_decorations": "scene", "auto_wrap": "scene", "ExportOptions": "scene"}
+# Export-side names, read as attributes of `_this` so that `__getattr__` imports each on
+# its first read: reading \psfrag files loads neither exprkit nor scene.
+__getattr__ = deferred(__name__, {"print_source", "guess_tex", "EMPTY_HOOKS",
+                                  "expand_decorations", "auto_wrap", "ExportOptions"})
 _this = sys.modules[__name__]
-
-
-def __getattr__(name: str):
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    globals()[name] = getattr(importlib.import_module(f".{_LAZY[name]}", __package__), name)
-    return globals()[name]
 
 
 class DuplicateTagError(ValueError):
@@ -179,16 +171,21 @@ def resolve_alignment(directive: LabelDirective,
     return posn, psposn
 
 
-def _check_braces(body: str, tag: str) -> None:
+def _group_end(text: str, i: int) -> int:
+    """Index of the brace closing the group that opens at `text[i] == "{"`, or -1."""
     depth = 0
-    for ch in body:
-        if ch == "{":
+    for j in range(i, len(text)):
+        if text[j] == "{":
             depth += 1
-        elif ch == "}":
+        elif text[j] == "}":
             depth -= 1
-            if depth < 0:
-                break
-    if depth != 0:
+            if depth == 0:
+                return j
+    return -1
+
+
+def _check_braces(body: str, tag: str) -> None:
+    if _group_end("{" + body + "}", 0) != len(body) + 1:
         warnings.warn(f"replacement body for tag {tag!r} has unbalanced braces",
                       UnbalancedBraceWarning, stacklevel=3)
 
@@ -266,14 +263,20 @@ def _parse_slot(text: str, what: str, default: float) -> float:
     return value
 
 
+def is_psfrag_line(line: str) -> bool:
+    """Whether `line` is a `\\psfrag` entry: it starts with `\\psfrag{` after whitespace and
+    after the byte order mark U+FEFF that opens a file saved with one."""
+    return line.removeprefix("\ufeff").lstrip().startswith("\\psfrag{")
+
+
 def parse_psfrag_line(line: str) -> PsfragEntry | None:
     """Parse one `\\psfrag{tag}[posn][psposn][scale][rot]{body}` line.
 
-    None if the line does not start with `\\psfrag{`; else an entry or a ValueError.
+    None if `is_psfrag_line` rejects the line; else an entry or a ValueError.
     """
-    stripped = line.strip()
-    if not stripped.startswith("\\psfrag{"):
+    if not is_psfrag_line(line):
         return None
+    stripped = line.removeprefix("\ufeff").strip()
     i = len("\\psfrag{")
     close = stripped.find("}", i)
     if close < 0:
@@ -293,16 +296,7 @@ def parse_psfrag_line(line: str) -> PsfragEntry | None:
         raise ValueError("psfrag entry must be on one line")
     if stripped[i] != "{":
         raise ValueError(f"psfrag replacement must start with '{{': {stripped[i:]!r}")
-    depth = 0
-    body_end = -1
-    for j in range(i, len(stripped)):
-        if stripped[j] == "{":
-            depth += 1
-        elif stripped[j] == "}":
-            depth -= 1
-            if depth == 0:
-                body_end = j
-                break
+    body_end = _group_end(stripped, i)
     if body_end < 0:
         raise ValueError("psfrag replacement text has no closing brace")
     rest = stripped[body_end + 1:].lstrip()

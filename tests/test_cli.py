@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -404,6 +405,26 @@ def test_renumber_keeps_crlf_line_endings(tmp_path, capsys):
     assert b"\r\n" in old
 
 
+def test_a_byte_order_mark_keeps_the_first_psfrag_entry(tmp_path, capsys):
+    scene = _copy_fixture("mini", tmp_path)
+    assert main(["export", str(scene), "--basename", str(tmp_path / "m")]) == 0
+    eps_path, tex_path = tmp_path / "m-psfrag.eps", tmp_path / "m-psfrag.tex"
+    entries = [line for line in tex_path.read_bytes().splitlines(keepends=True)
+               if line.startswith(b"\\psfrag{")]
+    tex_path.write_bytes(b"\xef\xbb\xbf" + b"".join(entries))
+    capsys.readouterr()
+    assert main(["preview", "--strict", str(eps_path), str(tex_path), str(tmp_path / "p.eps")]) == 0
+    assert capsys.readouterr().out == "2 occurrences substituted\n"
+    assert main(["renumber", str(eps_path), str(tex_path)]) == 0
+    assert capsys.readouterr().out == "renumbered 2 tags\n"
+    old = tex_path.with_name(tex_path.name + ".bak").read_bytes()
+    new = tex_path.read_bytes()
+    tag = re.compile(rb"\\psfrag\{[^}]*\}")
+    assert new.startswith(b"\xef\xbb\xbf\\psfrag{a}")
+    assert tag.split(new) == tag.split(old)  # the BOM and all but the tags kept
+    assert {occ.tag for occ in scan_tags(eps_path.read_bytes())} == {"a", "b"}
+
+
 @pytest.mark.parametrize("command", ["export", "hooks", "preview", "renumber"])
 def test_non_utf8_input_exits_one_naming_the_byte(tmp_path, capsys, command):
     eps_path, tex_path = _export_3d(tmp_path)
@@ -710,6 +731,18 @@ def test_hooks_parses_builtins():
 
 # ------------------------------------------------------ imports and call paths
 
+# Each module that defers names, and the names it defers; `labelforge._EXPORTS` names
+# each one's defining submodule.
+DEFERRED = {
+    "labelforge": sorted(labelforge._EXPORTS),
+    "labelforge.cli": ["ExportOptions", "expand_decorations", "is_psfrag_line", "load_hooks",
+                       "load_scene", "parse_psfrag_document", "psfrag_export", "renumber",
+                       "substitute_preview"],
+    "labelforge.labeling": ["EMPTY_HOOKS", "ExportOptions", "auto_wrap", "expand_decorations",
+                            "guess_tex", "print_source"],
+}
+
+
 def _fresh_python(code: str, *argv: str) -> subprocess.CompletedProcess:
     """Run `code` with `argv` in a fresh interpreter that imports this checkout's labelforge."""
     src = str(Path(labelforge.__file__).parents[1])
@@ -768,7 +801,7 @@ def test_library_export_side_binds_its_names_on_first_use(tmp_path, capsys):
             "tag = labeling.derive_tag(parse_expr('x^2'), registry)\n"
             "entry = labeling.build_entry(LabelDirective(parse_expr('Sin[x]')), None,\n"
             "                             EMPTY_HOOKS, ExportOptions(), registry)\n"
-            "unbound = sorted(set(labeling._LAZY) - set(vars(labeling)))\n"
+            f"unbound = sorted(set({DEFERRED['labelforge.labeling']!r}) - set(vars(labeling)))\n"
             "labeling.psfrag_export(load_scene(sys.argv[1]), sys.argv[2])\n"
             "print(json.dumps([tag, entry.tag, entry.body, unbound]))\n")
     proc = _fresh_python(code, str(scene), str(tmp_path / "lib"))
@@ -781,12 +814,38 @@ def test_library_export_side_binds_its_names_on_first_use(tmp_path, capsys):
         assert lib.read_bytes() == cli_out.read_bytes()
 
 
-def test_labeling_resolves_each_export_side_name():
-    for name, module in labeling._LAZY.items():
-        defining = importlib.import_module(f"labelforge.{module}")
-        assert getattr(labeling, name) is getattr(defining, name)
+@pytest.mark.parametrize("module, name", [(module, name) for module, names in DEFERRED.items()
+                                          for name in names])
+def test_each_deferred_name_resolves_to_its_definition(module, name):
+    deferring = importlib.import_module(module)
+    defining = importlib.import_module(f"labelforge.{labelforge._EXPORTS[name]}")
+    assert deferring.__getattr__(name) is getattr(defining, name)
+    assert getattr(deferring, name) is getattr(defining, name)
     with pytest.raises(AttributeError):
-        labeling.no_such_name
+        deferring.no_such_name
+
+
+@pytest.mark.parametrize("module", ["cli", "labeling"])
+def test_every_name_read_through_this_is_deferred_or_defined(module):
+    """A `_this.<name>` read with no table entry would fail only on the path that runs it."""
+    tree = ast.parse(Path(labelforge.__file__).with_name(f"{module}.py").read_text("utf-8"))
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Assign):
+            defined |= {target.id for target in node.targets if isinstance(target, ast.Name)}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            defined |= {alias.asname or alias.name for alias in node.names}
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "_this"}
+    assert read and read - defined <= set(DEFERRED[f"labelforge.{module}"])
+
+
+def test_no_module_reads_bytecode():
+    for path in Path(labelforge.__file__).parent.glob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        assert "co_names" not in text and "__code__" not in text, path.name
 
 
 def test_tracer_reaches_every_layer_the_benchmark_names(tmp_path, capsys):
@@ -815,14 +874,6 @@ def test_tracer_reaches_every_layer_the_benchmark_names(tmp_path, capsys):
                       "scene.auto_wrap", "labeling.build_entry", "labeling.emit_tex",
                       "labeling.parse_psfrag_document", "labeling.renumber"}
     assert not hasattr(labeling.print_source, "__wrapped__")
-
-
-def test_cli_resolves_each_name_a_command_calls_before_it_runs():
-    for name, module in cli._LAZY.items():
-        defining = importlib.import_module(f"labelforge.{module}")
-        assert cli.__getattr__(name) is getattr(defining, name)
-    with pytest.raises(AttributeError):
-        cli.no_such_name
 
 
 def test_commands_call_through_the_cli_module_names(tmp_path, capsys, monkeypatch):

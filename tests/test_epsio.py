@@ -61,16 +61,16 @@ def test_tokenize_lossless_spans_on_writer_output(scene_of):
     scene = expand_decorations(scene_of("ex_auto"))
     data, _ = write_eps(scene)
     tokens = tokenize(data)
-    assert b"".join(t.raw for t in tokens) == data
+    assert b"".join(data[t.start:t.end] for t in tokens) == data
 
 
 def test_tokenize_whitespace_attaches_to_following_token():
     data = b"  12  (x) \n"
     tokens = tokenize(data)
-    assert tokens[0].raw == b"  12"
+    assert data[tokens[0].start:tokens[0].end] == b"  12"
     # trailing whitespace extends the final token
-    assert tokens[1].raw == b"  (x) \n"
-    assert b"".join(t.raw for t in tokens) == data
+    assert data[tokens[1].start:tokens[1].end] == b"  (x) \n"
+    assert b"".join(data[t.start:t.end] for t in tokens) == data
 
 
 @pytest.mark.parametrize("data, message", [
@@ -113,7 +113,7 @@ def test_tokenize_property_lossless_or_error_at_delimiter(data):
         return
     if not tokens:  # a file of whitespace alone has no token to carry it
         assert data.strip(b" \t\r\n\f\x00") == b""
-    assert b"".join(t.raw for t in tokens) == (data if tokens else b"")
+    assert b"".join(data[t.start:t.end] for t in tokens) == (data if tokens else b"")
     for t in tokens:
         if t.kind == STRING:
             assert data[t.lit_start:t.lit_start + 1] in (b"(", b"<")

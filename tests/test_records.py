@@ -32,7 +32,7 @@ SAMPLES = {
     PosCode: [("b", "c"), ("t", "l")],
     LabelDirective: [(Sym("x"),),
                      (Num(Fraction(1)), "$1$", "t1", PosCode("t", "l"), BC, 90.0, 2.0)],
-    PsToken: [("name", "show", 0, 5, b" show", -1), ("string", b"ab", 3, 8, b" (ab)", 4)],
+    PsToken: [("name", "show", 0, 5, -1), ("string", b"ab", 3, 8, 4)],
     GraphicsState: [(), (Affine(2.0), (1.0, 2.0), 12.0)],
     TagOccurrence: [("a", (1.0, 2.0), 0.0, 1.0, 10.0, (3, 6)),
                     ("b", (1.0, 2.0), 90.0, 2.0, 10.0, (3, 6))],
@@ -149,7 +149,7 @@ def test_equality_needs_the_same_class():
 
 
 def test_mutable_records_share_immutable_defaults_and_tokens_have_no_dict():
-    token = PsToken("name", "show", 0, 5, b" show", -1)
+    token = PsToken("name", "show", 0, 5, -1)
     assert not hasattr(token, "__dict__")
     token.end = 4
     assert token.end == 4
