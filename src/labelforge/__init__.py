@@ -14,7 +14,7 @@ _EXPORTS = {name: module for module, names in {
     "exprkit": "EMPTY_HOOKS guess_tex parse_expr print_source to_tex",
     "labeling": "DuplicateTagError PsfragEntry TagRegistry build_entry derive_tag emit_tex "
                 "is_psfrag_line parse_psfrag_document parse_psfrag_line pos_from_anchor "
-                "psfrag_export renumber resolve_alignment shortlex_tag",
+                "psfrag_export renumber resolve_alignment retag_psfrag_text shortlex_tag",
     "preview": "LabelBox place reference_point substitute_preview",
     "scene": "DecorationSpec ExportOptions FrameTicks Gridlines Polyline Scene TextPrimitive "
              "Tick auto_wrap expand_decorations linear_ticks",

@@ -26,7 +26,7 @@ EXIT_IO = 3
 # `__getattr__` imports each on its first read: `inspect` loads no more.
 __getattr__ = deferred(__name__, {"load_scene", "load_hooks", "ExportOptions", "psfrag_export",
                                   "expand_decorations", "parse_psfrag_document", "renumber",
-                                  "is_psfrag_line", "substitute_preview"})
+                                  "retag_psfrag_text", "substitute_preview"})
 _this = sys.modules[__name__]
 
 
@@ -112,19 +112,11 @@ def cmd_renumber(args: argparse.Namespace) -> int:
     registry = _this.parse_psfrag_document(tex_text)
     _renumbered, tag_map = _this.renumber(registry)
     new_eps = rewrite_tags(eps_data, tag_map)
-    # parse_psfrag_document took each line is_psfrag_line accepts as an entry, in tag_map's order.
-    retag = iter(tag_map.items())
-    new_tex = []
-    for line in tex_text.splitlines(keepends=True):
-        if _this.is_psfrag_line(line):
-            old, new = next(retag)
-            head, _, tail = line.partition("{")
-            line = f"{head}{{{new}{tail[len(old):]}"
-        new_tex.append(line)
+    new_tex = _this.retag_psfrag_text(tex_text, tag_map)
     make_backup(eps_path)
     make_backup(tex_path)
     atomic_write_bytes(eps_path, new_eps)
-    atomic_write_text(tex_path, "".join(new_tex))
+    atomic_write_text(tex_path, new_tex)
     print(f"renumbered {len(tag_map)} tags")
     return EXIT_OK
 

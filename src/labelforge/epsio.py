@@ -259,8 +259,7 @@ _TEXT_VARIANTS = {"widthshow": 4, "awidthshow": 6, "ashow": 3, "kshow": 2, "xsho
 
 
 class _Interpreter:
-    def __init__(self, data: bytes):
-        self.data = data
+    def __init__(self):
         self.stack: list[object] = []
         self.state = GraphicsState()
         self.saved: list[GraphicsState] = []
@@ -422,7 +421,7 @@ def scan_tags(data: bytes) -> list[TagOccurrence]:
     This sees exactly what a tag substitution pass would see: each `show`
     of a string literal, in byte order.
     """
-    interp = _Interpreter(data)
+    interp = _Interpreter()
     interp.run(tokenize(data))
     return interp.occurrences
 

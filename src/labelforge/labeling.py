@@ -37,12 +37,8 @@ class DuplicateTagError(ValueError):
 
 
 class PsfragSyntaxError(ValueError):
-    """A \\psfrag line of a .tex file does not parse; the message names the line."""
+    """A \\psfrag entry is invalid; the message names its line or its label."""
     exit_code = 1
-
-
-class UnbalancedBraceWarning(UserWarning):
-    """A verbatim replacement body has unbalanced braces."""
 
 
 FALLBACK_POSITION = PosCode("b", "c")
@@ -60,8 +56,12 @@ class PsfragEntry:
     def __post_init__(self):
         if not is_valid_tag(self.tag):
             raise ValueError(f"psfrag tag must be nonempty alphanumeric: {self.tag!r}")
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        if not 0 < self.scale < math.inf:
+            raise ValueError(f"psfrag scale must be positive and finite: {self.scale!r}")
+        if not math.isfinite(self.rot):
+            raise ValueError(f"psfrag rotation must be finite: {self.rot!r}")
+        if _group_end(f"{{{self.body}}}", 0) != len(self.body) + 1:
+            raise ValueError(f"psfrag body is not a balanced TeX group on one line: {self.body!r}")
 
 
 class TagRegistry:
@@ -171,25 +171,6 @@ def resolve_alignment(directive: LabelDirective,
     return posn, psposn
 
 
-def _group_end(text: str, i: int) -> int:
-    """Index of the brace closing the group that opens at `text[i] == "{"`, or -1."""
-    depth = 0
-    for j in range(i, len(text)):
-        if text[j] == "{":
-            depth += 1
-        elif text[j] == "}":
-            depth -= 1
-            if depth == 0:
-                return j
-    return -1
-
-
-def _check_braces(body: str, tag: str) -> None:
-    if _group_end("{" + body + "}", 0) != len(body) + 1:
-        warnings.warn(f"replacement body for tag {tag!r} has unbalanced braces",
-                      UnbalancedBraceWarning, stacklevel=3)
-
-
 def build_entry(directive: LabelDirective,
                 anchor: tuple[float, float] | None,
                 hooks: HookSet,
@@ -205,22 +186,24 @@ def build_entry(directive: LabelDirective,
     tag = directive.psfrag_tag or _free_tag(source, registry)
     if directive.tex_command is not None:
         body = directive.tex_command
-        _check_braces(body, tag)
     else:
         body = _this.guess_tex(directive.expr, hooks,
                                include_scale_hook=directive.scaling is None)
     posn, psposn = resolve_alignment(directive, anchor, opts.auto_position)
     scale = directive.scaling if directive.scaling is not None else 1.0
-    entry = PsfragEntry(tag=tag, posn=posn, psposn=psposn, scale=scale,
-                        rot=directive.rotation, body=body)
-    registry.add(entry, origin=f"label {source!r}")
+    origin = f"label {source!r}"
+    try:
+        entry = PsfragEntry(tag=tag, posn=posn, psposn=psposn, scale=scale,
+                            rot=directive.rotation, body=body)
+    except ValueError as exc:
+        raise PsfragSyntaxError(f"{origin}: {exc}") from None
+    registry.add(entry, origin=origin)
     return entry
 
 
 def _fmt_num(v: float) -> str:
-    if v == int(v):
-        return str(int(v))
-    return f"{v:.6g}"
+    """An integral value without a point, any other as `repr`, which reads back exactly."""
+    return str(int(v)) if v == int(v) else repr(v)
 
 
 _TEX_HEADER = (
@@ -256,11 +239,26 @@ def emit_tex(registry: TagRegistry) -> str:
     return "".join(lines)
 
 
-def _parse_slot(text: str, what: str, default: float) -> float:
-    value = float(text) if text else default
-    if not math.isfinite(value):
-        raise ValueError(f"psfrag {what} is not finite: {text!r}")
-    return value
+_LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"  # where str.splitlines breaks
+# As TeX reads a line: `\` and the next character are one token, braces group, and an
+# unescaped `%` ends the line. A match is a run of other tokens, then one character or "".
+_TEX_RUN = re.compile(rf"(?:[^{{}}%\\{_LINE_BREAKS}]+|\\[^{_LINE_BREAKS}])*(.?)", re.S)
+
+
+def _group_end(text: str, i: int) -> int:
+    """Index of the brace closing the TeX group that opens at `text[i] == "{"`, or -1 when
+    the line ends first: at the end of `text`, a line break or an unescaped `%`."""
+    depth = 0
+    for m in _TEX_RUN.finditer(text, i):
+        if m[1] == "{":
+            depth += 1
+        elif m[1] != "}":
+            break
+        elif depth == 1:
+            return m.start(1)
+        else:
+            depth -= 1
+    return -1
 
 
 def is_psfrag_line(line: str) -> bool:
@@ -306,8 +304,8 @@ def parse_psfrag_line(line: str) -> PsfragEntry | None:
     options += [""] * (4 - len(options))
     posn = PosCode.parse(options[0]) if options[0] else FALLBACK_POSITION
     psposn = PosCode.parse(options[1]) if options[1] else posn
-    scale = _parse_slot(options[2], "scale", 1.0)
-    rot = _parse_slot(options[3], "rotation", 0.0)
+    scale = float(options[2]) if options[2] else 1.0
+    rot = float(options[3]) if options[3] else 0.0
     return PsfragEntry(tag=tag, posn=posn, psposn=psposn, scale=scale, rot=rot, body=body)
 
 
@@ -326,6 +324,17 @@ def parse_psfrag_document(text: str) -> TagRegistry:
         if entry is not None:
             registry.add(entry, origin=f"line {lineno}")
     return registry
+
+
+def retag_psfrag_text(text: str, tag_map: dict[str, str]) -> str:
+    """`text` with each `\\psfrag` entry's tag replaced by `tag_map[tag]`; all else kept."""
+    lines = text.splitlines(keepends=True)
+    for n, line in enumerate(lines):
+        if is_psfrag_line(line):
+            head, _, tail = line.partition("{")
+            tag, _, rest = tail.partition("}")
+            lines[n] = f"{head}{{{tag_map[tag]}}}{rest}"
+    return "".join(lines)
 
 
 def psfrag_export(scene: Scene,

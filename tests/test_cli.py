@@ -170,7 +170,7 @@ def test_export_prints_one_line_per_warning(tmp_path, capsys):
         "version": 1, "plot_range": [[0, 1], [0, 1]], "size": [100, 100],
         "primitives": [
             {"type": "text", "expr": "f[x]", "pos": [0.2, 0.5]},
-            {"type": "text", "expr": "y", "psfrag": {"tex": "{a"}, "pos": [0.8, 0.5]}]}))
+            {"type": "text", "expr": "g[y]", "pos": [0.8, 0.5]}]}))
     assert main(["export", str(path), "--basename", str(tmp_path / "w")]) == 0
     out, err = capsys.readouterr()
     assert out == "2 labels, 2 tagged\n"
@@ -230,6 +230,42 @@ def test_export_duplicate_tag_is_semantic_error(tmp_path, capsys):
     assert code == 2
     assert not (tmp_path / "x-psfrag.eps").exists()
     assert not (tmp_path / "x-psfrag.tex").exists()
+
+
+@pytest.mark.parametrize("psfrag, hooks", [
+    ({"tex": "{a"}, None),
+    ({"tex": "a\nb"}, None),
+    ({"tex": "50%"}, None),
+    ({}, {"post_replace": {"math": [["$", "{$"]]}}),
+])
+def test_export_rejects_a_body_that_is_not_one_tex_group(tmp_path, capsys, psfrag, hooks):
+    scene = tmp_path / "b.scene"
+    scene.write_text(json.dumps({
+        "version": 1, "plot_range": [[0, 1], [0, 1]], "size": [100, 100],
+        "primitives": [{"type": "text", "expr": "y", "pos": [0.8, 0.5], "psfrag": psfrag}]}))
+    argv = ["export", str(scene), "--basename", str(tmp_path / "b")]
+    if hooks:
+        (tmp_path / "h.json").write_text(json.dumps(hooks))
+        argv += ["--hooks", str(tmp_path / "h.json")]
+    before = sorted(tmp_path.iterdir())
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: label 'y': psfrag body is not a balanced TeX group")
+    assert err.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == before  # no -psfrag.eps, no -psfrag.tex
+
+
+def test_a_text_label_with_a_brace_exports_previews_and_renumbers(tmp_path, capsys):
+    scene = tmp_path / "t.scene"
+    scene.write_text(json.dumps({
+        "version": 1, "plot_range": [[0, 1], [0, 1]], "size": [100, 100],
+        "primitives": [{"type": "text", "expr": '"a{"', "pos": [0.5, 0.5]}]}))
+    assert main(["export", str(scene), "--basename", str(tmp_path / "t")]) == 0
+    eps, tex = str(tmp_path / "t-psfrag.eps"), str(tmp_path / "t-psfrag.tex")
+    assert main(["preview", "--strict", eps, tex, str(tmp_path / "p.eps")]) == 0
+    assert main(["renumber", eps, tex]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["1 occurrences substituted",
+                                                        "renumbered 1 tags"]
 
 
 def test_export_hooks_file(tmp_path, capsys):
@@ -423,6 +459,22 @@ def test_a_byte_order_mark_keeps_the_first_psfrag_entry(tmp_path, capsys):
     assert new.startswith(b"\xef\xbb\xbf\\psfrag{a}")
     assert tag.split(new) == tag.split(old)  # the BOM and all but the tags kept
     assert {occ.tag for occ in scan_tags(eps_path.read_bytes())} == {"a", "b"}
+
+
+def test_renumber_keeps_every_byte_but_the_tags(tmp_path, capsys):
+    scene = _copy_fixture("mini", tmp_path)
+    assert main(["export", str(scene), "--basename", str(tmp_path / "m")]) == 0
+    eps_path, tex_path = tmp_path / "m-psfrag.eps", tmp_path / "m-psfrag.tex"
+    first, second = parse_psfrag_document(tex_path.read_text()).tags()
+    tex = ("\ufeff% 50\\% header\r\n"
+           f"\\psfrag{{{first}}}[bc][bc][1][0]{{$\\{{\\sqrt{{x}}\\}}$}} % note\r\n"
+           f"\t\\psfrag{{{second}}}{{a\\}}b\\%c{{}}}}\r"
+           f"% \\psfrag{{{first}}}{{old}}\n")
+    tex_path.write_bytes(tex.encode())
+    assert main(["renumber", str(eps_path), str(tex_path)]) == 0
+    expected = tex.replace(f"\\psfrag{{{first}}}[", "\\psfrag{a}[").replace(
+        f"\\psfrag{{{second}}}", "\\psfrag{b}")
+    assert tex_path.read_bytes() == expected.encode()
 
 
 @pytest.mark.parametrize("command", ["export", "hooks", "preview", "renumber"])
@@ -735,9 +787,9 @@ def test_hooks_parses_builtins():
 # each one's defining submodule.
 DEFERRED = {
     "labelforge": sorted(labelforge._EXPORTS),
-    "labelforge.cli": ["ExportOptions", "expand_decorations", "is_psfrag_line", "load_hooks",
-                       "load_scene", "parse_psfrag_document", "psfrag_export", "renumber",
-                       "substitute_preview"],
+    "labelforge.cli": ["ExportOptions", "expand_decorations", "load_hooks", "load_scene",
+                       "parse_psfrag_document", "psfrag_export", "renumber",
+                       "retag_psfrag_text", "substitute_preview"],
     "labelforge.labeling": ["EMPTY_HOOKS", "ExportOptions", "auto_wrap", "expand_decorations",
                             "guess_tex", "print_source"],
 }

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+import string
 import warnings
 
 import pytest
@@ -133,6 +134,17 @@ def test_scan_translate_and_moveto_compose():
     assert occs[0].device_position == pytest.approx((15.0, 26.0))
 
 
+def test_scan_rmoveto_moves_from_the_current_point():
+    occs = scan_tags(b"10 20 translate 5 6 moveto 3 -4 rmoveto (t) show")
+    assert occs[0].device_position == pytest.approx((18.0, 22.0))
+
+
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+def test_scan_string_line_continuation_adds_nothing_to_the_tag(newline):
+    occs = scan_tags(b"0 0 moveto (ta\\" + newline + b"g) show")
+    assert [occ.tag for occ in occs] == ["tag"]
+
+
 def test_scan_concat_matrix():
     occs = scan_tags(b"[0 1 -1 0 50 0] concat 0 0 moveto (t) show")
     assert occs[0].rotation == pytest.approx(90.0)
@@ -191,7 +203,7 @@ _SHOW_FAMILY = [
 
 @pytest.mark.parametrize("program", _SHOW_FAMILY)
 def test_scan_show_variant_pops_its_operands_and_warns_once(program):
-    interp = epsio._Interpreter(program)
+    interp = epsio._Interpreter()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         interp.run(tokenize(program))
@@ -377,6 +389,27 @@ def test_rewrite_changes_only_matched_string_spans(export):
                      if o.tag in set(tag_map.values())]
         assert len(old_spans) == len(new_spans)
         assert _strip_spans(eps, old_spans) == _strip_spans(out, new_spans)
+
+
+_TAG = st.text(string.ascii_letters + string.digits, min_size=1, max_size=5)
+
+
+@settings(deadline=None)
+@given(shows=st.lists(st.tuples(_TAG, st.booleans()), min_size=1, max_size=6),
+       renames=st.lists(_TAG, min_size=6, max_size=6))
+def test_rewrite_changes_only_bytes_inside_the_scanned_literals(shows, renames):
+    """Shows of tags, repeats included, between plain shows whose text holds `(` and `\\`."""
+    scene = Scene(plot_range=((0.0, 1.0), (0.0, 1.0)), target_size=(100.0, 100.0),
+                  primitives=tuple(TextPrimitive(Str(text + "(\\"), (0.1 * i, 0.5))
+                                   for i, (text, _tagged) in enumerate(shows)))
+    eps, _ = write_eps(scene, {i: text for i, (text, tagged) in enumerate(shows) if tagged})
+    tag_map = dict(zip(sorted({text for text, tagged in shows if tagged}), renames))
+    out = rewrite_tags(eps, tag_map)
+    before, after = scan_tags(eps), scan_tags(out)
+    assert [o.tag for o in after] == [tag_map.get(o.tag, o.tag) for o in before]
+    changed = [i for i, o in enumerate(before) if o.tag in tag_map]
+    assert (_strip_spans(eps, [before[i].byte_span for i in changed])
+            == _strip_spans(out, [after[i].byte_span for i in changed]))
 
 
 def test_rewrite_composes_with_renumber(export):

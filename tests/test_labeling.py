@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import itertools
+import math
 import string
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from labelforge import (DuplicateTagError, ExportOptions, LabelDirective,
                         PsfragEntry, TagRegistry, build_entry, derive_tag,
@@ -12,8 +15,8 @@ from labelforge import (DuplicateTagError, ExportOptions, LabelDirective,
                         shortlex_tag)
 from labelforge.directives import PosCode
 from labelforge.exprkit import EMPTY_HOOKS, Str, Sym, num, parse_expr
-from labelforge.labeling import (PsfragSyntaxError, UnbalancedBraceWarning,
-                                 format_psfrag_line, parse_psfrag_document)
+from labelforge.labeling import (PsfragSyntaxError, format_psfrag_line,
+                                 parse_psfrag_document, retag_psfrag_text)
 
 
 def _entry(tag: str, body: str = "$x$") -> PsfragEntry:
@@ -233,12 +236,27 @@ def test_emit_tex_empty_registry_has_header_and_provides():
     assert "\\psfrag{" not in text
 
 
-def test_emit_tex_verbatim_body_passes_through_with_warning():
-    directive = LabelDirective(Sym("x"), tex_command="open{brace")
-    with pytest.warns(UnbalancedBraceWarning):
-        entry = build_entry(directive, None, EMPTY_HOOKS, ExportOptions(),
-                            TagRegistry())
-    assert entry.body == "open{brace"
+@pytest.mark.parametrize("body", ["open{brace", "a}", "}{", "a\\", "50%", "a\nb", "a\rb",
+                                  "a\u2028b", "\\\nb"])
+def test_build_entry_rejects_an_invalid_body_naming_the_label(body):
+    directive = LabelDirective(Sym("x"), tex_command=body)
+    registry = TagRegistry()
+    with pytest.raises(PsfragSyntaxError, match="^label 'x': psfrag body is not a balanced TeX"):
+        build_entry(directive, None, EMPTY_HOOKS, ExportOptions(), registry)
+    assert len(registry) == 0
+
+
+@pytest.mark.parametrize("scale, rot, message", [
+    (0.0, 0.0, "scale must be positive and finite"),
+    (-1.0, 0.0, "scale must be positive and finite"),
+    (math.nan, 0.0, "scale must be positive and finite"),
+    (math.inf, 0.0, "scale must be positive and finite"),
+    (1.0, math.nan, "rotation must be finite"),
+    (1.0, -math.inf, "rotation must be finite"),
+])
+def test_entry_rejects_a_bad_scale_or_rotation(scale, rot, message):
+    with pytest.raises(ValueError, match=message):
+        PsfragEntry("a", PosCode.parse("bc"), PosCode.parse("bc"), scale, rot, "x")
 
 
 def test_every_emitted_line_parses_back_to_equal_entry():
@@ -250,6 +268,41 @@ def test_every_emitted_line_parses_back_to_equal_entry():
                              body="\\psfragmathstyle{$\\psfragscalemath x$}"))
     for entry in registry.entries():
         assert parse_psfrag_line(format_psfrag_line(entry)) == entry
+
+
+# Bodies that are one TeX group by construction: text, escapes and nested groups.
+_GROUPED = st.recursive(
+    st.text(string.ascii_letters + " \t$", max_size=3)
+    | st.sampled_from(["\\{", "\\}", "\\%", "\\\\", "\\$", "\\ "]),
+    lambda inner: st.lists(inner, max_size=4).map(lambda parts: "{" + "".join(parts) + "}"),
+    max_leaves=12)
+# Any string over the characters that matter to the rule, most of them not one group.
+_ANY_BODY = st.text("{}\\%$ab \t\n\r\x0b\x1c\x85\u2028", max_size=10)
+
+
+@given(tag=st.text(string.ascii_letters + string.digits, min_size=1, max_size=6),
+       posn=st.sampled_from([v + h for v in "tcbB" for h in "lcr"]),
+       scale=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+       rot=st.floats(allow_nan=False, allow_infinity=False),
+       body=st.lists(_GROUPED, max_size=4).map("".join) | _ANY_BODY)
+def test_reader_takes_exactly_the_entries_the_record_takes(tag, posn, scale, rot, body):
+    code = PosCode.parse(posn)
+    try:
+        entry = PsfragEntry(tag, code, code, scale, rot, body)
+    except ValueError:  # then the reader takes no entry with this body either
+        line = f"\\psfrag{{{tag}}}[{posn}][{posn}][1][0]{{{body}}}"
+        try:  # `}%` reads as an empty body and a comment
+            assert parse_psfrag_line(line).body != body
+        except ValueError:
+            pass
+    else:
+        assert parse_psfrag_line(format_psfrag_line(entry)) == entry
+
+
+def test_retag_takes_each_old_tag_from_its_line():
+    text = "\ufeff% h\r\n\\psfrag{a}{\\}}\r\n  \\psfrag{b}[bc]{50\\%} % b\r\n% \\psfrag{a}{x}\n"
+    assert retag_psfrag_text(text, {"b": "x", "a": "y"}) == (
+        "\ufeff% h\r\n\\psfrag{y}{\\}}\r\n  \\psfrag{x}[bc]{50\\%} % b\r\n% \\psfrag{a}{x}\n")
 
 
 def test_parse_psfrag_line_rejects_other_lines():
