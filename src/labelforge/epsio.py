@@ -387,7 +387,7 @@ class _Interpreter:
             if not isinstance(operand, _PsString):
                 raise ScanError("show needs a string operand",
                                 (token.start, token.end))
-            self._record_show(operand)
+            self._record_show(operand, token)
         elif name in _TEXT_VARIANTS:
             warnings.warn(f"{name} is not treated as a tag occurrence",
                           ScanWarning, stacklevel=4)
@@ -402,14 +402,19 @@ class _Interpreter:
                 state.current_point = None
         # Unknown names pop nothing and never error.
 
-    def _record_show(self, operand: _PsString) -> None:
+    def _record_show(self, operand: _PsString, token: PsToken) -> None:
         state = self.state
         cx, cy = state.current_point or (0.0, 0.0)
+        x, y = state.ctm.apply(cx, cy)
+        rotation, scale = state.ctm.rotation_degrees(), state.ctm.x_scale()
+        if not all(map(math.isfinite, (x, y, rotation, scale, state.font_size))):
+            raise ScanError("show places its text at a non-finite position, rotation, "
+                            "scale or size", (token.start, token.end))
         self.occurrences.append(TagOccurrence(
             tag=operand.data.decode("latin-1"),
-            device_position=state.ctm.apply(cx, cy),
-            rotation=state.ctm.rotation_degrees(),
-            scale=state.ctm.x_scale(),
+            device_position=(x, y),
+            rotation=rotation,
+            scale=scale,
             font_size=state.font_size,
             byte_span=operand.span,
         ))

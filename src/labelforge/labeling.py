@@ -202,8 +202,15 @@ def build_entry(directive: LabelDirective,
 
 
 def _fmt_num(v: float) -> str:
-    """An integral value without a point, any other as `repr`, which reads back exactly."""
-    return str(int(v)) if v == int(v) else repr(v)
+    """The shortest positional decimal that reads back as `v`, the one number form TeX
+    reads: `repr`'s digits with the exponent worked in, and no `.0` (5e-05 is `0.00005`)."""
+    mantissa, _, exp = repr(abs(float(v))).partition("e")
+    whole, _, frac = mantissa.partition(".")
+    point = len(whole) + int(exp or 0)
+    digits = ("0" * (1 - point) + whole + frac).ljust(point, "0")
+    point = max(point, 1)
+    head, tail = digits[:point].lstrip("0") or "0", digits[point:].rstrip("0")
+    return ("-" if v < 0 else "") + head + ("." + tail if tail else "")
 
 
 _TEX_HEADER = (
@@ -304,9 +311,21 @@ def parse_psfrag_line(line: str) -> PsfragEntry | None:
     options += [""] * (4 - len(options))
     posn = PosCode.parse(options[0]) if options[0] else FALLBACK_POSITION
     psposn = PosCode.parse(options[1]) if options[1] else posn
-    scale = float(options[2]) if options[2] else 1.0
-    rot = float(options[3]) if options[3] else 0.0
+    scale = _read_num(options[2], 1.0)
+    rot = _read_num(options[3], 0.0)
     return PsfragEntry(tag=tag, posn=posn, psposn=psposn, scale=scale, rot=rot, body=body)
+
+
+_DECIMAL = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)")
+
+
+def _read_num(slot: str, default: float) -> float:
+    """A scale or rotation slot: `default` when empty, else a decimal as TeX reads one."""
+    if not slot:
+        return default
+    if not _DECIMAL.fullmatch(slot.strip(" ")):
+        raise ValueError(f"psfrag scale and rotation must be decimals like -1.5: {slot!r}")
+    return float(slot)
 
 
 def parse_psfrag_document(text: str) -> TagRegistry:

@@ -60,8 +60,6 @@ def place(replacement: LabelBox,
     transform to the replacement's posn reference point yields exactly
     the device image of the tag box's psposn reference point.
     """
-    if entry.scale <= 0:
-        raise ValueError("entry scale must be positive")
     ps_ref = reference_point(tag_box, entry.psposn)
     offset = Affine.rotation(occ.rotation).apply_vector(
         ps_ref[0], ps_ref[1] - tag_box.depth)

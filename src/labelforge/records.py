@@ -1,14 +1,15 @@
-"""Value records: the methods a Python 3.11 `@dataclass` writes, from one `exec`.
+"""Value records: the methods a Python 3.11 `@dataclass` writes, without `dataclasses`.
 
 `@record` takes a class's annotations, in order, as its fields, and a value
 assigned in the class body as that field's default, shared by every
-instance (so it must be immutable; there are no default factories). It adds
-`__init__` (calling `__post_init__` if defined), a `Name(field=value!r, ...)`
-`__repr__`, and an `__eq__` that compares field tuples within one class. A
+instance (so it must be immutable; there are no default factories). Only
+`__init__` is generated per class: it stores the fields, then calls
+`__post_init__` if defined. Every record class shares the other methods,
+which read the fields from `__match_args__`: a `Name(field=value!r, ...)`
+`__repr__` and an `__eq__` that compares field tuples within one class. A
 frozen record, the default, also hashes its field tuple and refuses
 assignment and deletion; a mutable one is unhashable. A class may declare
-its own `__slots__`; its fields then take no defaults. Unlike
-`dataclasses`, this loads no `inspect` and compiles each class once.
+its own `__slots__`; its fields then take no defaults.
 """
 
 from __future__ import annotations
@@ -37,35 +38,43 @@ def _build(cls, frozen: bool):
             else [f"self.{name} = {name}" for name in names])
     if hasattr(cls, "__post_init__"):
         body.append("self.__post_init__()")
-    mine = "".join(f"self.{name}," for name in names)  # a tuple's items; one or none work too
-    items = ", ".join(f"{name}={{self.{name}!r}}" for name in names)
-    source = [
-        f"def __init__(self, {params}):", *(f"    {line}" for line in body),
-        "def __repr__(self):",
-        f"    return f'{{self.__class__.__qualname__}}({items})'",
-        "def __eq__(self, other):",
-        "    if other.__class__ is self.__class__:",
-        f"        return ({mine}) == ({mine.replace('self.', 'other.')})",
-        "    return NotImplemented",
-    ]
+    source = "\n    ".join([f"def __init__(self, {params}):", *body])
+    exec(compile(source, f"<record {cls.__qualname__}>", "exec"), defaults)
+    cls.__init__ = defaults["__init__"]
+    cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__repr__, cls.__eq__, cls.__match_args__ = _repr, _eq, names
     if frozen:
-        source += [
-            "def __hash__(self):", f"    return hash(({mine}))",
-            "def __setattr__(self, name, value):",
-            "    raise FrozenInstanceError(f'cannot assign to field {name!r}')",
-            "def __delattr__(self, name):",
-            "    raise FrozenInstanceError(f'cannot delete field {name!r}')",
-        ]
-    namespace = {**defaults, "FrozenInstanceError": FrozenInstanceError}
-    exec(compile("\n".join(source), f"<record {cls.__qualname__}>", "exec"), namespace)
-    for name in ("__init__", "__repr__", "__eq__", "__hash__", "__setattr__", "__delattr__"):
-        if name in namespace:
-            namespace[name].__qualname__ = f"{cls.__qualname__}.{name}"
-            setattr(cls, name, namespace[name])
-    if not frozen:
+        cls.__hash__, cls.__setattr__, cls.__delattr__ = _hash, _setattr, _delattr
+    else:
         cls.__hash__ = None
-    cls.__match_args__ = names
     return cls
+
+
+def _fields(obj) -> tuple:
+    return tuple([getattr(obj, name) for name in obj.__match_args__])
+
+
+def _repr(self):
+    items = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__match_args__])
+    return f"{self.__class__.__qualname__}({items})"
+
+
+def _eq(self, other):
+    if other.__class__ is self.__class__:
+        return _fields(self) == _fields(other)
+    return NotImplemented
+
+
+def _hash(self):
+    return hash(_fields(self))
+
+
+def _setattr(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _delattr(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 def replace(obj, /, **changes):

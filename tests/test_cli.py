@@ -154,6 +154,31 @@ def test_inspect_show_variant_prints_one_warning(tmp_path, capsys, program):
     assert err.startswith("warning: ") and err.count("\n") == 1
 
 
+_FAR = b"1e200 1e200 scale 1e200 1e200 scale 1 1 moveto (a) show"
+
+
+@pytest.mark.parametrize("command, program", [
+    ("inspect", _FAR),
+    ("inspect", b"1e300 1 scale 1e10 1e10 moveto (a) show"),
+    ("preview", _FAR),
+    ("preview", b"/Times-Roman findfont 1e300 scalefont 1e300 scalefont setfont (a) show"),
+])
+def test_a_show_at_a_non_finite_placement_exits_one(tmp_path, capsys, command, program):
+    data = b"%!PS-Adobe-3.0 EPSF-3.0\n" + program + b"\n"
+    eps, tex = tmp_path / "far.eps", tmp_path / "far.tex"
+    eps.write_bytes(data)
+    tex.write_text("\\psfrag{a}[cc][cc][1][0]{x}\n")
+    argv = (["inspect", "--format", "json", str(eps)] if command == "inspect"
+            else ["preview", str(eps), str(tex), str(tmp_path / "out.eps")])
+    before = sorted(tmp_path.iterdir())
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    show = data.rindex(b" show")  # the token's span takes in the whitespace around it
+    assert out == "" and err == ("error: show places its text at a non-finite position, "
+                                 f"rotation, scale or size at bytes {show}..{len(data)}\n")
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_export_non_decimal_digit_is_a_bad_expression(tmp_path, capsys):
     path = tmp_path / "bad.scene"
     path.write_text(_text_scene("2\u00b2"))
@@ -504,6 +529,9 @@ def test_non_utf8_input_exits_one_naming_the_byte(tmp_path, capsys, command):
     "\\psfrag{a}[bc][bc][x][0]{x}",
     "\\psfrag{a}[bc][bc][nan][0]{x}",
     "\\psfrag{a}[bc][bc][1][inf]{x}",
+    "\\psfrag{a}[bc][bc][1e3][0]{x}",
+    "\\psfrag{a}[bc][bc][1_0][0]{x}",
+    "\\psfrag{a}[bc][bc][1][\u0663]{x}",
     "\\psfrag{a}{x",
     "\\psfrag{a}[bc][bc][1][0][9]{x}",
     "\\psfrag{a}[bc]{x} junk",
@@ -517,7 +545,7 @@ def test_non_utf8_input_exits_one_naming_the_byte(tmp_path, capsys, command):
 @pytest.mark.parametrize("command", ["preview", "renumber"])
 def test_bad_psfrag_line_exits_one_naming_the_line(tmp_path, capsys, command, line):
     eps_path, tex_path = _export_3d(tmp_path)
-    tex_path.write_text("% header\n" + line + "\n")
+    tex_path.write_text("% header\n" + line + "\n", encoding="utf-8")
     out_path = tmp_path / "prev.eps"
     before = sorted(tmp_path.iterdir())
     capsys.readouterr()

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 import string
 
 import pytest
@@ -278,6 +279,8 @@ _GROUPED = st.recursive(
     max_leaves=12)
 # Any string over the characters that matter to the rule, most of them not one group.
 _ANY_BODY = st.text("{}\\%$ab \t\n\r\x0b\x1c\x85\u2028", max_size=10)
+# A number as TeX reads one, which each scale and rotation slot must be.
+_TEX_DECIMAL = r"[+-]?([0-9]+\.?[0-9]*|\.[0-9]+)"
 
 
 @given(tag=st.text(string.ascii_letters + string.digits, min_size=1, max_size=6),
@@ -296,7 +299,35 @@ def test_reader_takes_exactly_the_entries_the_record_takes(tag, posn, scale, rot
         except ValueError:
             pass
     else:
-        assert parse_psfrag_line(format_psfrag_line(entry)) == entry
+        line = format_psfrag_line(entry)
+        slots = re.match(r"\\psfrag\{\w+\}\[\w+\]\[\w+\]\[([^]]*)\]\[([^]]*)\]\{", line)
+        assert all(re.fullmatch(_TEX_DECIMAL, slot) for slot in slots.groups())
+        assert parse_psfrag_line(line) == entry
+
+
+_POSITIONAL = [
+    (1.0, "1"), (-90.0, "-90"), (0.75, "0.75"), (-0.0, "0"), (5e-05, "0.00005"),
+    (1e-05, "0.00001"), (1.5e-07, "0.00000015"), (1e16, "1" + "0" * 16),
+    (2.5e22, "25" + "0" * 21), (5e-324, "0." + "0" * 323 + "5")]
+
+
+@pytest.mark.parametrize("value, text", _POSITIONAL, ids=[repr(v) for v, _ in _POSITIONAL])
+def test_number_slots_are_written_positionally(value, text):
+    entry = PsfragEntry("a", PosCode.parse("bc"), PosCode.parse("bc"), abs(value) or 1.0,
+                        value, "x")
+    assert format_psfrag_line(entry).endswith(f"][{text}]{{x}}")
+    assert parse_psfrag_line(format_psfrag_line(entry)).rot == value
+
+
+@pytest.mark.parametrize("slot", ["1e3", "0x1", "1.5.", " ", "- 1", "\u20032"])
+def test_reader_takes_only_decimal_number_slots(slot):
+    with pytest.raises(ValueError, match="must be decimals"):
+        parse_psfrag_line(f"\\psfrag{{a}}[bc][bc][1][{slot}]{{x}}")
+
+
+def test_reader_takes_signs_bare_points_and_spaces_in_number_slots():
+    entry = parse_psfrag_line("\\psfrag{a}[bc][bc][ +.5 ][-2.]{x}")
+    assert (entry.scale, entry.rot) == (0.5, -2.0)
 
 
 def test_retag_takes_each_old_tag_from_its_line():

@@ -5,11 +5,15 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import functools
 import importlib
+import math
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from labelforge import records
 from labelforge.affine import Affine
@@ -76,6 +80,7 @@ def _record_classes() -> list[type]:
     return found
 
 
+@functools.cache
 def _twin(cls: type) -> type:
     """A `dataclasses` class with cls's name, fields, defaults and __post_init__."""
     own = vars(cls)
@@ -123,6 +128,77 @@ def test_record_agrees_with_its_dataclass_twin(cls):
     for i, (a, b) in enumerate(zip(recs, twins)):
         for c, d in zip(recs[i + 1:], twins[i + 1:]):
             assert (a == c) == (b == d) and (a != c) == (b != d)
+
+
+# Field values: NaN and -0.0 among the floats, records nested in records, lists and tuples.
+_LEAVES = (st.floats() | st.sampled_from([math.nan, -0.0, math.inf]) | st.integers(-2, 2)
+           | st.text("ab", max_size=2) | st.binary(max_size=2) | st.none() | st.booleans())
+_VALUES = st.recursive(
+    _LEAVES, lambda inner: st.lists(inner, max_size=3) | st.lists(inner, max_size=3).map(tuple)
+    | st.builds(Sym, inner) | st.builds(_Font, inner, inner)
+    | st.builds(GraphicsState, inner, inner, inner), max_leaves=6)
+
+
+@st.composite
+def _fields_of(draw, cls):
+    """Keyword arguments for `cls`: each sample argument kept or replaced by a drawn value,
+    each later field left to its default or drawn."""
+    sample = draw(st.sampled_from(SAMPLES[cls]))
+    kwargs = {}
+    for i, name in enumerate(cls.__match_args__):
+        if i < len(sample):
+            kwargs[name] = draw(st.just(sample[i]) | _VALUES)
+        elif draw(st.booleans()):
+            kwargs[name] = draw(_VALUES)
+    return kwargs
+
+
+def _build_both(cls, twin, kwargs):
+    """A record and its twin from `kwargs`, or None when both refuse them alike."""
+    try:
+        rec = cls(**kwargs)
+    except Exception as exc:  # then __post_init__ refuses the values; the twin runs it too
+        with pytest.raises(type(exc)) as info:
+            twin(**kwargs)
+        assert str(info.value) == str(exc)
+        return None
+    return rec, twin(**kwargs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_record_agrees_with_its_twin_on_generated_values(data):
+    cls = data.draw(st.sampled_from(list(SAMPLES)))
+    twin = _twin(cls)
+    first = _build_both(cls, twin, kwargs := data.draw(_fields_of(cls)))
+    second = _build_both(cls, twin, data.draw(_fields_of(cls)))
+    if first is None:
+        return
+    rec, tw = first
+    again, tw_again = cls(**kwargs), twin(**kwargs)
+    assert repr(rec) == repr(tw)
+    assert (rec == again, rec != again) == (tw == tw_again, tw != tw_again)
+    if second is not None:
+        assert (rec == second[0], rec != second[0]) == (tw == second[1], tw != second[1])
+    assert rec != tw and not tw == rec
+    assert _outcome(hash, rec) == _outcome(hash, tw)
+    name = data.draw(st.sampled_from(cls.__match_args__))
+    value = data.draw(_VALUES)
+    assert _outcome(setattr, rec, name, value) == _outcome(setattr, tw, name, value)
+    assert _outcome(delattr, again, name) == _outcome(delattr, tw_again, name)
+
+
+def test_record_classes_share_every_method_but_init():
+    classes = _record_classes()
+    assert {cls.__repr__ for cls in classes} == {records._repr}
+    assert {cls.__eq__ for cls in classes} == {records._eq}
+    frozen = [cls for cls in classes if cls.__hash__ is not None]
+    assert len(frozen) == 28
+    for method, shared in [("__hash__", records._hash), ("__setattr__", records._setattr),
+                           ("__delattr__", records._delattr)]:
+        assert {vars(cls)[method] for cls in frozen} == {shared}
+    assert len({cls.__init__ for cls in classes}) == len(classes)
+    assert all(cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__" for cls in classes)
 
 
 def test_frozen_records_refuse_assignment_with_an_attribute_error():
