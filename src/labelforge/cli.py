@@ -8,7 +8,6 @@ output files; in-place commands always keep .bak copies of the originals.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import warnings
@@ -91,6 +90,7 @@ def cmd_export(args: argparse.Namespace) -> int:
 def cmd_inspect(args: argparse.Namespace) -> int:
     occurrences = scan_tags(Path(args.eps).read_bytes())
     if args.format == "json":
+        import json  # here, so that no other command pays for loading it
         print(json.dumps([
             {"tag": occ.tag,
              "x": round(occ.device_position[0], 3),

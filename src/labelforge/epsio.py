@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import re
 import warnings
+from functools import partial
 from typing import TYPE_CHECKING, Mapping
 
 from .affine import Affine
@@ -57,19 +58,11 @@ ARRAY_DELIM = "array_delim"
 PROC_DELIM = "proc_delim"
 COMMENT = "comment"
 
-
-# Mutable and slotted: an EPS file holds tens of thousands of tokens, and
-# plain slot stores are the cheapest way to build one. A token's bytes are
-# data[start:end]; tokenize extends the last token over trailing whitespace.
-@record(frozen=False)
-class PsToken:
-    __slots__ = ("kind", "value", "start", "end", "lit_start")
-    kind: str
-    value: object  # float | str | bytes depending on kind
-    start: int  # span start, including attached leading whitespace
-    end: int
-    lit_start: int  # strings only: offset of the opening parenthesis, else -1
-
+# A token is a plain tuple (kind, value, start, end, lit_start), the cheapest
+# thing to build tens of thousands of times. value is a float for NUMBER, the
+# decoded bytes for STRING, else the text. data[start:end] are the token's
+# bytes with the whitespace before it; tokenize extends the last token over
+# trailing whitespace. lit_start is a string's opening `(` or `<`, else -1.
 
 _WS = b" \t\r\n\f\x00"
 _REGULAR = rb"[^ \t\r\n\f\x00()<>\[\]{}/%]"  # not whitespace, not a delimiter
@@ -152,15 +145,15 @@ def _scan_string(data: bytes, start: int) -> tuple[bytes, int]:
     raise TokenizeError("unterminated string", start)
 
 
-def tokenize(data: bytes) -> list[PsToken]:
-    """Lossless tokenization of an EPS byte stream.
+def tokenize(data: bytes) -> list[tuple]:
+    """Lossless tokenization of an EPS byte stream into token tuples.
 
     Whitespace runs attach to the following token; a trailing run attaches
     to the last token. An input with no tokens at all yields an empty
     list. Unterminated strings or procedures and stray closers raise
     TokenizeError with the offending byte offset.
     """
-    tokens: list[PsToken] = []
+    tokens: list[tuple] = []
     proc_opens: list[int] = []
     append = tokens.append
     match = _TOKEN.match
@@ -171,11 +164,11 @@ def tokenize(data: bytes) -> list[PsToken]:
         group = m.lastgroup
         if group is None:  # only whitespace is left
             if tokens:
-                tokens[-1].end = n
+                kind, value, start, _end, lit_start = tokens[-1]
+                tokens[-1] = (kind, value, start, n, lit_start)
             break
         text = m[group]
-        pos = m.start(group)
-        end = m.end()
+        pos, end = m.span(group)  # every group but hex_body ends where the match does
         lit_start = -1
         if group == "number" and math.isfinite(value := float(text)):
             kind = NUMBER
@@ -201,7 +194,7 @@ def tokenize(data: bytes) -> list[PsToken]:
                     raise TokenizeError("unmatched '}'", pos)
                 proc_opens.pop()
             kind, value = _KINDS[group], text.decode("latin-1")
-        append(PsToken(kind, value, i, end, lit_start))
+        append((kind, value, i, end, lit_start))
         i = end
     if proc_opens:
         raise TokenizeError("unterminated procedure", proc_opens[0])
@@ -244,172 +237,161 @@ class _PsString:
     span: tuple[int, int]
 
 
-# Operators with no tracked semantics: name -> number of operands popped.
-_ARITY = {
-    "lineto": 2, "rlineto": 2, "curveto": 6, "rcurveto": 6,
-    "arc": 5, "arcn": 5, "closepath": 0, "newpath": 0,
-    "stroke": 0, "fill": 0, "eofill": 0, "clip": 0, "eoclip": 0,
-    "setlinewidth": 1, "setgray": 1, "setrgbcolor": 3, "sethsbcolor": 3,
-    "setdash": 2, "setlinecap": 1, "setlinejoin": 1, "setmiterlimit": 1,
-    "showpage": 0, "pop": 1, "def": 2, "bind": 0, "exch": 0, "dup": 0,
-}
-
-_TEXT_VARIANTS = {"widthshow": 4, "awidthshow": 6, "ashow": 3, "kshow": 2, "xshow": 2,
-                  "xyshow": 2, "glyphshow": 1, "cshow": 2}
-
-
 class _Interpreter:
-    def __init__(self):
+    """Runs a token list. Each operator the scanner models has a method named after it;
+    operators alike but for their operand count share a method that takes the count."""
+
+    def __init__(self, data: bytes):
+        self.data = data  # the tokens' source, read only to name an error's bytes
         self.stack: list[object] = []
         self.state = GraphicsState()
         self.saved: list[GraphicsState] = []
         self.occurrences: list[TagOccurrence] = []
 
-    def _pop(self, count: int, token: PsToken) -> list[object]:
-        if len(self.stack) < count:
-            raise ScanError(f"stack underflow on {token.value!r}",
-                            (token.start, token.end))
-        taken = self.stack[len(self.stack) - count:]
-        del self.stack[len(self.stack) - count:]
+    def _error(self, message: str, token: tuple) -> ScanError:
+        """A ScanError at the operator's own bytes, without the whitespace its token holds."""
+        start, end = token[2], token[3]
+        text = self.data[start:end]
+        return ScanError(message, (start + len(text) - len(text.lstrip(_WS)),
+                                   start + len(text.rstrip(_WS))))
+
+    def _pop(self, token: tuple, count: int) -> list[object]:
+        stack = self.stack
+        if len(stack) < count:
+            raise self._error(f"stack underflow on {token[1]!r}", token)
+        taken = stack[len(stack) - count:]
+        del stack[len(stack) - count:]
         return taken
 
-    def _pop_numbers(self, count: int, token: PsToken) -> list[float]:
-        taken = self._pop(count, token)
-        values = []
+    def _pop_numbers(self, token: tuple, count: int) -> list[float]:
+        taken = self._pop(token, count)
         for item in taken:
             if not isinstance(item, float):
-                raise ScanError(f"non-numeric operand for {token.value!r}",
-                                (token.start, token.end))
-            values.append(item)
-        return values
+                raise self._error(f"non-numeric operand for {token[1]!r}", token)
+        return taken
 
-    def _update_ctm(self, m: Affine, token: PsToken) -> None:
+    def _transform(self, m: Affine, token: tuple) -> None:
         new = self.state.ctm @ m
         if abs(new.determinant()) < 1e-12:
-            raise ScanError("transformation matrix became singular",
-                            (token.start, token.end))
+            raise self._error("transformation matrix became singular", token)
         self.state.ctm = new
 
-    def run(self, tokens: list[PsToken]) -> None:
-        i = 0
-        n = len(tokens)
-        while i < n:
-            token = tokens[i]
-            kind = token.kind
-            if kind == COMMENT:
-                pass
-            elif kind == NUMBER:
-                self.stack.append(token.value)
+    def run(self, tokens: list[tuple]) -> None:
+        stack = self.stack
+        push = stack.append
+        ops = _OPS
+        remaining = iter(tokens)
+        for token in remaining:
+            kind, value, _start, end, lit_start = token
+            if kind == NUMBER or kind == LITERAL_NAME:
+                push(value)
+            elif kind == NAME:
+                op = ops.get(value)
+                if op is not None:  # any other name pops nothing
+                    op(self, token)
             elif kind == STRING:
-                self.stack.append(_PsString(token.value, (token.lit_start, token.end)))
-            elif kind == LITERAL_NAME:
-                self.stack.append(token.value)
+                push(_PsString(value, (lit_start, end)))
             elif kind == ARRAY_DELIM:
-                if token.value == "[":
-                    self.stack.append(_MARK)
+                if value == "[":
+                    push(_MARK)
                 else:
                     items = []
-                    while self.stack and self.stack[-1] is not _MARK:
-                        items.append(self.stack.pop())
-                    if self.stack:
-                        self.stack.pop()
-                    self.stack.append(list(reversed(items)))
-            elif kind == PROC_DELIM:
-                # Procedures are skipped, not executed.
+                    while stack and stack[-1] is not _MARK:
+                        items.append(stack.pop())
+                    if stack:
+                        stack.pop()
+                    push(items[::-1])
+            elif kind == PROC_DELIM:  # always a `{`: procedures are skipped, not executed
                 depth = 1
-                i += 1
-                while i < n and depth:
-                    if tokens[i].kind == PROC_DELIM:
-                        depth += 1 if tokens[i].value == "{" else -1
-                    i += 1
-                self.stack.append(_PROC)
-                continue
-            else:
-                self._execute_name(token)
-            i += 1
+                for inner in remaining:
+                    if inner[0] == PROC_DELIM:
+                        depth += 1 if inner[1] == "{" else -1
+                        if not depth:
+                            break
+                push(_PROC)
 
-    def _execute_name(self, token: PsToken) -> None:
-        name = token.value
+    def translate(self, token: tuple) -> None:
+        self._transform(Affine.translation(*self._pop_numbers(token, 2)), token)
+
+    def scale(self, token: tuple) -> None:
+        self._transform(Affine.scaling(*self._pop_numbers(token, 2)), token)
+
+    def rotate(self, token: tuple) -> None:
+        self._transform(Affine.rotation(*self._pop_numbers(token, 1)), token)
+
+    def concat(self, token: tuple) -> None:
+        (arr,) = self._pop(token, 1)
+        if not (isinstance(arr, list) and len(arr) == 6
+                and all(isinstance(v, float) for v in arr)):
+            raise self._error("concat needs a six-number matrix", token)
+        self._transform(Affine(*arr), token)
+
+    def gsave(self, token: tuple) -> None:
         state = self.state
-        if name == "translate":
-            x, y = self._pop_numbers(2, token)
-            self._update_ctm(Affine.translation(x, y), token)
-        elif name == "scale":
-            x, y = self._pop_numbers(2, token)
-            self._update_ctm(Affine.scaling(x, y), token)
-        elif name == "rotate":
-            (deg,) = self._pop_numbers(1, token)
-            self._update_ctm(Affine.rotation(deg), token)
-        elif name == "concat":
-            (arr,) = self._pop(1, token)
-            if not (isinstance(arr, list) and len(arr) == 6
-                    and all(isinstance(v, float) for v in arr)):
-                raise ScanError("concat needs a six-number matrix",
-                                (token.start, token.end))
-            self._update_ctm(Affine(*arr), token)
-        elif name == "gsave":
-            self.saved.append(GraphicsState(state.ctm, state.current_point,
-                                            state.font_size))
-        elif name == "grestore":
-            if not self.saved:
-                raise ScanError("grestore with no saved state",
-                                (token.start, token.end))
-            self.state = self.saved.pop()
-        elif name == "moveto":
-            x, y = self._pop_numbers(2, token)
-            state.current_point = (x, y)
-        elif name == "rmoveto":
-            dx, dy = self._pop_numbers(2, token)
-            cx, cy = state.current_point or (0.0, 0.0)
-            state.current_point = (cx + dx, cy + dy)
-        elif name == "findfont":
-            (font_name,) = self._pop(1, token)
-            self.stack.append(_Font(str(font_name), 1.0))
-        elif name == "scalefont":
-            (size,) = self._pop(1, token)
-            if not isinstance(size, float):
-                raise ScanError("scalefont needs a numeric size",
-                                (token.start, token.end))
-            (base,) = self._pop(1, token)
-            font = base if isinstance(base, _Font) else _Font("", 1.0)
-            self.stack.append(_Font(font.name, font.size * size))
-        elif name == "setfont":
-            (font,) = self._pop(1, token)
-            if isinstance(font, _Font):
-                state.font_size = font.size
-        elif name == "selectfont":
-            (size,) = self._pop(1, token)
-            self._pop(1, token)
-            if isinstance(size, float):
-                state.font_size = size
-        elif name == "show":
-            (operand,) = self._pop(1, token)
-            if not isinstance(operand, _PsString):
-                raise ScanError("show needs a string operand",
-                                (token.start, token.end))
-            self._record_show(operand, token)
-        elif name in _TEXT_VARIANTS:
-            warnings.warn(f"{name} is not treated as a tag occurrence",
-                          ScanWarning, stacklevel=4)
-            self._pop(_TEXT_VARIANTS[name], token)
-        elif name in _ARITY:
-            popped = self._pop(_ARITY[name], token)
-            if name in ("lineto", "curveto"):
-                tail = popped[-2:]
-                if all(isinstance(v, float) for v in tail):
-                    state.current_point = (tail[0], tail[1])
-            elif name == "newpath":
-                state.current_point = None
-        # Unknown names pop nothing and never error.
+        self.saved.append(GraphicsState(state.ctm, state.current_point, state.font_size))
 
-    def _record_show(self, operand: _PsString, token: PsToken) -> None:
+    def grestore(self, token: tuple) -> None:
+        if not self.saved:
+            raise self._error("grestore with no saved state", token)
+        self.state = self.saved.pop()
+
+    def moveto(self, token: tuple) -> None:
+        x, y = self._pop_numbers(token, 2)
+        self.state.current_point = (x, y)
+
+    def rmoveto(self, token: tuple) -> None:
+        dx, dy = self._pop_numbers(token, 2)
+        cx, cy = self.state.current_point or (0.0, 0.0)
+        self.state.current_point = (cx + dx, cy + dy)
+
+    def newpath(self, token: tuple) -> None:
+        self.state.current_point = None
+
+    def _path_to(self, token: tuple, count: int) -> None:
+        tail = self._pop(token, count)[-2:]
+        if all(isinstance(v, float) for v in tail):
+            self.state.current_point = (tail[0], tail[1])
+
+    def findfont(self, token: tuple) -> None:
+        (font_name,) = self._pop(token, 1)
+        self.stack.append(_Font(str(font_name), 1.0))
+
+    def scalefont(self, token: tuple) -> None:
+        (size,) = self._pop(token, 1)
+        if not isinstance(size, float):
+            raise self._error("scalefont needs a numeric size", token)
+        (base,) = self._pop(token, 1)
+        font = base if isinstance(base, _Font) else _Font("", 1.0)
+        self.stack.append(_Font(font.name, font.size * size))
+
+    def setfont(self, token: tuple) -> None:
+        (font,) = self._pop(token, 1)
+        if isinstance(font, _Font):
+            self.state.font_size = font.size
+
+    def selectfont(self, token: tuple) -> None:
+        (size,) = self._pop(token, 1)
+        self._pop(token, 1)
+        if isinstance(size, float):
+            self.state.font_size = size
+
+    def _text_variant(self, token: tuple, count: int) -> None:
+        # stacklevel 4: this method, run, scan_tags, then scan_tags' caller
+        warnings.warn(f"{token[1]} is not treated as a tag occurrence",
+                      ScanWarning, stacklevel=4)
+        self._pop(token, count)
+
+    def show(self, token: tuple) -> None:
+        (operand,) = self._pop(token, 1)
+        if not isinstance(operand, _PsString):
+            raise self._error("show needs a string operand", token)
         state = self.state
         cx, cy = state.current_point or (0.0, 0.0)
         x, y = state.ctm.apply(cx, cy)
         rotation, scale = state.ctm.rotation_degrees(), state.ctm.x_scale()
         if not all(map(math.isfinite, (x, y, rotation, scale, state.font_size))):
-            raise ScanError("show places its text at a non-finite position, rotation, "
-                            "scale or size", (token.start, token.end))
+            raise self._error("show places its text at a non-finite position, rotation, "
+                              "scale or size", token)
         self.occurrences.append(TagOccurrence(
             tag=operand.data.decode("latin-1"),
             device_position=(x, y),
@@ -420,13 +402,28 @@ class _Interpreter:
         ))
 
 
+# The operators the scanner models: name -> handler(interpreter, token). Any
+# other name, `stroke` or `bind` as much as an unknown one, pops nothing.
+_OPS = {name: getattr(_Interpreter, name) for name in (
+    "translate", "scale", "rotate", "concat", "gsave", "grestore", "moveto", "rmoveto",
+    "newpath", "findfont", "scalefont", "setfont", "selectfont", "show")}
+_OPS.update({name: partial(handler, count=count) for handler, arities in [
+    (_Interpreter._text_variant, {"widthshow": 4, "awidthshow": 6, "ashow": 3, "kshow": 2,
+                                  "xshow": 2, "xyshow": 2, "glyphshow": 1, "cshow": 2}),
+    (_Interpreter._path_to, {"lineto": 2, "curveto": 6}),
+    (_Interpreter._pop, {  # the operands are dropped, the effect is not modelled
+        "rlineto": 2, "rcurveto": 6, "arc": 5, "arcn": 5, "setlinewidth": 1, "setgray": 1,
+        "setrgbcolor": 3, "sethsbcolor": 3, "setdash": 2, "setlinecap": 1, "setlinejoin": 1,
+        "setmiterlimit": 1, "pop": 1, "def": 2})] for name, count in arities.items()})
+
+
 def scan_tags(data: bytes) -> list[TagOccurrence]:
     """Find every shown string with its device position, rotation, scale.
 
     This sees exactly what a tag substitution pass would see: each `show`
     of a string literal, in byte order.
     """
-    interp = _Interpreter()
+    interp = _Interpreter(data)
     interp.run(tokenize(data))
     return interp.occurrences
 

@@ -8,8 +8,7 @@ instance (so it must be immutable; there are no default factories). Only
 which read the fields from `__match_args__`: a `Name(field=value!r, ...)`
 `__repr__` and an `__eq__` that compares field tuples within one class. A
 frozen record, the default, also hashes its field tuple and refuses
-assignment and deletion; a mutable one is unhashable. A class may declare
-its own `__slots__`; its fields then take no defaults.
+assignment and deletion; a mutable one is unhashable.
 """
 
 from __future__ import annotations
@@ -29,8 +28,7 @@ def record(cls=None, /, *, frozen: bool = True):
 def _build(cls, frozen: bool):
     own = cls.__dict__
     names = tuple(own.get("__annotations__", ()))
-    defaults = {f"_dflt_{name}": own[name] for name in names
-                if name in own and name not in own.get("__slots__", ())}
+    defaults = {f"_dflt_{name}": own[name] for name in names if name in own}
     params = ", ".join(f"{name}=_dflt_{name}" if f"_dflt_{name}" in defaults else name
                        for name in names)
     # A frozen __init__ stores into the instance dict, as object.__setattr__ would, but faster.

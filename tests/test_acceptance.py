@@ -268,7 +268,8 @@ def test_criterion_9_tokenizer_fuzz(export):
             except TokenizeError:
                 continue  # rejected inputs are fine; crashes are not
             if tokens:
-                assert b"".join(mutated[t.start:t.end] for t in tokens) == mutated
+                assert b"".join(mutated[start:end]
+                                for _kind, _value, start, end, _lit in tokens) == mutated
                 survived += 1
         return survived
 

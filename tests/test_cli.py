@@ -173,9 +173,9 @@ def test_a_show_at_a_non_finite_placement_exits_one(tmp_path, capsys, command, p
     before = sorted(tmp_path.iterdir())
     assert main(argv) == 1
     out, err = capsys.readouterr()
-    show = data.rindex(b" show")  # the token's span takes in the whitespace around it
+    show = data.rindex(b"show")  # the span is the operator's bytes, not the whitespace around
     assert out == "" and err == ("error: show places its text at a non-finite position, "
-                                 f"rotation, scale or size at bytes {show}..{len(data)}\n")
+                                 f"rotation, scale or size at bytes {show}..{show + 4}\n")
     assert sorted(tmp_path.iterdir()) == before
 
 
@@ -833,18 +833,20 @@ def _fresh_python(code: str, *argv: str) -> subprocess.CompletedProcess:
 
 def _loaded_after(*argv: str) -> list[str]:
     """The labelforge modules (and `fractions` and `decimal`, which only the expression
-    model needs, and `dataclasses` and `inspect`, which nothing needs) a fresh interpreter
-    holds after `main(argv)`, or after `import labelforge` when argv is empty."""
-    code = ("import json, sys\n"
+    model needs, `json`, which only `export` and `inspect --format json` need, and
+    `dataclasses` and `inspect`, which nothing needs) a fresh interpreter holds after
+    `main(argv)`, or after `import labelforge` when argv is empty. The probe itself
+    imports only `sys`, so that it does not load what it looks for."""
+    code = ("import sys\n"
             "if sys.argv[1:]:\n"
             "    import labelforge.cli\n"
             "    labelforge.cli.main(sys.argv[1:])\n"
             "else:\n"
             "    import labelforge\n"
             "watched = lambda m: (m.startswith('labelforge')\n"
-            "                    or m in ('fractions', 'decimal', 'dataclasses', 'inspect'))\n"
-            "print(json.dumps(sorted(filter(watched, sys.modules))), file=sys.stderr)\n")
-    return json.loads(_fresh_python(code, *argv).stderr.splitlines()[-1])
+            "                    or m in ('fractions', 'decimal', 'json', 'dataclasses', 'inspect'))\n"
+            "print(sorted(filter(watched, sys.modules)), file=sys.stderr)\n")
+    return ast.literal_eval(_fresh_python(code, *argv).stderr.splitlines()[-1])
 
 
 def test_each_command_imports_only_what_it_runs(tmp_path, capsys):
@@ -864,6 +866,18 @@ def test_each_command_imports_only_what_it_runs(tmp_path, capsys):
     assert _loaded_after("preview", eps, tex, str(tmp_path / "p.eps")) == sorted(
         reader + ["labelforge.fontmetrics", "labelforge.preview"])
     assert _loaded_after("renumber", eps, tex) == reader
+
+
+def test_only_export_and_inspect_json_load_json(tmp_path, capsys):
+    """`site` does not load `json`, so each command that imports it pays for the import."""
+    scene = _copy_fixture("fig2", tmp_path)
+    assert main(["export", str(scene), "--basename", str(tmp_path / "f")]) == 0
+    eps, tex = str(tmp_path / "f-psfrag.eps"), str(tmp_path / "f-psfrag.tex")
+    assert "json" not in _loaded_after("inspect", eps)
+    assert "json" not in _loaded_after("preview", eps, tex, str(tmp_path / "p.eps"))
+    assert "json" not in _loaded_after("renumber", eps, tex)
+    assert "json" in _loaded_after("inspect", "--format", "json", eps)
+    assert "json" in _loaded_after("export", str(scene), "--basename", str(tmp_path / "g"))
 
 
 def test_library_export_side_binds_its_names_on_first_use(tmp_path, capsys):

@@ -21,18 +21,20 @@ from labelforge.exprkit import Str
 
 # -------------------------------------------------------------- tokenize
 
+# A token is the tuple (kind, value, start, end, lit_start).
+
 def test_tokenize_string_escape_example():
     tokens = tokenize(b"(a\\)b) show")
-    assert [t.kind for t in tokens] == [STRING, NAME]
-    assert tokens[0].value == b"a)b"
-    assert tokens[1].value == "show"
+    assert [kind for kind, *_ in tokens] == [STRING, NAME]
+    assert tokens[0][1] == b"a)b"
+    assert tokens[1][1] == "show"
 
 
 def test_tokenize_dsc_comment():
     tokens = tokenize(b"%%BoundingBox: 0 0 360 223\n")
     assert len(tokens) == 1
-    assert tokens[0].kind == COMMENT
-    assert tokens[0].value == "%%BoundingBox: 0 0 360 223"
+    assert tokens[0][0] == COMMENT
+    assert tokens[0][1] == "%%BoundingBox: 0 0 360 223"
 
 
 def test_tokenize_empty_input():
@@ -41,37 +43,37 @@ def test_tokenize_empty_input():
 
 def test_tokenize_kinds():
     tokens = tokenize(b"/Times-Roman 10 selectfont [0.1 1] {lineto} (s)")
-    kinds = [t.kind for t in tokens]
+    kinds = [kind for kind, *_ in tokens]
     assert kinds == [LITERAL_NAME, NUMBER, NAME, ARRAY_DELIM, NUMBER, NUMBER,
                      ARRAY_DELIM, PROC_DELIM, NAME, PROC_DELIM, STRING]
-    assert tokens[0].value == "Times-Roman"
-    assert tokens[1].value == 10.0
+    assert tokens[0][1] == "Times-Roman"
+    assert tokens[1][1] == 10.0
 
 
 def test_tokenize_octal_and_named_escapes():
     tokens = tokenize(b"(\\101\\n\\t\\\\)")
-    assert tokens[0].value == b"A\n\t\\"
+    assert tokens[0][1] == b"A\n\t\\"
 
 
 def test_tokenize_nested_parens():
     tokens = tokenize(b"(a(b)c)")
-    assert tokens[0].value == b"a(b)c"
+    assert tokens[0][1] == b"a(b)c"
 
 
 def test_tokenize_lossless_spans_on_writer_output(scene_of):
     scene = expand_decorations(scene_of("ex_auto"))
     data, _ = write_eps(scene)
     tokens = tokenize(data)
-    assert b"".join(data[t.start:t.end] for t in tokens) == data
+    assert b"".join(data[start:end] for _kind, _value, start, end, _lit in tokens) == data
 
 
 def test_tokenize_whitespace_attaches_to_following_token():
     data = b"  12  (x) \n"
     tokens = tokenize(data)
-    assert data[tokens[0].start:tokens[0].end] == b"  12"
+    assert data[tokens[0][2]:tokens[0][3]] == b"  12"
     # trailing whitespace extends the final token
-    assert data[tokens[1].start:tokens[1].end] == b"  (x) \n"
-    assert b"".join(data[t.start:t.end] for t in tokens) == data
+    assert data[tokens[1][2]:tokens[1][3]] == b"  (x) \n"
+    assert b"".join(data[start:end] for _kind, _value, start, end, _lit in tokens) == data
 
 
 @pytest.mark.parametrize("data, message", [
@@ -90,15 +92,15 @@ def test_tokenize_errors_carry_offsets(data, message):
 
 def test_tokenize_hex_string():
     tokens = tokenize(b"<414 2>")
-    assert tokens[0].kind == STRING
-    assert tokens[0].value == b"AB"
+    assert tokens[0][0] == STRING
+    assert tokens[0][1] == b"AB"
 
 
 def test_tokenize_number_forms():
     tokens = tokenize(b"1 -2 3.5 .5 6. 1e3 -1.5e-2 16#FF")
-    values = [t.value for t in tokens]
+    values = [value for _kind, value, *_ in tokens]
     assert values[:7] == [1.0, -2.0, 3.5, 0.5, 6.0, 1000.0, -0.015]
-    assert tokens[7].kind == NAME  # radix form is not required
+    assert tokens[7][0] == NAME  # radix form is not required
 
 
 _SOUP_BYTES = b" \t\r\n\f\x00()<>[]{}/%\\abc019.-+eE"
@@ -114,10 +116,11 @@ def test_tokenize_property_lossless_or_error_at_delimiter(data):
         return
     if not tokens:  # a file of whitespace alone has no token to carry it
         assert data.strip(b" \t\r\n\f\x00") == b""
-    assert b"".join(data[t.start:t.end] for t in tokens) == (data if tokens else b"")
-    for t in tokens:
-        if t.kind == STRING:
-            assert data[t.lit_start:t.lit_start + 1] in (b"(", b"<")
+    assert b"".join(data[start:end] for _kind, _value, start, end, _lit in tokens) == (
+        data if tokens else b"")
+    for kind, _value, _start, _end, lit_start in tokens:
+        if kind == STRING:
+            assert data[lit_start:lit_start + 1] in (b"(", b"<")
 
 
 # -------------------------------------------------------------- scan_tags
@@ -203,12 +206,38 @@ _SHOW_FAMILY = [
 
 @pytest.mark.parametrize("program", _SHOW_FAMILY)
 def test_scan_show_variant_pops_its_operands_and_warns_once(program):
-    interp = epsio._Interpreter()
+    interp = epsio._Interpreter(program)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         interp.run(tokenize(program))
     assert interp.stack == [] and interp.occurrences == []
     assert [w.category for w in caught] == [ScanWarning]
+
+
+def test_a_show_variant_warning_points_at_the_caller_of_scan_tags():
+    with pytest.warns(ScanWarning) as caught:
+        scan_tags(b"0 0 moveto 1 2 32 (ab) widthshow")
+    assert [w.filename for w in caught] == [__file__]
+
+
+@pytest.mark.parametrize("data, message, operator", [
+    (b"  grestore  ", "grestore with no saved state", b"grestore"),
+    (b"%!PS\n1 moveto\n", "stack underflow on 'moveto'", b"moveto"),
+    (b"\t\r\nshow", "stack underflow on 'show'", b"show"),
+    (b"(a) 1 moveto (b) show", "non-numeric operand for 'moveto'", b"moveto"),
+    (b"1 show\x00", "show needs a string operand", b"show"),
+    (b"0 1 scale\f(a) show", "transformation matrix became singular", b"scale"),
+    (b"[1 0] concat ", "concat needs a six-number matrix", b"concat"),
+    (b"/F findfont /x scalefont", "scalefont needs a numeric size", b"scalefont"),
+    (b"1e200 1e200 scale 1e200 1e200 scale 1 1 moveto (a) show \n",
+     "show places its text at a non-finite position, rotation, scale or size", b"show"),
+])
+def test_a_scan_error_names_the_operator_bytes_alone(data, message, operator):
+    with pytest.raises(ScanError) as info:
+        scan_tags(data)
+    start, end = info.value.span
+    assert data[start:end] == operator and data.rindex(operator) == start
+    assert str(info.value) == f"{message} at bytes {start}..{end}"
 
 
 def test_scan_occurrences_in_byte_order(export):
@@ -423,3 +452,47 @@ def test_rewrite_composes_with_renumber(export):
     for old, new in zip(old_occs, new_occs):
         assert new.device_position == pytest.approx(old.device_position)
         assert new.rotation == pytest.approx(old.rotation)
+
+
+_NUM = st.sampled_from(["0", "1", "-2.5", "12", ".5", "3e1"])
+_SHOW = _TAG.map(lambda tag: [f"({tag})", "show"])
+_STATEMENT = st.one_of(
+    st.tuples(_NUM, _NUM).map(lambda p: [*p, "moveto"]),
+    st.tuples(_NUM, _NUM).map(lambda p: [*p, "translate"]),
+    _NUM.map(lambda d: [d, "rotate"]),
+    st.sampled_from(["0.5", "2", "-1"]).map(lambda k: [k, k, "scale"]),
+    _SHOW,
+    _SHOW.map(lambda shown: ["/p", "{", "90", "rotate", *shown, "}", "def"]),
+    st.sampled_from([["foo"], ["stroke"], ["l"], ["bind"], ["[", "1", "2", "]", "pop"]]),
+)
+_PROGRAM = st.recursive(
+    st.lists(_STATEMENT, max_size=6).map(lambda parts: [t for part in parts for t in part]),
+    lambda inner: st.lists(inner.map(lambda body: ["gsave", *body, "grestore"]) | inner,
+                           max_size=3).map(lambda parts: [t for part in parts for t in part]),
+    max_leaves=8)
+_SEPARATOR = st.lists(st.sampled_from([" ", "\t", "\r", "\n", "\f", "\x00", "%\n",
+                                         "% (a) show {\n", "%%EOF\r"]),
+                       min_size=1, max_size=3).map("".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tokens=_PROGRAM, data=st.data())
+def test_whitespace_and_comments_between_tokens_only_shift_the_spans(tokens, data):
+    """A program scans alike however its tokens are separated; each literal's span
+    moves by exactly the bytes inserted before it."""
+    base = " ".join(tokens).encode("latin-1")
+    seps = data.draw(st.lists(_SEPARATOR, min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+    seps[0] = data.draw(st.sampled_from(["", seps[0]]))  # the file may start with a token
+    spread, moved, base_at = "", {}, 0
+    for sep, token in zip(seps, tokens):
+        spread += sep
+        moved[base_at] = len(spread)
+        spread += token
+        base_at += len(token) + 1
+    spread += seps[-1]  # after the last token, or the whole file when there is none
+    before, after = scan_tags(base), scan_tags(spread.encode("latin-1"))
+    assert [(o.tag, o.device_position, o.rotation, o.scale, o.font_size) for o in after] == [
+        (o.tag, o.device_position, o.rotation, o.scale, o.font_size) for o in before]
+    for old, new in zip(before, after):
+        start, end = old.byte_span
+        assert new.byte_span == (moved[start], moved[start] + end - start)

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from labelforge import records
 from labelforge.affine import Affine
 from labelforge.directives import LabelDirective, PosCode
-from labelforge.epsio import GraphicsState, PsToken, TagOccurrence, TextPlacement, _Font, _PsString
+from labelforge.epsio import GraphicsState, TagOccurrence, TextPlacement, _Font, _PsString
 from labelforge.exprkit import Call, Hold, HookSet, LabelClass, Num, Str, Sym, _Token
 from labelforge.labeling import PsfragEntry
 from labelforge.preview import LabelBox, PreviewResult
@@ -36,7 +36,6 @@ SAMPLES = {
     PosCode: [("b", "c"), ("t", "l")],
     LabelDirective: [(Sym("x"),),
                      (Num(Fraction(1)), "$1$", "t1", PosCode("t", "l"), BC, 90.0, 2.0)],
-    PsToken: [("name", "show", 0, 5, -1), ("string", b"ab", 3, 8, 4)],
     GraphicsState: [(), (Affine(2.0), (1.0, 2.0), 12.0)],
     TagOccurrence: [("a", (1.0, 2.0), 0.0, 1.0, 10.0, (3, 6)),
                     ("b", (1.0, 2.0), 90.0, 2.0, 10.0, (3, 6))],
@@ -86,7 +85,7 @@ def _twin(cls: type) -> type:
     own = vars(cls)
     fields = []
     for name in cls.__match_args__:
-        if name not in own or name in own.get("__slots__", ()):
+        if name not in own:
             fields.append((name, cls.__annotations__[name]))
             continue
         default = own[name]
@@ -109,7 +108,7 @@ def _outcome(fn, *args):
 def test_every_record_class_has_samples():
     assert sorted(c.__qualname__ for c in _record_classes()) == sorted(
         c.__qualname__ for c in SAMPLES)
-    assert len(SAMPLES) == 30
+    assert len(SAMPLES) == 29
 
 
 @pytest.mark.parametrize("cls", list(SAMPLES), ids=lambda c: c.__qualname__)
@@ -224,11 +223,7 @@ def test_equality_needs_the_same_class():
     assert hash(Sym("x")) == hash(("x",))
 
 
-def test_mutable_records_share_immutable_defaults_and_tokens_have_no_dict():
-    token = PsToken("name", "show", 0, 5, -1)
-    assert not hasattr(token, "__dict__")
-    token.end = 4
-    assert token.end == 4
+def test_records_share_immutable_defaults():
     first, second = GraphicsState(), GraphicsState()
     assert first.ctm is second.ctm and first.ctm == Affine()
     with pytest.raises(AttributeError):
