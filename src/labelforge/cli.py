@@ -110,7 +110,7 @@ def cmd_renumber(args: argparse.Namespace) -> int:
     eps_data = eps_path.read_bytes()
     tex_text = read_text(tex_path)
     registry = _this.parse_psfrag_document(tex_text)
-    _renumbered, tag_map = _this.renumber(registry)
+    tag_map = _this.renumber(registry)
     new_eps = rewrite_tags(eps_data, tag_map)
     new_tex = _this.retag_psfrag_text(tex_text, tag_map)
     make_backup(eps_path)

@@ -204,13 +204,6 @@ def tokenize(data: bytes) -> list[tuple]:
 # ---------------------------------------------------------------------------
 # Conservative interpreter
 
-@record(frozen=False)
-class GraphicsState:
-    ctm: Affine = Affine()  # shared by every fresh state; an Affine is immutable
-    current_point: tuple[float, float] | None = None  # user space
-    font_size: float = 10.0
-
-
 @record
 class TagOccurrence:
     tag: str
@@ -244,8 +237,9 @@ class _Interpreter:
     def __init__(self, data: bytes):
         self.data = data  # the tokens' source, read only to name an error's bytes
         self.stack: list[object] = []
-        self.state = GraphicsState()
-        self.saved: list[GraphicsState] = []
+        # The graphics state: the current matrix, point (user space) and font size.
+        self.ctm, self.point, self.font_size = Affine(), None, 10.0
+        self.saved: list[tuple[Affine, tuple[float, float] | None, float]] = []
         self.occurrences: list[TagOccurrence] = []
 
     def _error(self, message: str, token: tuple) -> ScanError:
@@ -271,10 +265,10 @@ class _Interpreter:
         return taken
 
     def _transform(self, m: Affine, token: tuple) -> None:
-        new = self.state.ctm @ m
+        new = self.ctm @ m
         if abs(new.determinant()) < 1e-12:
             raise self._error("transformation matrix became singular", token)
-        self.state.ctm = new
+        self.ctm = new
 
     def run(self, tokens: list[tuple]) -> None:
         stack = self.stack
@@ -327,30 +321,29 @@ class _Interpreter:
         self._transform(Affine(*arr), token)
 
     def gsave(self, token: tuple) -> None:
-        state = self.state
-        self.saved.append(GraphicsState(state.ctm, state.current_point, state.font_size))
+        self.saved.append((self.ctm, self.point, self.font_size))
 
     def grestore(self, token: tuple) -> None:
         if not self.saved:
             raise self._error("grestore with no saved state", token)
-        self.state = self.saved.pop()
+        self.ctm, self.point, self.font_size = self.saved.pop()
 
     def moveto(self, token: tuple) -> None:
         x, y = self._pop_numbers(token, 2)
-        self.state.current_point = (x, y)
+        self.point = (x, y)
 
     def rmoveto(self, token: tuple) -> None:
         dx, dy = self._pop_numbers(token, 2)
-        cx, cy = self.state.current_point or (0.0, 0.0)
-        self.state.current_point = (cx + dx, cy + dy)
+        cx, cy = self.point or (0.0, 0.0)
+        self.point = (cx + dx, cy + dy)
 
     def newpath(self, token: tuple) -> None:
-        self.state.current_point = None
+        self.point = None
 
     def _path_to(self, token: tuple, count: int) -> None:
         tail = self._pop(token, count)[-2:]
         if all(isinstance(v, float) for v in tail):
-            self.state.current_point = (tail[0], tail[1])
+            self.point = (tail[0], tail[1])
 
     def findfont(self, token: tuple) -> None:
         (font_name,) = self._pop(token, 1)
@@ -367,13 +360,13 @@ class _Interpreter:
     def setfont(self, token: tuple) -> None:
         (font,) = self._pop(token, 1)
         if isinstance(font, _Font):
-            self.state.font_size = font.size
+            self.font_size = font.size
 
     def selectfont(self, token: tuple) -> None:
         (size,) = self._pop(token, 1)
         self._pop(token, 1)
         if isinstance(size, float):
-            self.state.font_size = size
+            self.font_size = size
 
     def _text_variant(self, token: tuple, count: int) -> None:
         # stacklevel 4: this method, run, scan_tags, then scan_tags' caller
@@ -385,11 +378,11 @@ class _Interpreter:
         (operand,) = self._pop(token, 1)
         if not isinstance(operand, _PsString):
             raise self._error("show needs a string operand", token)
-        state = self.state
-        cx, cy = state.current_point or (0.0, 0.0)
-        x, y = state.ctm.apply(cx, cy)
-        rotation, scale = state.ctm.rotation_degrees(), state.ctm.x_scale()
-        if not all(map(math.isfinite, (x, y, rotation, scale, state.font_size))):
+        ctm = self.ctm
+        cx, cy = self.point or (0.0, 0.0)
+        x, y = ctm.apply(cx, cy)
+        rotation, scale = ctm.rotation_degrees(), ctm.x_scale()
+        if not all(map(math.isfinite, (x, y, rotation, scale, self.font_size))):
             raise self._error("show places its text at a non-finite position, rotation, "
                               "scale or size", token)
         self.occurrences.append(TagOccurrence(
@@ -397,7 +390,7 @@ class _Interpreter:
             device_position=(x, y),
             rotation=rotation,
             scale=scale,
-            font_size=state.font_size,
+            font_size=self.font_size,
             byte_span=operand.span,
         ))
 
@@ -508,17 +501,6 @@ def write_eps(scene: Scene,
     tag_text = tag_text or {}
     (xmin, xmax), (ymin, ymax) = scene.plot_range
     width, height = scene.target_size
-    for prim in scene.primitives:
-        if isinstance(prim, TextPrimitive):
-            values = (*prim.position, *prim.direction)
-        elif isinstance(prim, Polyline):
-            values = tuple(v for p in prim.points for v in p)
-        elif isinstance(prim, CircleArc):
-            values = (*prim.center, prim.radius, prim.start_deg, prim.end_deg)
-        else:
-            values = (*prim.start, *prim.end)
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError("non-finite coordinate in scene")
 
     sx = width * (1 - 2 * _MARGIN_FRACTION) / (xmax - xmin)
     sy = height * (1 - 2 * _MARGIN_FRACTION) / (ymax - ymin)

@@ -135,15 +135,9 @@ def shortlex_tag(index: int) -> str:
     return "".join(reversed(chars))
 
 
-def renumber(registry: TagRegistry) -> tuple[TagRegistry, dict[str, str]]:
-    """Replace every tag, in registry order, by its compact shortlex form."""
-    renumbered = TagRegistry()
-    tag_map: dict[str, str] = {}
-    for i, entry in enumerate(registry.entries()):
-        new_tag = shortlex_tag(i)
-        tag_map[entry.tag] = new_tag
-        renumbered.add(replace(entry, tag=new_tag), origin=registry.origin(entry.tag))
-    return renumbered, tag_map
+def renumber(registry: TagRegistry) -> dict[str, str]:
+    """Map every tag, in registry order, to its compact shortlex form."""
+    return {tag: shortlex_tag(i) for i, tag in enumerate(registry.tags())}
 
 
 def pos_from_anchor(anchor: tuple[float, float]) -> PosCode:
@@ -397,7 +391,11 @@ def psfrag_export(scene: Scene,
             warnings.warn(f"{origin}: {w.message}", w.category, stacklevel=2)
 
     if opts.renumber_tags:
-        registry, tag_map = renumber(registry)
+        tag_map = renumber(registry)
+        renamed = TagRegistry()
+        for entry in registry.entries():
+            renamed.add(replace(entry, tag=tag_map[entry.tag]), origin=registry.origin(entry.tag))
+        registry = renamed
         tag_of_index = {idx: tag_map[tag] for idx, tag in tag_of_index.items()}
 
     eps_bytes, _placements = epsio.write_eps(working, tag_of_index)

@@ -6,9 +6,9 @@ instance (so it must be immutable; there are no default factories). Only
 `__init__` is generated per class: it stores the fields, then calls
 `__post_init__` if defined. Every record class shares the other methods,
 which read the fields from `__match_args__`: a `Name(field=value!r, ...)`
-`__repr__` and an `__eq__` that compares field tuples within one class. A
-frozen record, the default, also hashes its field tuple and refuses
-assignment and deletion; a mutable one is unhashable.
+`__repr__` and an `__eq__` that compares field tuples within one class.
+Every record is frozen: it hashes its field tuple and refuses assignment
+and deletion.
 """
 
 from __future__ import annotations
@@ -18,22 +18,15 @@ class FrozenInstanceError(AttributeError):
     """Assignment to, or deletion of, an attribute of a frozen record."""
 
 
-def record(cls=None, /, *, frozen: bool = True):
-    """Class decorator: `@record` or `@record(frozen=False)`."""
-    if cls is None:
-        return lambda cls: _build(cls, frozen)
-    return _build(cls, frozen)
-
-
-def _build(cls, frozen: bool):
+def record(cls):
+    """Class decorator: a frozen record of the class's annotated fields."""
     own = cls.__dict__
     names = tuple(own.get("__annotations__", ()))
     defaults = {f"_dflt_{name}": own[name] for name in names if name in own}
     params = ", ".join(f"{name}=_dflt_{name}" if f"_dflt_{name}" in defaults else name
                        for name in names)
-    # A frozen __init__ stores into the instance dict, as object.__setattr__ would, but faster.
-    body = (["_d = self.__dict__"] + [f"_d[{name!r}] = {name}" for name in names] if frozen
-            else [f"self.{name} = {name}" for name in names])
+    # __init__ stores into the instance dict, as object.__setattr__ would, but faster.
+    body = ["_d = self.__dict__"] + [f"_d[{name!r}] = {name}" for name in names]
     if hasattr(cls, "__post_init__"):
         body.append("self.__post_init__()")
     source = "\n    ".join([f"def __init__(self, {params}):", *body])
@@ -41,10 +34,7 @@ def _build(cls, frozen: bool):
     cls.__init__ = defaults["__init__"]
     cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
     cls.__repr__, cls.__eq__, cls.__match_args__ = _repr, _eq, names
-    if frozen:
-        cls.__hash__, cls.__setattr__, cls.__delattr__ = _hash, _setattr, _delattr
-    else:
-        cls.__hash__ = None
+    cls.__hash__, cls.__setattr__, cls.__delattr__ = _hash, _setattr, _delattr
     return cls
 
 

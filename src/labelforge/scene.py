@@ -4,12 +4,14 @@ A Scene holds geometric primitives in plot units plus declarative
 decorations (ticks, axes labels, gridlines). expand_decorations turns the
 declarative part into explicit text and stroke primitives so that the
 exporter only ever deals with one primitive list; auto_wrap marks bare
-text for automatic replacement.
+text for automatic replacement. Every record checks its own values when
+it is built, so a scene that exists holds only finite geometry.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import Union
 
 from .directives import LabelDirective
@@ -17,6 +19,11 @@ from .exprkit import Expr, num
 from .records import record, replace
 
 Point = tuple[float, float]
+
+
+class SceneFormatError(ValueError):
+    """A scene or hooks document breaks its schema, or a scene value is invalid."""
+    exit_code = 1
 
 
 @record
@@ -35,7 +42,9 @@ class Polyline:
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(tuple(p) for p in self.points))
         if len(self.points) < 2:
-            raise ValueError("polyline needs at least 2 points")
+            raise SceneFormatError("polyline needs at least 2 points")
+        if not all(map(math.isfinite, chain.from_iterable(self.points))):
+            raise SceneFormatError("polyline points must be finite")
 
 
 @record
@@ -48,8 +57,11 @@ class CircleArc:
 
     def __post_init__(self):
         object.__setattr__(self, "center", tuple(self.center))
+        if not all(map(math.isfinite, (*self.center, self.radius, self.start_deg,
+                                       self.end_deg))):
+            raise SceneFormatError("circle center, radius and arc must be finite")
         if self.radius <= 0:
-            raise ValueError("circle radius must be positive")
+            raise SceneFormatError("circle radius must be positive")
 
 
 @record
@@ -61,6 +73,8 @@ class Arrow:
     def __post_init__(self):
         object.__setattr__(self, "start", tuple(self.start))
         object.__setattr__(self, "end", tuple(self.end))
+        if not all(map(math.isfinite, (*self.start, *self.end))):
+            raise SceneFormatError("arrow ends must be finite")
 
 
 @record
@@ -80,13 +94,13 @@ class TextPrimitive:
         object.__setattr__(self, "position", tuple(self.position))
         object.__setattr__(self, "anchor", tuple(self.anchor))
         object.__setattr__(self, "direction", tuple(self.direction))
-        if not all(math.isfinite(v) for v in self.position):
-            raise ValueError("text position must be finite")
+        if not all(map(math.isfinite, self.position)):
+            raise SceneFormatError("text position must be finite")
         if not all(-1.0 <= a <= 1.0 for a in self.anchor):
-            raise ValueError("anchor components must lie in [-1, 1]")
+            raise SceneFormatError("anchor components must lie in [-1, 1]")
         dx, dy = self.direction
-        if abs(math.hypot(dx, dy) - 1.0) > 1e-9:
-            raise ValueError("direction must be a unit vector")
+        if not abs(math.hypot(dx, dy) - 1.0) <= 1e-9:  # written so that NaN fails too
+            raise SceneFormatError("direction must be a unit vector")
 
     @property
     def directive(self) -> LabelDirective | None:
@@ -121,7 +135,7 @@ class FrameTicks:
             object.__setattr__(self, edge, ticks)
             values = [t.value for t in ticks]
             if any(b <= a for a, b in zip(values, values[1:])):
-                raise ValueError(f"{edge} tick values must be strictly increasing")
+                raise SceneFormatError(f"{edge} tick values must be strictly increasing")
 
 
 @record
@@ -158,14 +172,17 @@ class Scene:
 
     def __post_init__(self):
         (xmin, xmax), (ymin, ymax) = self.plot_range
-        object.__setattr__(self, "plot_range",
-                           ((float(xmin), float(xmax)), (float(ymin), float(ymax))))
+        xmin, xmax, ymin, ymax = float(xmin), float(xmax), float(ymin), float(ymax)
+        object.__setattr__(self, "plot_range", ((xmin, xmax), (ymin, ymax)))
         object.__setattr__(self, "target_size", tuple(self.target_size))
         object.__setattr__(self, "primitives", tuple(self.primitives))
+        # A non-finite bound makes its width non-finite too.
+        if not all(map(math.isfinite, (xmax - xmin, ymax - ymin))):
+            raise SceneFormatError("plot range width and height must be finite")
         if not (xmin < xmax and ymin < ymax):
-            raise ValueError("plot range must be nonempty in both axes")
-        if not (self.target_size[0] > 0 and self.target_size[1] > 0):
-            raise ValueError("target size must be positive")
+            raise SceneFormatError("plot range must be nonempty in both axes")
+        if not all(0 < v < math.inf for v in self.target_size):
+            raise SceneFormatError("target size must be positive and finite")
 
     def text_primitives(self) -> list[TextPrimitive]:
         return [p for p in self.primitives if isinstance(p, TextPrimitive)]

@@ -16,15 +16,10 @@ from .directives import LabelDirective, PosCode
 from .exprkit import (BUILTIN_TRANSFORMS, Expr, ExprSyntaxError, HookSet,
                       LabelClass, parse_expr)
 from .fileio import read_text
-from .scene import (Arrow, CircleArc, DecorationSpec, FrameTicks, Gridlines,
-                    Polyline, Scene, StrokeStyle, TextPrimitive, Tick)
+from .scene import (Arrow, CircleArc, DecorationSpec, FrameTicks, Gridlines, Polyline, Scene,
+                    SceneFormatError, StrokeStyle, TextPrimitive, Tick)
 
 SCENE_VERSION = 1
-
-
-class SceneFormatError(ValueError):
-    """The document does not conform to the scene or hooks schema."""
-    exit_code = 1
 
 
 def _require_keys(obj: Any, allowed: set[str], required: set[str], what: str) -> None:

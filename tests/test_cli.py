@@ -706,6 +706,32 @@ def test_export_rejects_mistyped_scene_values(tmp_path, capsys, old, new):
     assert sorted(tmp_path.iterdir()) == before
 
 
+_OVERFLOWING_TITLE = json.dumps({"version": 1, "plot_range": [[1e308, 1.7e308], [0, 1]],
+                                 "size": [100, 100], "decorations": {"plot_label": "t"}})
+
+
+@pytest.mark.parametrize("scene, message", [
+    (_PROBE_SCENE.replace('"tag": "T"', '"tag": "T", "position": "zz"'),
+     "bad vertical alignment 'z'"),
+    (_PROBE_SCENE.replace('"pos": [0.5, 0.5]', '"pos": [0.5, 0.5], "anchor": [2, 0]'),
+     "anchor components must lie in [-1, 1]"),
+    (_PROBE_SCENE.replace('"radius": 0.2', '"radius": 0'), "circle radius must be positive"),
+    (_PROBE_SCENE.replace('"tag": "T"', '"tag": "a-b"'),
+     "psfrag tag must be nonempty alphanumeric: 'a-b'"),
+    # finite bounds whose width overflows; decoration geometry that overflows
+    (_PROBE_SCENE.replace("[[0, 1], [0, 1]]", "[[-1e308, 1e308], [0, 1]]"),
+     "plot range width and height must be finite"),
+    (_OVERFLOWING_TITLE, "text position must be finite"),
+], ids=["position", "anchor", "radius", "tag", "wide-range", "overflowing-title"])
+def test_export_refuses_an_invalid_scene_value_in_one_line(tmp_path, capsys, scene, message):
+    path = tmp_path / "probe.scene"
+    path.write_text(scene)
+    before = sorted(tmp_path.iterdir())
+    assert main(["export", str(path), "--basename", str(tmp_path / "p")]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert sorted(tmp_path.iterdir()) == before
+
+
 def test_probe_scene_itself_exports(tmp_path, capsys):
     path = tmp_path / "probe.scene"
     path.write_text(_PROBE_SCENE)

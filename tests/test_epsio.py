@@ -96,6 +96,11 @@ def test_tokenize_hex_string():
     assert tokens[0][1] == b"AB"
 
 
+def test_scan_odd_length_hex_string_pads_its_last_digit_with_zero():
+    occs = scan_tags(b"10 10 moveto <414> show")
+    assert [(occ.tag, occ.device_position) for occ in occs] == [("A@", (10.0, 10.0))]
+
+
 def test_tokenize_number_forms():
     tokens = tokenize(b"1 -2 3.5 .5 6. 1e3 -1.5e-2 16#FF")
     values = [value for _kind, value, *_ in tokens]
@@ -444,7 +449,7 @@ def test_rewrite_changes_only_bytes_inside_the_scanned_literals(shows, renames):
 def test_rewrite_composes_with_renumber(export):
     from labelforge import renumber
     eps, _tex, registry = export("ex_3d")
-    _renumbered, tag_map = renumber(registry)
+    tag_map = renumber(registry)
     out = rewrite_tags(eps, tag_map)
     new_occs = [o for o in scan_tags(out) if o.tag in set(tag_map.values())]
     assert [o.tag for o in new_occs] == list("abcdefghijklmnopqr")

@@ -148,6 +148,14 @@ def test_preview_empty_registry_only_banner(export):
     assert [l for l in lines_out if l != PREVIEW_CREATOR] == lines_in
 
 
+def test_preview_without_showpage_appends_the_boxes_and_puts_the_banner_second():
+    eps = b"%!PS-Adobe-3.0 EPSF-3.0\n10 10 moveto (T) show\n"
+    out = substitute_preview(eps, parse_psfrag_document("\\psfrag{T}{$x$}\n")).eps
+    head = b"%!PS-Adobe-3.0 EPSF-3.0\n" + PREVIEW_CREATOR + b"\n10 10 moveto () show\ngsave\n"
+    assert out.startswith(head) and out.endswith(b"(T) show\ngrestore\n")
+    assert out.count(b"gsave") == 1
+
+
 @pytest.mark.parametrize("name", [p.stem for p in sorted(FIXTURES.glob("*.scene"))])
 @pytest.mark.parametrize("no_auto_convert", [False, True])
 def test_preview_counts_match_scan_and_registry(export, name, no_auto_convert):

@@ -10,6 +10,7 @@ from labelforge import (DecorationSpec, FrameTicks, Gridlines, LabelDirective,
 from labelforge.directives import PosCode
 from labelforge.exprkit import Str, Sym, num, parse_expr
 from labelforge.labeling import pos_from_anchor
+from labelforge.scene import Arrow, CircleArc, SceneFormatError
 
 
 def _scene(primitives=(), decorations=DecorationSpec()):
@@ -179,3 +180,28 @@ def test_scene_validation():
         Polyline(((0.0, 0.0),))
     with pytest.raises(ValueError):
         FrameTicks(bottom=(Tick(2.0, num(2)), Tick(1.0, num(1))))
+
+
+_NAN, _INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Scene(plot_range=((0.0, _INF), (0.0, 1.0)), target_size=(100.0, 100.0)),
+    lambda: Scene(plot_range=((-1e308, 1e308), (0.0, 1.0)), target_size=(100.0, 100.0)),
+    lambda: Scene(plot_range=((0.0, 1.0), (_NAN, 1.0)), target_size=(100.0, 100.0)),
+    lambda: Scene(plot_range=((0.0, 1.0), (0.0, 1.0)), target_size=(_INF, 100.0)),
+    lambda: Scene(plot_range=((0.0, 1.0), (0.0, 1.0)), target_size=(100.0, _NAN)),
+    lambda: TextPrimitive(Sym("x"), (0.0, _NAN)),
+    lambda: TextPrimitive(Sym("x"), (0.0, 0.0), direction=(_NAN, 0.0)),
+    lambda: TextPrimitive(Sym("x"), (0.0, 0.0), direction=(_INF, 0.0)),
+    lambda: Polyline(((0.0, 0.0), (_NAN, 1.0))),
+    lambda: Polyline(((0.0, 0.0), (1.0, -_INF))),
+    lambda: CircleArc((_INF, 0.0), 1.0),
+    lambda: CircleArc((0.0, 0.0), _NAN),
+    lambda: CircleArc((0.0, 0.0), 1.0, 0.0, _INF),
+    lambda: Arrow((0.0, 0.0), (_NAN, 1.0)),
+    lambda: Arrow((0.0, _INF), (0.0, 1.0)),
+])
+def test_scene_records_refuse_non_finite_values_when_built(build):
+    with pytest.raises(SceneFormatError):
+        build()
