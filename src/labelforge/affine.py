@@ -32,16 +32,12 @@ class Affine:
         return Affine(cos_r, sin_r, -sin_r, cos_r, 0.0, 0.0)
 
     @staticmethod
-    def scaling(sx: float, sy: float | None = None) -> "Affine":
-        return Affine(sx, 0.0, 0.0, sx if sy is None else sy, 0.0, 0.0)
+    def scaling(sx: float, sy: float) -> "Affine":
+        return Affine(sx, 0.0, 0.0, sy, 0.0, 0.0)
 
     def apply(self, x: float, y: float) -> tuple[float, float]:
         return (self.a * x + self.c * y + self.tx,
                 self.b * x + self.d * y + self.ty)
-
-    def apply_vector(self, x: float, y: float) -> tuple[float, float]:
-        """Transform a direction, ignoring the translation part."""
-        return (self.a * x + self.c * y, self.b * x + self.d * y)
 
     def __matmul__(self, other: "Affine") -> "Affine":
         """Composition: (A @ B).apply(p) == A.apply(*B.apply(*p))."""

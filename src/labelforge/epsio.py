@@ -156,49 +156,48 @@ def tokenize(data: bytes) -> list[tuple]:
     tokens: list[tuple] = []
     proc_opens: list[int] = []
     append = tokens.append
-    match = _TOKEN.match
     i = 0
-    n = len(data)
-    while i < n:
-        m = match(data, i)
-        group = m.lastgroup
-        if group is None:  # only whitespace is left
-            if tokens:
-                kind, value, start, _end, lit_start = tokens[-1]
-                tokens[-1] = (kind, value, start, n, lit_start)
-            break
-        text = m[group]
-        pos, end = m.span(group)  # every group but hex_body ends where the match does
-        lit_start = -1
-        if group == "number" and math.isfinite(value := float(text)):
-            kind = NUMBER
-        elif group == "string":
-            kind, lit_start = STRING, pos
-            value, end = _scan_string(data, pos)
-        elif group == "hex":
-            kind, lit_start = STRING, pos
-            digits = m["hex_body"].translate(None, _WS)
-            if len(digits) % 2:
-                digits += b"0"
-            try:
-                value = bytes.fromhex(digits.decode("latin-1"))
-            except ValueError:
-                value = b""
-        elif group == "error":
-            raise TokenizeError(_ERRORS[text], pos)
-        else:
-            if group == "open":
-                proc_opens.append(pos)
-            elif group == "close":
-                if not proc_opens:
-                    raise TokenizeError("unmatched '}'", pos)
-                proc_opens.pop()
-            kind, value = _KINDS[group], text.decode("latin-1")
-        append((kind, value, i, end, lit_start))
-        i = end
-    if proc_opens:
-        raise TokenizeError("unterminated procedure", proc_opens[0])
-    return tokens
+    # _TOKEN matches at every offset, so one finditer run yields the tokens back to back until
+    # a `(` string, whose end _scan_string finds; a one-byte group starts at m.end() - 1.
+    while True:
+        for m in _TOKEN.finditer(data, i):
+            group = m.lastgroup
+            end = m.end()
+            lit_start = -1
+            if group == "number" and math.isfinite(value := float(m[group])):
+                kind = NUMBER
+            elif group is None:  # only whitespace is left: the input's end
+                if proc_opens:
+                    raise TokenizeError("unterminated procedure", proc_opens[0])
+                if tokens:
+                    kind, value, start, _end, lit_start = tokens[-1]
+                    tokens[-1] = (kind, value, start, end, lit_start)
+                return tokens
+            elif group == "string":
+                value, i = _scan_string(data, end - 1)
+                append((STRING, value, m.start(), i, end - 1))
+                break
+            elif group == "hex":
+                kind, lit_start = STRING, m.start(group)
+                digits = m["hex_body"].translate(None, _WS)
+                if len(digits) % 2:
+                    digits += b"0"
+                try:
+                    value = bytes.fromhex(digits.decode("latin-1"))
+                except ValueError:
+                    value = b""
+            elif group == "error":
+                raise TokenizeError(_ERRORS[m[group]], end - 1)
+            else:
+                if group == "open":
+                    proc_opens.append(end - 1)
+                elif group == "close":
+                    if not proc_opens:
+                        raise TokenizeError("unmatched '}'", end - 1)
+                    proc_opens.pop()
+                kind, value = _KINDS[group], m[group].decode("latin-1")
+            append((kind, value, i, end, lit_start))
+            i = end
 
 
 # ---------------------------------------------------------------------------
@@ -444,10 +443,8 @@ class TextPlacement:
 
 
 def _fmt(v: float, places: int = 3) -> str:
-    if v == 0:
-        v = 0.0  # normalize -0
     s = f"{v:.{places}f}".rstrip("0").rstrip(".")
-    return s if s not in ("", "-0") else "0"
+    return s if s not in ("", "-0") else "0"  # -0.0 and any tiny negative print as 0
 
 
 def _escape_ps_string(text: str) -> str:
@@ -495,7 +492,7 @@ def write_eps(scene: Scene,
     """
     from .exprkit import plain_text  # here, so that reading EPS loads no scene model
     from .fontmetrics import string_extents
-    from .scene import Arrow, CircleArc, Polyline, TextPrimitive
+    from .scene import Arrow, CircleArc, Polyline, SceneFormatError
     if not scene.decorations.is_empty():
         raise ValueError("scene decorations must be expanded before writing")
     tag_text = tag_text or {}
@@ -525,13 +522,12 @@ def write_eps(scene: Scene,
             points = [dev(p) for p in prim.points]
             path = f"n {_fmt(points[0][0])} {_fmt(points[0][1])} moveto " + " ".join(
                 f"{_fmt(x)} {_fmt(y)} l" for x, y in points[1:])
-            lines.append(f"gsave {_style_ops(prim.style)} {path} s grestore")
+            line = f"gsave {_style_ops(prim.style)} {path} s grestore"
         elif isinstance(prim, CircleArc):
             cx, cy = dev(prim.center)
-            lines.append(
-                f"gsave {_style_ops(prim.style)} {_fmt(cx)} {_fmt(cy)} translate "
-                f"{_fmt(sx)} {_fmt(sy)} scale n 0 0 {_fmt(prim.radius)} "
-                f"{_fmt(prim.start_deg)} {_fmt(prim.end_deg)} arc s grestore")
+            line = (f"gsave {_style_ops(prim.style)} {_fmt(cx)} {_fmt(cy)} translate "
+                    f"{_fmt(sx)} {_fmt(sy)} scale n 0 0 {_fmt(prim.radius)} "
+                    f"{_fmt(prim.start_deg)} {_fmt(prim.end_deg)} arc s grestore")
         elif isinstance(prim, Arrow):
             tail, tip = dev(prim.start), dev(prim.end)
             back = (tail[0] - tip[0], tail[1] - tip[1])
@@ -545,8 +541,8 @@ def write_eps(scene: Scene,
                     hx = tip[0] + _ARROW_HEAD_LENGTH * (ux * cos_h - uy * sin_h)
                     hy = tip[1] + _ARROW_HEAD_LENGTH * (ux * sin_h + uy * cos_h)
                     segments += f" n {_fmt(hx)} {_fmt(hy)} moveto {_fmt(tip[0])} {_fmt(tip[1])} l s"
-            lines.append(f"gsave {_style_ops(prim.style)} {segments} grestore")
-        elif isinstance(prim, TextPrimitive):
+            line = f"gsave {_style_ops(prim.style)} {segments} grestore"
+        else:  # a TextPrimitive, the last kind of scene.Primitive
             shown = tag_text.get(text_index)
             tagged = shown is not None
             if shown is None:
@@ -561,11 +557,10 @@ def write_eps(scene: Scene,
             ax, ay = prim.anchor
             mx = -(ax + 1.0) / 2.0 * w
             my = depth - (ay + 1.0) / 2.0 * h
-            lines.append(
-                f"gsave /Times-Roman {_fmt(FONT_SIZE)} selectfont "
-                f"{_fmt(anchor_dev[0])} {_fmt(anchor_dev[1])} translate "
-                f"{_fmt(rotation)} rotate {_fmt(mx)} {_fmt(my)} moveto "
-                f"({_escape_ps_string(shown)}) show grestore")
+            line = (f"gsave /Times-Roman {_fmt(FONT_SIZE)} selectfont "
+                    f"{_fmt(anchor_dev[0])} {_fmt(anchor_dev[1])} translate "
+                    f"{_fmt(rotation)} rotate {_fmt(mx)} {_fmt(my)} moveto "
+                    f"({_escape_ps_string(shown)}) show grestore")
             offset = Affine.rotation(rotation).apply(mx, my)
             placements.append(TextPlacement(
                 index=text_index,
@@ -577,8 +572,13 @@ def write_eps(scene: Scene,
                 font_size=FONT_SIZE,
             ))
             text_index += 1
-    lines.append("showpage")
-    lines.append("%%EOF")
+        # _fmt writes a non-finite number (all are if sx, sy, ox or oy is) as nan, inf or -inf,
+        # words no operator contains; only a shown string, after the line's `(`, may hold them.
+        if any(word in line.partition("(")[0] for word in ("nan", "inf")):
+            raise SceneFormatError("device coordinates must be finite: the target size is too "
+                                   "large for the plot range or a point lies too far outside it")
+        lines.append(line)
+    lines += ("showpage", "%%EOF")
     return ("\n".join(lines) + "\n").encode("latin-1"), placements
 
 

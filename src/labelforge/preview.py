@@ -9,6 +9,8 @@ typesetting anything.
 
 from __future__ import annotations
 
+import math
+
 from .affine import Affine
 from .directives import PosCode
 from .epsio import TagOccurrence, _fmt, scan_tags, splice
@@ -36,8 +38,9 @@ class LabelBox:
 
 def reference_point(box: LabelBox, code: PosCode) -> tuple[float, float]:
     """Box-frame coordinates of the reference point named by `code`."""
-    x = {"l": 0.0, "c": box.width / 2.0, "r": box.width}[code.horizontal]
-    y = {"b": 0.0, "B": box.depth, "c": box.height / 2.0, "t": box.height}[code.vertical]
+    h, v = code.horizontal, code.vertical
+    x = 0.0 if h == "l" else box.width / 2.0 if h == "c" else box.width
+    y = 0.0 if v == "b" else box.depth if v == "B" else box.height / 2.0 if v == "c" else box.height
     return x, y
 
 
@@ -58,18 +61,19 @@ def place(replacement: LabelBox,
     The occurrence's device position is the baseline-left point of the
     tag string, i.e. the tag box point (0, depth). Applying the returned
     transform to the replacement's posn reference point yields exactly
-    the device image of the tag box's psposn reference point.
+    the device image of the tag box's psposn reference point. It is
+    T(pinned) @ R(rotation + entry.rot) @ S(entry.scale) @ T(-ref), multiplied out.
     """
-    ps_ref = reference_point(tag_box, entry.psposn)
-    offset = Affine.rotation(occ.rotation).apply_vector(
-        ps_ref[0], ps_ref[1] - tag_box.depth)
-    pinned = (occ.device_position[0] + offset[0],
-              occ.device_position[1] + offset[1])
-    latex_ref = reference_point(replacement, entry.posn)
-    return (Affine.translation(*pinned)
-            @ Affine.rotation(occ.rotation + entry.rot)
-            @ Affine.scaling(entry.scale)
-            @ Affine.translation(-latex_ref[0], -latex_ref[1]))
+    x, y = reference_point(tag_box, entry.psposn)
+    y -= tag_box.depth
+    r = math.radians(occ.rotation)
+    cos_r, sin_r = math.cos(r), math.sin(r)
+    px = occ.device_position[0] + (cos_r * x - sin_r * y)
+    py = occ.device_position[1] + (sin_r * x + cos_r * y)
+    lx, ly = reference_point(replacement, entry.posn)
+    r = math.radians(occ.rotation + entry.rot)
+    a, b = math.cos(r) * entry.scale, math.sin(r) * entry.scale
+    return Affine(a, b, -b, a, px + (b * ly - a * lx), py - (b * lx + a * ly))
 
 
 def default_measure(body: str) -> LabelBox:

@@ -591,6 +591,15 @@ def test_preview_fig2_counts_fifteen(tmp_path, capsys):
     assert out_path.read_bytes().count(b"closepath stroke") == 15
 
 
+def test_preview_of_the_golden_pair_writes_the_golden_preview(tmp_path, capsys):
+    from conftest import GOLDEN
+    out_path = tmp_path / "prev.eps"
+    assert main(["preview", str(GOLDEN / "ex_auto-psfrag.eps"), str(GOLDEN / "ex_auto-psfrag.tex"),
+                 str(out_path)]) == 0
+    assert capsys.readouterr() == ("13 occurrences substituted\n", "")
+    assert out_path.read_bytes() == (GOLDEN / "ex_auto-preview.eps").read_bytes()
+
+
 def test_preview_strict_stale_tag_exits_two(tmp_path, capsys):
     eps_path, tex_path = _export_fig2(tmp_path)
     with tex_path.open("a") as handle:
@@ -708,6 +717,15 @@ def test_export_rejects_mistyped_scene_values(tmp_path, capsys, old, new):
 
 _OVERFLOWING_TITLE = json.dumps({"version": 1, "plot_range": [[1e308, 1.7e308], [0, 1]],
                                  "size": [100, 100], "decorations": {"plot_label": "t"}})
+# Every value finite, but the device scale 1e300 * 0.9 / 1e-300 overflows: written as nan
+# before, with exit 0. Then a finite scale and a point whose device x overflows.
+_OVERFLOWING_SCALE = json.dumps({
+    "version": 1, "size": [1e300, 100], "plot_range": [[0, 1e-300], [0, 1]],
+    "primitives": [{"type": "polyline", "points": [[0, 0], [1e-300, 1]]},
+                   {"type": "text", "expr": '"x"', "pos": [5e-301, 0.5]}]})
+_FAR_POINT = _PROBE_SCENE.replace('"pos": [0.5, 0.5]', '"pos": [1e307, 0.5]')
+_DEVICE_OVERFLOW = ("device coordinates must be finite: the target size is too large for the "
+                    "plot range or a point lies too far outside it")
 
 
 @pytest.mark.parametrize("scene, message", [
@@ -722,7 +740,10 @@ _OVERFLOWING_TITLE = json.dumps({"version": 1, "plot_range": [[1e308, 1.7e308], 
     (_PROBE_SCENE.replace("[[0, 1], [0, 1]]", "[[-1e308, 1e308], [0, 1]]"),
      "plot range width and height must be finite"),
     (_OVERFLOWING_TITLE, "text position must be finite"),
-], ids=["position", "anchor", "radius", "tag", "wide-range", "overflowing-title"])
+    (_OVERFLOWING_SCALE, _DEVICE_OVERFLOW),
+    (_FAR_POINT, _DEVICE_OVERFLOW),
+], ids=["position", "anchor", "radius", "tag", "wide-range", "overflowing-title",
+        "overflowing-scale", "far-point"])
 def test_export_refuses_an_invalid_scene_value_in_one_line(tmp_path, capsys, scene, message):
     path = tmp_path / "probe.scene"
     path.write_text(scene)

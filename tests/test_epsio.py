@@ -18,6 +18,8 @@ from labelforge.epsio import (ARRAY_DELIM, COMMENT, LITERAL_NAME, NAME, NUMBER,
                               PROC_DELIM, STRING, ScanWarning)
 from labelforge.exprkit import Str
 
+from conftest import FIXTURES, GOLDEN
+
 
 # -------------------------------------------------------------- tokenize
 
@@ -126,6 +128,102 @@ def test_tokenize_property_lossless_or_error_at_delimiter(data):
     for kind, _value, _start, _end, lit_start in tokens:
         if kind == STRING:
             assert data[lit_start:lit_start + 1] in (b"(", b"<")
+
+
+def _reference_tokenize(data: bytes) -> list[tuple]:
+    """The tokenizer as one `_TOKEN.match` call per token: the oracle for `tokenize`."""
+    tokens: list[tuple] = []
+    proc_opens: list[int] = []
+    i = 0
+    n = len(data)
+    while i < n:
+        m = epsio._TOKEN.match(data, i)
+        group = m.lastgroup
+        if group is None:  # only whitespace is left
+            if tokens:
+                kind, value, start, _end, lit_start = tokens[-1]
+                tokens[-1] = (kind, value, start, n, lit_start)
+            break
+        text = m[group]
+        pos, end = m.span(group)
+        lit_start = -1
+        if group == "number" and math.isfinite(value := float(text)):
+            kind = NUMBER
+        elif group == "string":
+            kind, lit_start = STRING, pos
+            value, end = epsio._scan_string(data, pos)
+        elif group == "hex":
+            kind, lit_start = STRING, pos
+            digits = m["hex_body"].translate(None, epsio._WS)
+            if len(digits) % 2:
+                digits += b"0"
+            try:
+                value = bytes.fromhex(digits.decode("latin-1"))
+            except ValueError:
+                value = b""
+        elif group == "error":
+            raise TokenizeError(epsio._ERRORS[text], pos)
+        else:
+            if group == "open":
+                proc_opens.append(pos)
+            elif group == "close":
+                if not proc_opens:
+                    raise TokenizeError("unmatched '}'", pos)
+                proc_opens.pop()
+            kind, value = epsio._KINDS[group], text.decode("latin-1")
+        tokens.append((kind, value, i, end, lit_start))
+        i = end
+    if proc_opens:
+        raise TokenizeError("unterminated procedure", proc_opens[0])
+    return tokens
+
+
+def _tokenize_outcome(tokenizer, data: bytes):
+    """The token tuples, or the error's message and offset."""
+    try:
+        return tokenizer(data)
+    except TokenizeError as exc:
+        return str(exc), exc.offset
+
+
+_FRAGMENTS = [
+    b" ", b"\t", b"\r", b"\n", b"\r\n", b"\f", b"\x00",
+    b"%", b"% comment\n", b"%%BoundingBox: 0 0 1 1\r",
+    b"(a)", b"()", b"(a(b)c)", b"(\\))", b"(\\()", b"(\\101\\n\\9)", b"(a\\\nb)", b"(a\\\r\nb)",
+    b"(a\\\rb)", b"((x)", b"(\\", b"(",
+    b"<>", b"<41>", b"<414>", b"<4 1\n42>", b"<zz>", b"<4", b"<<", b">>", b">",
+    b"[", b"]", b"{", b"}", b"/a", b"//b", b"/", b"moveto", b"show", b"a-b",
+    b"1e999", b"-1e999", b"16#FF", b".5", b"1.", b"-2", b"+3.5e-2", b"1e", b".", b"-", b"0",
+    b")", b"<", b"}",
+]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(_FRAGMENTS), st.binary(max_size=2)),
+                max_size=40).map(b"".join))
+def test_tokenize_matches_the_match_per_token_oracle(data):
+    assert _tokenize_outcome(tokenize, data) == _tokenize_outcome(_reference_tokenize, data)
+
+
+@pytest.mark.parametrize("source", [p.stem for p in sorted(FIXTURES.glob("*.scene"))]
+                         + [p.name for p in sorted(GOLDEN.glob("*.eps"))])
+def test_tokenize_matches_the_oracle_on_each_export_and_golden(export, source):
+    data = (GOLDEN / source).read_bytes() if source.endswith(".eps") else export(source)[0]
+    assert tokenize(data) == _reference_tokenize(data)
+
+
+@pytest.mark.parametrize("command", ["scan_tags", "rewrite_tags", "substitute_preview"])
+def test_each_reading_command_tokenizes_its_input_once(monkeypatch, command):
+    from labelforge import parse_psfrag_document, substitute_preview
+    eps = (GOLDEN / "ex_auto-psfrag.eps").read_bytes()
+    registry = parse_psfrag_document((GOLDEN / "ex_auto-psfrag.tex").read_text(encoding="utf-8"))
+    run = {"scan_tags": lambda: scan_tags(eps),
+           "rewrite_tags": lambda: rewrite_tags(eps, {tag: tag + "x" for tag in registry.tags()}),
+           "substitute_preview": lambda: substitute_preview(eps, registry)}[command]
+    calls = []
+    monkeypatch.setattr(epsio, "tokenize", lambda data: calls.append(data) or tokenize(data))
+    run()
+    assert calls == [eps]
 
 
 # -------------------------------------------------------------- scan_tags
@@ -376,6 +474,27 @@ def test_write_rejects_non_finite():
         write_eps(Scene(plot_range=((0.0, 1.0), (0.0, 1.0)),
                         target_size=(100.0, 100.0),
                         primitives=(Polyline(((0.0, 0.0), (math.nan, 1.0))),)))
+
+
+@pytest.mark.parametrize("kind", ["polyline", "circle", "arrow", "text"])
+def test_write_refuses_a_device_coordinate_that_overflows(kind):
+    from labelforge.scene import Arrow, CircleArc, Polyline, SceneFormatError
+    far = (1e307, 0.5)  # finite, but 90 pt per unit puts it past the largest float
+    primitive = {"polyline": lambda: Polyline(((0.0, 0.0), far)),
+                 "circle": lambda: CircleArc(far, 0.1),
+                 "arrow": lambda: Arrow((0.5, 0.5), far),
+                 "text": lambda: TextPrimitive(Str("t"), far)}[kind]()
+    scene = Scene(plot_range=((0.0, 1.0), (0.0, 1.0)), target_size=(100.0, 100.0),
+                  primitives=(primitive,))
+    with pytest.raises(SceneFormatError, match="device coordinates must be finite"):
+        write_eps(scene)
+
+
+def test_write_shows_a_string_that_says_nan_or_inf():
+    scene = Scene(plot_range=((0.0, 1.0), (0.0, 1.0)), target_size=(100.0, 100.0),
+                  primitives=(TextPrimitive(Str("(nan) inf"), (0.5, 0.5)),))
+    data, _ = write_eps(scene)
+    assert [occ.tag for occ in scan_tags(data)] == ["(nan) inf"]
 
 
 # ----------------------------------------------------------- rewrite_tags

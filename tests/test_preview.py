@@ -3,9 +3,12 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from labelforge import (ExportOptions, LabelBox, TagRegistry, place, reference_point, scan_tags,
                         substitute_preview)
+from labelforge.affine import Affine
 from labelforge.directives import PosCode
 from labelforge.epsio import TagOccurrence
 from labelforge.labeling import PsfragEntry, parse_psfrag_document
@@ -126,6 +129,43 @@ def test_place_scale_leaves_pinned_point_fixed():
         got = place(box, entry, occ, tag_box).apply(*ref)
         points.add((round(got[0], 9), round(got[1], 9)))
     assert len(points) == 1
+
+
+def _chain_place(replacement, entry, occ, tag_box):
+    """`place` as four transforms multiplied by `Affine.__matmul__`: its oracle."""
+    def ref(box, code):
+        return ({"l": 0.0, "c": box.width / 2.0, "r": box.width}[code.horizontal],
+                {"b": 0.0, "B": box.depth, "c": box.height / 2.0, "t": box.height}[code.vertical])
+    ps_ref = ref(tag_box, entry.psposn)
+    offset = Affine.rotation(occ.rotation).apply(ps_ref[0], ps_ref[1] - tag_box.depth)
+    pinned = (occ.device_position[0] + offset[0], occ.device_position[1] + offset[1])
+    latex_ref = ref(replacement, entry.posn)
+    return (Affine.translation(*pinned)
+            @ Affine.rotation(occ.rotation + entry.rot)
+            @ Affine.scaling(entry.scale, entry.scale)
+            @ Affine.translation(-latex_ref[0], -latex_ref[1]))
+
+
+def _finite(low, high):
+    return st.floats(low, high, allow_nan=False, allow_infinity=False)
+
+
+def _boxes():
+    return st.builds(lambda w, h, f: LabelBox(w, h, h * f),
+                     _finite(1e-6, 1e6), _finite(1e-6, 1e6), _finite(0.0, 0.99))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rotation=_finite(-180.0, 180.0), position=st.tuples(_finite(-1e6, 1e6), _finite(-1e6, 1e6)),
+       rot=_finite(-1e9, 1e9), scale=_finite(1e-6, 1e6), box=_boxes(), tag_box=_boxes())
+def test_place_equals_the_four_transform_chain_exactly(rotation, position, rot, scale, box,
+                                                       tag_box):
+    occ = _occurrence(rotation=rotation, position=position)
+    for posn in ALL_CODES:
+        for psposn in ALL_CODES:
+            entry = PsfragEntry("gA", posn, psposn, scale, rot, "x")
+            assert (place(box, entry, occ, tag_box).as_ps_array()
+                    == _chain_place(box, entry, occ, tag_box).as_ps_array())
 
 
 def test_nonpositive_scale_rejected_at_entry_construction():
