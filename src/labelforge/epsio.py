@@ -50,6 +50,7 @@ class RewriteError(ValueError):
 
 
 # Token kinds
+WORDS = "words"
 NUMBER = "number"
 NAME = "name"
 LITERAL_NAME = "literal_name"
@@ -58,23 +59,27 @@ ARRAY_DELIM = "array_delim"
 PROC_DELIM = "proc_delim"
 COMMENT = "comment"
 
-# A token is a plain tuple (kind, value, start, end, lit_start), the cheapest
-# thing to build tens of thousands of times. value is a float for NUMBER, the
-# decoded bytes for STRING, else the text. data[start:end] are the token's
-# bytes with the whitespace before it; tokenize extends the last token over
-# trailing whitespace. lit_start is a string's opening `(` or `<`, else -1.
+# A token is a plain tuple (kind, value, start, end, lit_start). A WORDS token is
+# a run of words (numbers and names, see word_tokens) with whitespace alone between
+# them, and its value the run's bytes; value is the decoded bytes for STRING, else
+# the text. data[start:end] are the token's bytes with the whitespace before it;
+# tokenize extends the last token over trailing whitespace. lit_start is a
+# string's opening `(` or `<`, else -1.
 
 _WS = b" \t\r\n\f\x00"
 _REGULAR = rb"[^ \t\r\n\f\x00()<>\[\]{}/%]"  # not whitespace, not a delimiter
+_WORD = _REGULAR + rb"+"  # this and _NUMBER: re compiles them on first use, not at import
+_NUMBER = rb"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
 
 # One alternative per token kind, tried in order after the leading
-# whitespace; `<<` is a name and a `<` with no closing `>` is an error.
+# whitespace; `<<` is a name and a `<` with no closing `>` is an error. A run
+# of words is one repeat of a byte class: `re` keeps state per repeat of a group.
 _TOKEN = re.compile(
     rb"[ \t\r\n\f\x00]*(?:"
     rb"(?P<comment>%[^\r\n]*)"
     rb"|(?P<string>\()"
-    rb"|(?P<number>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?(?!" + _REGULAR + rb"))"
-    rb"|(?P<name><<|>>?|" + _REGULAR + rb"+)"
+    rb"|(?P<words>" + _REGULAR + rb"(?:[^()<>\[\]{}/%]*" + _REGULAR + rb")?)"
+    rb"|(?P<name><<|>>?)"
     rb"|(?P<hex><(?P<hex_body>[^>]*)>)"
     rb"|//?(?P<literal>" + _REGULAR + rb"*)"
     rb"|(?P<array>[\[\]])"
@@ -82,7 +87,7 @@ _TOKEN = re.compile(
     rb"|(?P<close>\})"
     rb"|(?P<error>[)<])"
     rb")?")
-_KINDS = {"number": NAME, "name": NAME, "literal": LITERAL_NAME, "comment": COMMENT,
+_KINDS = {"name": NAME, "literal": LITERAL_NAME, "comment": COMMENT,
           "array": ARRAY_DELIM, "open": PROC_DELIM, "close": PROC_DELIM}
 _ERRORS = {b")": "unmatched ')'", b"<": "unterminated hex string"}
 
@@ -104,11 +109,10 @@ def _scan_string(data: bytes, start: int) -> tuple[bytes, int]:
     n = len(data)
     while i < n:
         plain_end = _STRING_PLAIN.match(data, i).end()
-        if plain_end > i:
-            out += data[i:plain_end]
-            i = plain_end
-            if i >= n:
-                break
+        out += data[i:plain_end]
+        i = plain_end
+        if i >= n:
+            break
         ch = data[i]
         if ch == 0x5C:  # backslash
             if i + 1 >= n:
@@ -164,8 +168,8 @@ def tokenize(data: bytes) -> list[tuple]:
             group = m.lastgroup
             end = m.end()
             lit_start = -1
-            if group == "number" and math.isfinite(value := float(m[group])):
-                kind = NUMBER
+            if group == "words":
+                kind, value = WORDS, m[group]
             elif group is None:  # only whitespace is left: the input's end
                 if proc_opens:
                     raise TokenizeError("unterminated procedure", proc_opens[0])
@@ -198,6 +202,20 @@ def tokenize(data: bytes) -> list[tuple]:
                 kind, value = _KINDS[group], m[group].decode("latin-1")
             append((kind, value, i, end, lit_start))
             i = end
+
+
+def word_tokens(data: bytes, token: tuple) -> list[tuple]:
+    """A WORDS token as one token per word: a NUMBER if the word matches _NUMBER and is
+    finite, else a NAME. Each holds the whitespace before it, the last also the token's after."""
+    _kind, _run, start, end, _lit = token
+    words = []
+    for m in re.compile(_WORD).finditer(data, start, end):
+        value = float(m[0]) if re.fullmatch(_NUMBER, m[0]) else math.inf
+        words.append((NUMBER, value, start, m.end(), -1) if math.isfinite(value)
+                     else (NAME, m[0].decode("latin-1"), start, m.end(), -1))
+        start = m.end()
+    words[-1] = (*words[-1][:3], end, -1)
+    return words
 
 
 # ---------------------------------------------------------------------------
@@ -241,47 +259,60 @@ class _Interpreter:
         self.saved: list[tuple[Affine, tuple[float, float] | None, float]] = []
         self.occurrences: list[TagOccurrence] = []
 
-    def _error(self, message: str, token: tuple) -> ScanError:
-        """A ScanError at the operator's own bytes, without the whitespace its token holds."""
-        start, end = token[2], token[3]
+    def _error(self, message: str, word: tuple) -> ScanError:
+        """A ScanError at the word's own bytes, without the whitespace its token holds."""
+        _name, run, index = word
+        _kind, _value, start, end, _lit = word_tokens(self.data, run)[index]
         text = self.data[start:end]
         return ScanError(message, (start + len(text) - len(text.lstrip(_WS)),
                                    start + len(text.rstrip(_WS))))
 
-    def _pop(self, token: tuple, count: int) -> list[object]:
+    def _pop(self, word: tuple, count: int) -> list[object]:
         stack = self.stack
         if len(stack) < count:
-            raise self._error(f"stack underflow on {token[1]!r}", token)
+            raise self._error(f"stack underflow on {word[0]!r}", word)
         taken = stack[len(stack) - count:]
         del stack[len(stack) - count:]
         return taken
 
-    def _pop_numbers(self, token: tuple, count: int) -> list[float]:
-        taken = self._pop(token, count)
+    def _pop_numbers(self, word: tuple, count: int) -> list[float]:
+        taken = self._pop(word, count)
         for item in taken:
             if not isinstance(item, float):
-                raise self._error(f"non-numeric operand for {token[1]!r}", token)
+                raise self._error(f"non-numeric operand for {word[0]!r}", word)
         return taken
 
-    def _transform(self, m: Affine, token: tuple) -> None:
+    def _transform(self, m: Affine, word: tuple) -> None:
         new = self.ctm @ m
         if abs(new.determinant()) < 1e-12:
-            raise self._error("transformation matrix became singular", token)
+            raise self._error("transformation matrix became singular", word)
         self.ctm = new
 
     def run(self, tokens: list[tuple]) -> None:
         stack = self.stack
         push = stack.append
-        ops = _OPS
+        ops, isfinite = _OPS, math.isfinite
         remaining = iter(tokens)
         for token in remaining:
             kind, value, _start, end, lit_start = token
-            if kind == NUMBER or kind == LITERAL_NAME:
+            if kind == WORDS:
+                # bytes.split() splits at VT and not at NUL, and float() also reads `1_0` and
+                # a VT around a number: in a run that holds any of these, _NUMBER decides.
+                exact = b"\x0b" in value or b"\x00" in value or b"_" in value
+                for index, word in enumerate(re.findall(_WORD, value) if exact else value.split()):
+                    if word[0] in b"+-.0123456789":
+                        try:
+                            number = float(word)
+                        except ValueError:
+                            number = math.inf
+                        if isfinite(number) and (not exact or re.fullmatch(_NUMBER, word)):
+                            push(number)
+                            continue
+                    op = ops.get(word)
+                    if op is not None:  # any other name pops nothing
+                        op(self, (word.decode("latin-1"), token, index))
+            elif kind == LITERAL_NAME:
                 push(value)
-            elif kind == NAME:
-                op = ops.get(value)
-                if op is not None:  # any other name pops nothing
-                    op(self, token)
             elif kind == STRING:
                 push(_PsString(value, (lit_start, end)))
             elif kind == ARRAY_DELIM:
@@ -303,103 +334,97 @@ class _Interpreter:
                             break
                 push(_PROC)
 
-    def translate(self, token: tuple) -> None:
-        self._transform(Affine.translation(*self._pop_numbers(token, 2)), token)
+    def translate(self, word: tuple) -> None:
+        self._transform(Affine.translation(*self._pop_numbers(word, 2)), word)
 
-    def scale(self, token: tuple) -> None:
-        self._transform(Affine.scaling(*self._pop_numbers(token, 2)), token)
+    def scale(self, word: tuple) -> None:
+        self._transform(Affine.scaling(*self._pop_numbers(word, 2)), word)
 
-    def rotate(self, token: tuple) -> None:
-        self._transform(Affine.rotation(*self._pop_numbers(token, 1)), token)
+    def rotate(self, word: tuple) -> None:
+        self._transform(Affine.rotation(*self._pop_numbers(word, 1)), word)
 
-    def concat(self, token: tuple) -> None:
-        (arr,) = self._pop(token, 1)
+    def concat(self, word: tuple) -> None:
+        (arr,) = self._pop(word, 1)
         if not (isinstance(arr, list) and len(arr) == 6
                 and all(isinstance(v, float) for v in arr)):
-            raise self._error("concat needs a six-number matrix", token)
-        self._transform(Affine(*arr), token)
+            raise self._error("concat needs a six-number matrix", word)
+        self._transform(Affine(*arr), word)
 
-    def gsave(self, token: tuple) -> None:
+    def gsave(self, word: tuple) -> None:
         self.saved.append((self.ctm, self.point, self.font_size))
 
-    def grestore(self, token: tuple) -> None:
+    def grestore(self, word: tuple) -> None:
         if not self.saved:
-            raise self._error("grestore with no saved state", token)
+            raise self._error("grestore with no saved state", word)
         self.ctm, self.point, self.font_size = self.saved.pop()
 
-    def moveto(self, token: tuple) -> None:
-        x, y = self._pop_numbers(token, 2)
+    def moveto(self, word: tuple) -> None:
+        x, y = self._pop_numbers(word, 2)
         self.point = (x, y)
 
-    def rmoveto(self, token: tuple) -> None:
-        dx, dy = self._pop_numbers(token, 2)
+    def rmoveto(self, word: tuple) -> None:
+        dx, dy = self._pop_numbers(word, 2)
         cx, cy = self.point or (0.0, 0.0)
         self.point = (cx + dx, cy + dy)
 
-    def newpath(self, token: tuple) -> None:
+    def newpath(self, word: tuple) -> None:
         self.point = None
 
-    def _path_to(self, token: tuple, count: int) -> None:
-        tail = self._pop(token, count)[-2:]
+    def _path_to(self, word: tuple, count: int) -> None:
+        tail = self._pop(word, count)[-2:]
         if all(isinstance(v, float) for v in tail):
             self.point = (tail[0], tail[1])
 
-    def findfont(self, token: tuple) -> None:
-        (font_name,) = self._pop(token, 1)
+    def findfont(self, word: tuple) -> None:
+        (font_name,) = self._pop(word, 1)
         self.stack.append(_Font(str(font_name), 1.0))
 
-    def scalefont(self, token: tuple) -> None:
-        (size,) = self._pop(token, 1)
+    def scalefont(self, word: tuple) -> None:
+        (size,) = self._pop(word, 1)
         if not isinstance(size, float):
-            raise self._error("scalefont needs a numeric size", token)
-        (base,) = self._pop(token, 1)
+            raise self._error("scalefont needs a numeric size", word)
+        (base,) = self._pop(word, 1)
         font = base if isinstance(base, _Font) else _Font("", 1.0)
         self.stack.append(_Font(font.name, font.size * size))
 
-    def setfont(self, token: tuple) -> None:
-        (font,) = self._pop(token, 1)
+    def setfont(self, word: tuple) -> None:
+        (font,) = self._pop(word, 1)
         if isinstance(font, _Font):
             self.font_size = font.size
 
-    def selectfont(self, token: tuple) -> None:
-        (size,) = self._pop(token, 1)
-        self._pop(token, 1)
+    def selectfont(self, word: tuple) -> None:
+        _font, size = self._pop(word, 2)
         if isinstance(size, float):
             self.font_size = size
 
-    def _text_variant(self, token: tuple, count: int) -> None:
+    def _text_variant(self, word: tuple, count: int) -> None:
         # stacklevel 4: this method, run, scan_tags, then scan_tags' caller
-        warnings.warn(f"{token[1]} is not treated as a tag occurrence",
+        warnings.warn(f"{word[0]} is not treated as a tag occurrence",
                       ScanWarning, stacklevel=4)
-        self._pop(token, count)
+        self._pop(word, count)
 
-    def show(self, token: tuple) -> None:
-        (operand,) = self._pop(token, 1)
+    def show(self, word: tuple) -> None:
+        (operand,) = self._pop(word, 1)
         if not isinstance(operand, _PsString):
-            raise self._error("show needs a string operand", token)
+            raise self._error("show needs a string operand", word)
         ctm = self.ctm
         cx, cy = self.point or (0.0, 0.0)
         x, y = ctm.apply(cx, cy)
         rotation, scale = ctm.rotation_degrees(), ctm.x_scale()
         if not all(map(math.isfinite, (x, y, rotation, scale, self.font_size))):
             raise self._error("show places its text at a non-finite position, rotation, "
-                              "scale or size", token)
+                              "scale or size", word)
         self.occurrences.append(TagOccurrence(
-            tag=operand.data.decode("latin-1"),
-            device_position=(x, y),
-            rotation=rotation,
-            scale=scale,
-            font_size=self.font_size,
-            byte_span=operand.span,
-        ))
+            tag=operand.data.decode("latin-1"), device_position=(x, y), rotation=rotation,
+            scale=scale, font_size=self.font_size, byte_span=operand.span))
 
 
-# The operators the scanner models: name -> handler(interpreter, token). Any
-# other name, `stroke` or `bind` as much as an unknown one, pops nothing.
-_OPS = {name: getattr(_Interpreter, name) for name in (
+# The operators the scanner models: name's bytes -> handler(interpreter, (name, WORDS
+# token, the name's index in it)). Any other name, even `stroke` or `bind`, pops nothing.
+_OPS = {name.encode(): getattr(_Interpreter, name) for name in (
     "translate", "scale", "rotate", "concat", "gsave", "grestore", "moveto", "rmoveto",
     "newpath", "findfont", "scalefont", "setfont", "selectfont", "show")}
-_OPS.update({name: partial(handler, count=count) for handler, arities in [
+_OPS.update({name.encode(): partial(handler, count=count) for handler, arities in [
     (_Interpreter._text_variant, {"widthshow": 4, "awidthshow": 6, "ashow": 3, "kshow": 2,
                                   "xshow": 2, "xyshow": 2, "glyphshow": 1, "cshow": 2}),
     (_Interpreter._path_to, {"lineto": 2, "curveto": 6}),
@@ -449,8 +474,7 @@ def _fmt(v: float, places: int = 3) -> str:
 
 def _escape_ps_string(text: str) -> str:
     # PostScript strings are 8-bit; characters outside latin-1 degrade to '?'
-    if any(ord(ch) > 255 for ch in text):
-        text = "".join(ch if ord(ch) <= 255 else "?" for ch in text)
+    text = text.encode("latin-1", "replace").decode("latin-1")
     return (text.replace("\\", "\\\\").replace("(", "\\(").replace(")", "\\)"))
 
 
@@ -591,13 +615,8 @@ def rewrite_tags(data: bytes, tag_map: Mapping[str, str]) -> bytes:
     malformed PostScript is always rejected.
     """
     occurrences = scan_tags(data)
-    edits: list[tuple[tuple[int, int], str]] = []
-    found: set[str] = set()
-    for occ in occurrences:
-        if occ.tag in tag_map:
-            found.add(occ.tag)
-            edits.append((occ.byte_span, tag_map[occ.tag]))
-    missing = sorted(set(tag_map) - found)
+    edits = [(occ.byte_span, tag_map[occ.tag]) for occ in occurrences if occ.tag in tag_map]
+    missing = sorted(set(tag_map) - {occ.tag for occ in occurrences})
     if missing:
         raise RewriteError(f"tags not found in EPS: {', '.join(missing)}")
     return splice(data, [(span, b"(" + _escape_ps_string(new_tag).encode("latin-1") + b")")

@@ -181,8 +181,9 @@ class Scene:
             raise SceneFormatError("plot range width and height must be finite")
         if not (xmin < xmax and ymin < ymax):
             raise SceneFormatError("plot range must be nonempty in both axes")
-        if not all(0 < v < math.inf for v in self.target_size):
-            raise SceneFormatError("target size must be positive and finite")
+        # %%BoundingBox holds the size's ceiling, and PostScript integers stop at 2**31 - 1.
+        if not all(0 < v <= 2147483647 for v in self.target_size):
+            raise SceneFormatError("target size must be positive and at most 2147483647 pt")
 
     def text_primitives(self) -> list[TextPrimitive]:
         return [p for p in self.primitives if isinstance(p, TextPrimitive)]

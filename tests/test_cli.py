@@ -717,13 +717,15 @@ def test_export_rejects_mistyped_scene_values(tmp_path, capsys, old, new):
 
 _OVERFLOWING_TITLE = json.dumps({"version": 1, "plot_range": [[1e308, 1.7e308], [0, 1]],
                                  "size": [100, 100], "decorations": {"plot_label": "t"}})
-# Every value finite, but the device scale 1e300 * 0.9 / 1e-300 overflows: written as nan
+# Every value finite, but the device scale 1e9 * 0.9 / 1e-300 overflows: written as nan
 # before, with exit 0. Then a finite scale and a point whose device x overflows.
 _OVERFLOWING_SCALE = json.dumps({
-    "version": 1, "size": [1e300, 100], "plot_range": [[0, 1e-300], [0, 1]],
+    "version": 1, "size": [1e9, 100], "plot_range": [[0, 1e-300], [0, 1]],
     "primitives": [{"type": "polyline", "points": [[0, 0], [1e-300, 1]]},
                    {"type": "text", "expr": '"x"', "pos": [5e-301, 0.5]}]})
 _FAR_POINT = _PROBE_SCENE.replace('"pos": [0.5, 0.5]', '"pos": [1e307, 0.5]')
+# A finite scale, but a 301-digit %%BoundingBox: exit 0 before.
+_HUGE_SIZE = _PROBE_SCENE.replace('"size": [100, 100]', '"size": [1e300, 100]')
 _DEVICE_OVERFLOW = ("device coordinates must be finite: the target size is too large for the "
                     "plot range or a point lies too far outside it")
 
@@ -742,8 +744,9 @@ _DEVICE_OVERFLOW = ("device coordinates must be finite: the target size is too l
     (_OVERFLOWING_TITLE, "text position must be finite"),
     (_OVERFLOWING_SCALE, _DEVICE_OVERFLOW),
     (_FAR_POINT, _DEVICE_OVERFLOW),
+    (_HUGE_SIZE, "target size must be positive and at most 2147483647 pt"),
 ], ids=["position", "anchor", "radius", "tag", "wide-range", "overflowing-title",
-        "overflowing-scale", "far-point"])
+        "overflowing-scale", "far-point", "huge-size"])
 def test_export_refuses_an_invalid_scene_value_in_one_line(tmp_path, capsys, scene, message):
     path = tmp_path / "probe.scene"
     path.write_text(scene)

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import math
 import random
+import re
 import string
+import tracemalloc
 import warnings
 
 import pytest
@@ -15,7 +17,7 @@ from labelforge import (ExportOptions, RewriteError, Scene, ScanError,
                         write_eps)
 from labelforge import epsio
 from labelforge.epsio import (ARRAY_DELIM, COMMENT, LITERAL_NAME, NAME, NUMBER,
-                              PROC_DELIM, STRING, ScanWarning)
+                              PROC_DELIM, STRING, WORDS, ScanWarning)
 from labelforge.exprkit import Str
 
 from conftest import FIXTURES, GOLDEN
@@ -25,8 +27,16 @@ from conftest import FIXTURES, GOLDEN
 
 # A token is the tuple (kind, value, start, end, lit_start).
 
+def _per_word_tokenize(data: bytes) -> list[tuple]:
+    """The token stream with each WORDS token expanded into its NUMBER and NAME tokens."""
+    return [word for token in tokenize(data)
+            for word in (epsio.word_tokens(data, token) if token[0] == WORDS else [token])]
+
+
 def test_tokenize_string_escape_example():
-    tokens = tokenize(b"(a\\)b) show")
+    data = b"(a\\)b) show"
+    assert [kind for kind, *_ in tokenize(data)] == [STRING, WORDS]
+    tokens = _per_word_tokenize(data)
     assert [kind for kind, *_ in tokens] == [STRING, NAME]
     assert tokens[0][1] == b"a)b"
     assert tokens[1][1] == "show"
@@ -44,7 +54,12 @@ def test_tokenize_empty_input():
 
 
 def test_tokenize_kinds():
-    tokens = tokenize(b"/Times-Roman 10 selectfont [0.1 1] {lineto} (s)")
+    data = b"/Times-Roman 10 selectfont [0.1 1] {lineto} (s)"
+    assert [(kind, value) for kind, value, *_ in tokenize(data)] == [
+        (LITERAL_NAME, "Times-Roman"), (WORDS, b"10 selectfont"), (ARRAY_DELIM, "["),
+        (WORDS, b"0.1 1"), (ARRAY_DELIM, "]"), (PROC_DELIM, "{"), (WORDS, b"lineto"),
+        (PROC_DELIM, "}"), (STRING, b"s")]
+    tokens = _per_word_tokenize(data)
     kinds = [kind for kind, *_ in tokens]
     assert kinds == [LITERAL_NAME, NUMBER, NAME, ARRAY_DELIM, NUMBER, NUMBER,
                      ARRAY_DELIM, PROC_DELIM, NAME, PROC_DELIM, STRING]
@@ -71,11 +86,21 @@ def test_tokenize_lossless_spans_on_writer_output(scene_of):
 
 def test_tokenize_whitespace_attaches_to_following_token():
     data = b"  12  (x) \n"
-    tokens = tokenize(data)
-    assert data[tokens[0][2]:tokens[0][3]] == b"  12"
-    # trailing whitespace extends the final token
-    assert data[tokens[1][2]:tokens[1][3]] == b"  (x) \n"
-    assert b"".join(data[start:end] for _kind, _value, start, end, _lit in tokens) == data
+    for tokens in (tokenize(data), _per_word_tokenize(data)):
+        assert data[tokens[0][2]:tokens[0][3]] == b"  12"
+        # trailing whitespace extends the final token
+        assert data[tokens[1][2]:tokens[1][3]] == b"  (x) \n"
+        assert b"".join(data[start:end] for _kind, _value, start, end, _lit in tokens) == data
+
+
+def test_each_word_holds_the_whitespace_before_it_and_the_last_the_run_after_it():
+    data = b"\t1 2\x00moveto\r\n(x)\fa\x0bb  1_0 \n"
+    assert [data[start:end] for _kind, _value, start, end, _lit in tokenize(data)] == [
+        b"\t1 2\x00moveto", b"\r\n(x)", b"\fa\x0bb  1_0 \n"]
+    assert [(kind, value, data[start:end]) for kind, value, start, end, _lit
+            in _per_word_tokenize(data)] == [
+        (NUMBER, 1.0, b"\t1"), (NUMBER, 2.0, b" 2"), (NAME, "moveto", b"\x00moveto"),
+        (STRING, b"x", b"\r\n(x)"), (NAME, "a\x0bb", b"\fa\x0bb"), (NAME, "1_0", b"  1_0 \n")]
 
 
 @pytest.mark.parametrize("data, message", [
@@ -103,11 +128,45 @@ def test_scan_odd_length_hex_string_pads_its_last_digit_with_zero():
     assert [(occ.tag, occ.device_position) for occ in occs] == [("A@", (10.0, 10.0))]
 
 
+_WORD_POOL = ["1", "-2", "+3", "3.5", ".5", "+.5", "-.5", "6.", "1e3", "1E+3", "-1.5e-2",
+              "007", "1e999", "1_0", "inf", "-nan", ".5e", "16#FF", "1\x0b", "+", "-", ".", "e5",
+              "l", "x1"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_WORD_POOL),
+                          st.sampled_from([" ", "\t", "\r\n", "\f", "\x00", " \x00 "])),
+                min_size=1, max_size=12))
+def test_the_scanner_pushes_the_numbers_word_tokens_reads(words):
+    data = "".join(word + gap for word, gap in words).encode("latin-1")
+    (token,) = tokenize(data)
+    interp = epsio._Interpreter(data)
+    interp.run([token])
+    assert interp.stack == [value for kind, value, *_ in epsio.word_tokens(data, token)
+                            if kind == NUMBER]
+
+
 def test_tokenize_number_forms():
-    tokens = tokenize(b"1 -2 3.5 .5 6. 1e3 -1.5e-2 16#FF")
+    data = b"1 -2 3.5 .5 6. 1e3 -1.5e-2 16#FF"
+    assert len(tokenize(data)) == 1
+    tokens = _per_word_tokenize(data)
     values = [value for _kind, value, *_ in tokens]
     assert values[:7] == [1.0, -2.0, 3.5, 0.5, 6.0, 1000.0, -0.015]
+    assert [kind for kind, *_ in tokens[:7]] == [NUMBER] * 7
     assert tokens[7][0] == NAME  # radix form is not required
+
+
+@pytest.mark.parametrize("word", [b"1_0", b"inf", b"-nan", b"Infinity", b".5e", b"1e999",
+                                  b"-1e999", b"16#FF", b"1\x0b", b"\x0b1", b"1.5\x0b", b".",
+                                  b"+", b"1e", b"0x10", b"1__0"])
+def test_a_word_that_float_reads_but_the_grammar_does_not_is_a_name(word):
+    for data, numbers in [(word, []), (b"1 " + word + b" 2", [1.0, 2.0]), (b"1_0 " + word, []),
+                          (word + b"\x00 2", [2.0])]:
+        tokens = _per_word_tokenize(data)
+        assert (NAME, word.decode("latin-1")) in [(kind, value) for kind, value, *_ in tokens]
+        interp = epsio._Interpreter(data)
+        interp.run(tokenize(data))
+        assert interp.stack == numbers
 
 
 _SOUP_BYTES = b" \t\r\n\f\x00()<>[]{}/%\\abc019.-+eE"
@@ -130,14 +189,34 @@ def test_tokenize_property_lossless_or_error_at_delimiter(data):
             assert data[lit_start:lit_start + 1] in (b"(", b"<")
 
 
+_REGULAR = rb"[^ \t\r\n\f\x00()<>\[\]{}/%]"
+# The tokenizer's grammar with one token per number and per name.
+_REFERENCE_TOKEN = re.compile(
+    rb"[ \t\r\n\f\x00]*(?:"
+    rb"(?P<comment>%[^\r\n]*)"
+    rb"|(?P<string>\()"
+    rb"|(?P<number>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?(?!" + _REGULAR + rb"))"
+    rb"|(?P<name><<|>>?|" + _REGULAR + rb"+)"
+    rb"|(?P<hex><(?P<hex_body>[^>]*)>)"
+    rb"|//?(?P<literal>" + _REGULAR + rb"*)"
+    rb"|(?P<array>[\[\]])"
+    rb"|(?P<open>\{)"
+    rb"|(?P<close>\})"
+    rb"|(?P<error>[)<])"
+    rb")?")
+_REFERENCE_KINDS = {"number": NAME, "name": NAME, "literal": LITERAL_NAME, "comment": COMMENT,
+                    "array": ARRAY_DELIM, "open": PROC_DELIM, "close": PROC_DELIM}
+
+
 def _reference_tokenize(data: bytes) -> list[tuple]:
-    """The tokenizer as one `_TOKEN.match` call per token: the oracle for `tokenize`."""
+    """The tokenizer as one `_REFERENCE_TOKEN.match` call per number, name and other token:
+    the oracle for `tokenize` with its WORDS tokens expanded."""
     tokens: list[tuple] = []
     proc_opens: list[int] = []
     i = 0
     n = len(data)
     while i < n:
-        m = epsio._TOKEN.match(data, i)
+        m = _REFERENCE_TOKEN.match(data, i)
         group = m.lastgroup
         if group is None:  # only whitespace is left
             if tokens:
@@ -170,7 +249,7 @@ def _reference_tokenize(data: bytes) -> list[tuple]:
                 if not proc_opens:
                     raise TokenizeError("unmatched '}'", pos)
                 proc_opens.pop()
-            kind, value = epsio._KINDS[group], text.decode("latin-1")
+            kind, value = _REFERENCE_KINDS[group], text.decode("latin-1")
         tokens.append((kind, value, i, end, lit_start))
         i = end
     if proc_opens:
@@ -195,6 +274,7 @@ _FRAGMENTS = [
     b"[", b"]", b"{", b"}", b"/a", b"//b", b"/", b"moveto", b"show", b"a-b",
     b"1e999", b"-1e999", b"16#FF", b".5", b"1.", b"-2", b"+3.5e-2", b"1e", b".", b"-", b"0",
     b")", b"<", b"}",
+    b"\x0b", b"1_0", b"inf", b"-nan", b"+.5", b".5e", b"1\x0b",
 ]
 
 
@@ -202,14 +282,15 @@ _FRAGMENTS = [
 @given(st.lists(st.one_of(st.sampled_from(_FRAGMENTS), st.binary(max_size=2)),
                 max_size=40).map(b"".join))
 def test_tokenize_matches_the_match_per_token_oracle(data):
-    assert _tokenize_outcome(tokenize, data) == _tokenize_outcome(_reference_tokenize, data)
+    assert (_tokenize_outcome(_per_word_tokenize, data)
+            == _tokenize_outcome(_reference_tokenize, data))
 
 
 @pytest.mark.parametrize("source", [p.stem for p in sorted(FIXTURES.glob("*.scene"))]
                          + [p.name for p in sorted(GOLDEN.glob("*.eps"))])
 def test_tokenize_matches_the_oracle_on_each_export_and_golden(export, source):
     data = (GOLDEN / source).read_bytes() if source.endswith(".eps") else export(source)[0]
-    assert tokenize(data) == _reference_tokenize(data)
+    assert _per_word_tokenize(data) == _reference_tokenize(data)
 
 
 @pytest.mark.parametrize("command", ["scan_tags", "rewrite_tags", "substitute_preview"])
@@ -224,6 +305,126 @@ def test_each_reading_command_tokenizes_its_input_once(monkeypatch, command):
     monkeypatch.setattr(epsio, "tokenize", lambda data: calls.append(data) or tokenize(data))
     run()
     assert calls == [eps]
+
+
+def _polyline_scene(points: int) -> Scene:
+    from labelforge import Polyline
+    line = tuple((i / (points - 1), (i * 7 % points) / points) for i in range(points))
+    return Scene(plot_range=((0.0, 1.0), (0.0, 1.0)), target_size=(100.0, 100.0),
+                 primitives=(Polyline(line), Polyline(line[::-1]),
+                             TextPrimitive(Str("t"), (0.5, 0.5))))
+
+
+def test_the_token_count_of_a_written_scene_does_not_grow_with_its_points():
+    small, large = (write_eps(_polyline_scene(points))[0] for points in (10, 250))
+    assert len(large) > 5 * len(small)
+    assert len(tokenize(small)) == len(tokenize(large))
+
+
+def test_tokenize_holds_no_memory_per_word_of_a_run():
+    data = b"1.5 2 l " * 20000
+    tracemalloc.start()
+    try:
+        tokens = tokenize(data)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(tokens) == 1 and peak < 2 * len(data)  # the run's bytes, and little more
+
+
+def _reference_scan(data: bytes) -> list:
+    """The scanner as one loop step per token of `_reference_tokenize`: the oracle for
+    `scan_tags`. A name reaches its handler as the one word of its own token."""
+    interp = epsio._Interpreter(data)
+    stack = interp.stack
+    push = stack.append
+    remaining = iter(_reference_tokenize(data))
+    for token in remaining:
+        kind, value, _start, end, lit_start = token
+        if kind == NUMBER or kind == LITERAL_NAME:
+            push(value)
+        elif kind == NAME:
+            op = epsio._OPS.get(value.encode("latin-1"))
+            if op is not None:
+                op(interp, (value, token, 0))
+        elif kind == STRING:
+            push(epsio._PsString(value, (lit_start, end)))
+        elif kind == ARRAY_DELIM:
+            if value == "[":
+                push(epsio._MARK)
+            else:
+                items = []
+                while stack and stack[-1] is not epsio._MARK:
+                    items.append(stack.pop())
+                if stack:
+                    stack.pop()
+                push(items[::-1])
+        elif kind == PROC_DELIM:
+            depth = 1
+            for inner in remaining:
+                if inner[0] == PROC_DELIM:
+                    depth += 1 if inner[1] == "{" else -1
+                    if not depth:
+                        break
+            push(epsio._PROC)
+    return interp.occurrences
+
+
+def _scan_outcome(scan, data: bytes):
+    """The occurrences or the error's class, message and span or offset, with the warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = scan(data)
+        except (ScanError, TokenizeError) as exc:
+            result = type(exc), str(exc), getattr(exc, "span", None), getattr(exc, "offset", None)
+    return result, [(w.category, str(w.message)) for w in caught]
+
+
+def _flat(parts: list[list[str]]) -> list[str]:
+    return [atom for part in parts for atom in part]
+
+
+_OPERATORS = sorted(name.decode("latin-1") for name in epsio._OPS) + [
+    "foo", "l", "s", "bind", "stroke", "exch", "<<", ">>"]
+_OPERAND = st.sampled_from([
+    "0", "1", "-2.5", ".5", "3e1", "12", "1e200", "1e999", "1_0", "inf", "-nan", "+.5", ".5e",
+    "16#FF", "1\x0b", "(a)", "(b\\)c)", "<4142>", "<>", "/F", "/Times-Roman", "foo"])
+_SCAN_STATEMENT = st.one_of(
+    st.tuples(st.lists(_OPERAND, max_size=6), st.sampled_from(_OPERATORS)).map(
+        lambda s: [*s[0], s[1]]),
+    st.lists(_OPERAND, max_size=6).map(lambda items: ["[", *items, "]"]),
+    st.sampled_from([["1", "2", "moveto"], ["(t)", "show"], ["gsave"], ["grestore"],
+                     ["/Times-Roman", "12", "selectfont"], ["% c\n"], ["%%EOF\r"]]),
+)
+_SCAN_PROGRAM = st.recursive(
+    st.lists(_SCAN_STATEMENT, max_size=8).map(_flat),
+    lambda inner: st.lists(inner.map(lambda body: ["{", *body, "}"]) | inner,
+                           max_size=4).map(_flat),
+    max_leaves=12)
+_GAP = st.sampled_from(["", " ", "\t", "\r\n", "\n", "\r", "\f", "\x00", "\x0b", " \x00\f "])
+
+
+@settings(max_examples=300, deadline=None)
+@given(atoms=_SCAN_PROGRAM, data=st.data())
+def test_scan_tags_matches_the_per_token_scanner(atoms, data):
+    gaps = data.draw(st.lists(_GAP, min_size=len(atoms) + 1, max_size=len(atoms) + 1))
+    program = "".join(gap + atom for gap, atom in zip(gaps, atoms + [""])).encode("latin-1")
+    assert _scan_outcome(scan_tags, program) == _scan_outcome(_reference_scan, program)
+
+
+@pytest.mark.parametrize("program", [
+    b"0 0 moveto (a) show 1 2 3 (b) widthshow", b"gsave 1e999 2 translate grestore",
+    b"1_0 2 moveto (t) show", b"1\x002\x00moveto (t) show", b"1\x0b 2 moveto", b"(a) 1 2 scale",
+    b"{ 1 moveto } 1 2 moveto (t) show grestore", b"[1 0 0 1 0 0] concat 1 2 3 moveto moveto"])
+def test_scan_tags_matches_the_per_token_scanner_on_examples(program):
+    assert _scan_outcome(scan_tags, program) == _scan_outcome(_reference_scan, program)
+
+
+def test_scan_tags_matches_the_per_token_scanner_on_each_golden():
+    for path in sorted(GOLDEN.glob("*.eps")):
+        data = path.read_bytes()
+        assert _scan_outcome(scan_tags, data) == _scan_outcome(_reference_scan, data)
 
 
 # -------------------------------------------------------------- scan_tags
@@ -341,6 +542,22 @@ def test_a_scan_error_names_the_operator_bytes_alone(data, message, operator):
     start, end = info.value.span
     assert data[start:end] == operator and data.rindex(operator) == start
     assert str(info.value) == f"{message} at bytes {start}..{end}"
+
+
+@pytest.mark.parametrize("data, span", [
+    (b"moveto 1 2", (0, 6)),  # the first word of its run
+    (b"1 moveto 2 3", (2, 8)),  # a middle word
+    (b"(a) pop 1 2 moveto 3 moveto", (21, 27)),  # the last word, and its name's second time
+    (b"1 2 moveto 3 moveto\n", (13, 19)),  # the last word of the last token
+    (b"1\x00moveto 2", (2, 8)),
+    (b"1\fmoveto\f", (2, 8)),
+    (b"1\r\nmoveto\r\n2", (3, 9)),
+    (b"1_0\x0b 1_0 moveto", (9, 15)),  # a run that float() alone would misread
+])
+def test_a_scan_error_in_a_run_spans_its_own_word(data, span):
+    with pytest.raises(ScanError, match="stack underflow on 'moveto'") as info:
+        scan_tags(data)
+    assert info.value.span == span and data[span[0]:span[1]] == b"moveto"
 
 
 def test_scan_occurrences_in_byte_order(export):
@@ -497,6 +714,12 @@ def test_write_shows_a_string_that_says_nan_or_inf():
     assert [occ.tag for occ in scan_tags(data)] == ["(nan) inf"]
 
 
+def test_write_shows_a_character_outside_latin_1_as_a_question_mark():
+    scene = Scene(plot_range=((0.0, 1.0), (0.0, 1.0)), target_size=(100.0, 100.0),
+                  primitives=(TextPrimitive(Str("a\u20ac\u00e9\U0001f600"), (0.5, 0.5)),))
+    assert [occ.tag for occ in scan_tags(write_eps(scene)[0])] == ["a?\u00e9?"]
+
+
 # ----------------------------------------------------------- rewrite_tags
 
 def test_rewrite_single_tag_touches_only_its_span(export):
@@ -614,9 +837,16 @@ def test_whitespace_and_comments_between_tokens_only_shift_the_spans(tokens, dat
         spread += token
         base_at += len(token) + 1
     spread += seps[-1]  # after the last token, or the whole file when there is none
-    before, after = scan_tags(base), scan_tags(spread.encode("latin-1"))
+    spread = spread.encode("latin-1")
+    before, after = scan_tags(base), scan_tags(spread)
     assert [(o.tag, o.device_position, o.rotation, o.scale, o.font_size) for o in after] == [
         (o.tag, o.device_position, o.rotation, o.scale, o.font_size) for o in before]
     for old, new in zip(before, after):
         start, end = old.byte_span
         assert new.byte_span == (moved[start], moved[start] + end - start)
+
+    def own_bytes(data):  # each word and other token but the comments, where its bytes begin
+        return [(kind, value, end - len(data[start:end].lstrip(b" \t\r\n\f\x00")))
+                for kind, value, start, end, _lit in _per_word_tokenize(data) if kind != COMMENT]
+    assert len(own_bytes(base)) == len(tokens)
+    assert own_bytes(spread) == [(kind, value, moved[at]) for kind, value, at in own_bytes(base)]

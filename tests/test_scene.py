@@ -205,3 +205,15 @@ _NAN, _INF = math.nan, math.inf
 def test_scene_records_refuse_non_finite_values_when_built(build):
     with pytest.raises(SceneFormatError):
         build()
+
+
+@pytest.mark.parametrize("size", [(1e300, 100.0), (100.0, 2147483647.5), (2.0**31, 1.0)])
+def test_scene_refuses_a_target_size_whose_bounding_box_overflows_a_postscript_integer(size):
+    with pytest.raises(SceneFormatError, match="at most 2147483647 pt"):
+        Scene(plot_range=((0.0, 1.0), (0.0, 1.0)), target_size=size)
+
+
+def test_scene_takes_the_largest_target_size_a_bounding_box_can_hold():
+    from labelforge import write_eps
+    scene = Scene(plot_range=((0.0, 1.0), (0.0, 1.0)), target_size=(2147483647.0, 0.5))
+    assert b"%%BoundingBox: 0 0 2147483647 1\n" in write_eps(scene)[0]
