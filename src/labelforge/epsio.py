@@ -59,17 +59,19 @@ ARRAY_DELIM = "array_delim"
 PROC_DELIM = "proc_delim"
 COMMENT = "comment"
 
-# A token is a plain tuple (kind, value, start, end, lit_start). A WORDS token is
-# a run of words (numbers and names, see word_tokens) with whitespace alone between
-# them, and its value the run's bytes; value is the decoded bytes for STRING, else
-# the text. data[start:end] are the token's bytes with the whitespace before it;
+# A token is a plain tuple (kind, value, start, end, lit_start). value is a WORDS
+# token's run of words (see word_tokens), the decoded bytes for STRING, else the
+# text. data[start:end] are the token's bytes with the whitespace before it;
 # tokenize extends the last token over trailing whitespace. lit_start is a
 # string's opening `(` or `<`, else -1.
 
 _WS = b" \t\r\n\f\x00"
 _REGULAR = rb"[^ \t\r\n\f\x00()<>\[\]{}/%]"  # not whitespace, not a delimiter
-_WORD = _REGULAR + rb"+"  # this and _NUMBER: re compiles them on first use, not at import
-_NUMBER = rb"[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_WORD = re.compile(_REGULAR + rb"+")
+# A word is a number when it matches [+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)? and is finite,
+# which is when float() reads it as finite once this table has made `_` (float() reads
+# `1_0`) and VT (float() skips it) unreadable and NUL (bytes.split() keeps it) a space.
+_UNREADABLE = bytes.maketrans(b"_\x0b\x00", b"## ")
 
 # One alternative per token kind, tried in order after the leading
 # whitespace; `<<` is a name and a `<` with no closing `>` is an error. A run
@@ -109,10 +111,11 @@ def _scan_string(data: bytes, start: int) -> tuple[bytes, int]:
     n = len(data)
     while i < n:
         plain_end = _STRING_PLAIN.match(data, i).end()
-        out += data[i:plain_end]
-        i = plain_end
-        if i >= n:
-            break
+        if plain_end > i:
+            out += data[i:plain_end]
+            i = plain_end
+            if i >= n:
+                break
         ch = data[i]
         if ch == 0x5C:  # backslash
             if i + 1 >= n:
@@ -204,15 +207,27 @@ def tokenize(data: bytes) -> list[tuple]:
             i = end
 
 
+def _number(word: bytes) -> float | None:
+    """The word's value if it is a number, else None; the word has been through _UNREADABLE."""
+    if word[0] in b"+-.0123456789":  # no other byte starts a finite number, and raising is slow
+        try:
+            number = float(word)
+        except ValueError:
+            return None
+        if math.isfinite(number):
+            return number
+    return None
+
+
 def word_tokens(data: bytes, token: tuple) -> list[tuple]:
-    """A WORDS token as one token per word: a NUMBER if the word matches _NUMBER and is
-    finite, else a NAME. Each holds the whitespace before it, the last also the token's after."""
+    """A WORDS token as one token per word: a NUMBER if _number reads the word, else a
+    NAME. Each holds the whitespace before it, the last also the token's after."""
     _kind, _run, start, end, _lit = token
     words = []
-    for m in re.compile(_WORD).finditer(data, start, end):
-        value = float(m[0]) if re.fullmatch(_NUMBER, m[0]) else math.inf
-        words.append((NUMBER, value, start, m.end(), -1) if math.isfinite(value)
-                     else (NAME, m[0].decode("latin-1"), start, m.end(), -1))
+    for m in _WORD.finditer(data, start, end):
+        number = _number(m[0].translate(_UNREADABLE))
+        words.append((NAME, m[0].decode("latin-1"), start, m.end(), -1) if number is None
+                     else (NUMBER, number, start, m.end(), -1))
         start = m.end()
     words[-1] = (*words[-1][:3], end, -1)
     return words
@@ -291,24 +306,16 @@ class _Interpreter:
     def run(self, tokens: list[tuple]) -> None:
         stack = self.stack
         push = stack.append
-        ops, isfinite = _OPS, math.isfinite
+        ops, number_of = _OPS, _number
         remaining = iter(tokens)
         for token in remaining:
             kind, value, _start, end, lit_start = token
             if kind == WORDS:
-                # bytes.split() splits at VT and not at NUL, and float() also reads `1_0` and
-                # a VT around a number: in a run that holds any of these, _NUMBER decides.
-                exact = b"\x0b" in value or b"\x00" in value or b"_" in value
-                for index, word in enumerate(re.findall(_WORD, value) if exact else value.split()):
-                    if word[0] in b"+-.0123456789":
-                        try:
-                            number = float(word)
-                        except ValueError:
-                            number = math.inf
-                        if isfinite(number) and (not exact or re.fullmatch(_NUMBER, word)):
-                            push(number)
-                            continue
-                    op = ops.get(word)
+                for index, word in enumerate(value.translate(_UNREADABLE).split()):
+                    if (number := number_of(word)) is not None:
+                        push(number)
+                        continue
+                    op = ops.get(word)  # no operator's name holds `_` or VT
                     if op is not None:  # any other name pops nothing
                         op(self, (word.decode("latin-1"), token, index))
             elif kind == LITERAL_NAME:
@@ -393,7 +400,8 @@ class _Interpreter:
             self.font_size = font.size
 
     def selectfont(self, word: tuple) -> None:
-        _font, size = self._pop(word, 2)
+        (size,) = self._pop(word, 1)
+        self._pop(word, 1)
         if isinstance(size, float):
             self.font_size = size
 
@@ -415,8 +423,13 @@ class _Interpreter:
             raise self._error("show places its text at a non-finite position, rotation, "
                               "scale or size", word)
         self.occurrences.append(TagOccurrence(
-            tag=operand.data.decode("latin-1"), device_position=(x, y), rotation=rotation,
-            scale=scale, font_size=self.font_size, byte_span=operand.span))
+            tag=operand.data.decode("latin-1"),
+            device_position=(x, y),
+            rotation=rotation,
+            scale=scale,
+            font_size=self.font_size,
+            byte_span=operand.span,
+        ))
 
 
 # The operators the scanner models: name's bytes -> handler(interpreter, (name, WORDS
@@ -474,7 +487,8 @@ def _fmt(v: float, places: int = 3) -> str:
 
 def _escape_ps_string(text: str) -> str:
     # PostScript strings are 8-bit; characters outside latin-1 degrade to '?'
-    text = text.encode("latin-1", "replace").decode("latin-1")
+    if any(ord(ch) > 255 for ch in text):
+        text = "".join(ch if ord(ch) <= 255 else "?" for ch in text)
     return (text.replace("\\", "\\\\").replace("(", "\\(").replace(")", "\\)"))
 
 
@@ -615,8 +629,13 @@ def rewrite_tags(data: bytes, tag_map: Mapping[str, str]) -> bytes:
     malformed PostScript is always rejected.
     """
     occurrences = scan_tags(data)
-    edits = [(occ.byte_span, tag_map[occ.tag]) for occ in occurrences if occ.tag in tag_map]
-    missing = sorted(set(tag_map) - {occ.tag for occ in occurrences})
+    edits: list[tuple[tuple[int, int], str]] = []
+    found: set[str] = set()
+    for occ in occurrences:
+        if occ.tag in tag_map:
+            found.add(occ.tag)
+            edits.append((occ.byte_span, tag_map[occ.tag]))
+    missing = sorted(set(tag_map) - found)
     if missing:
         raise RewriteError(f"tags not found in EPS: {', '.join(missing)}")
     return splice(data, [(span, b"(" + _escape_ps_string(new_tag).encode("latin-1") + b")")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import re
@@ -255,6 +256,22 @@ def _reference_tokenize(data: bytes) -> list[tuple]:
     if proc_opens:
         raise TokenizeError("unterminated procedure", proc_opens[0])
     return tokens
+
+
+# Every word of one to three bytes over the bytes where float() and the number grammar
+# could part: digits, sign, dot, exponent, `_`, VT, the letters of inf and nan, and
+# bytes that str.split() or float() treat as whitespace but bytes.split() does not.
+_WORD_BYTES = b"09.+-eE_infa#\x0b\x1c\x85\xa0"
+
+
+def test_every_short_word_is_a_number_exactly_when_the_grammar_says_so():
+    words = [bytes(w) for n in (1, 2, 3) for w in itertools.product(_WORD_BYTES, repeat=n)]
+    data = b" ".join(words)
+    expected = _reference_tokenize(data)
+    assert _per_word_tokenize(data) == expected
+    interp = epsio._Interpreter(data)
+    interp.run(tokenize(data))
+    assert interp.stack == [value for kind, value, *_ in expected if kind == NUMBER]
 
 
 def _tokenize_outcome(tokenizer, data: bytes):
@@ -712,12 +729,6 @@ def test_write_shows_a_string_that_says_nan_or_inf():
                   primitives=(TextPrimitive(Str("(nan) inf"), (0.5, 0.5)),))
     data, _ = write_eps(scene)
     assert [occ.tag for occ in scan_tags(data)] == ["(nan) inf"]
-
-
-def test_write_shows_a_character_outside_latin_1_as_a_question_mark():
-    scene = Scene(plot_range=((0.0, 1.0), (0.0, 1.0)), target_size=(100.0, 100.0),
-                  primitives=(TextPrimitive(Str("a\u20ac\u00e9\U0001f600"), (0.5, 0.5)),))
-    assert [occ.tag for occ in scan_tags(write_eps(scene)[0])] == ["a?\u00e9?"]
 
 
 # ----------------------------------------------------------- rewrite_tags
