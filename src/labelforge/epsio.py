@@ -15,6 +15,7 @@ import math
 import re
 import warnings
 from functools import partial
+from itertools import islice
 from typing import TYPE_CHECKING, Mapping
 
 from .affine import Affine
@@ -74,14 +75,16 @@ _WORD = re.compile(_REGULAR + rb"+")
 _UNREADABLE = bytes.maketrans(b"_\x0b\x00", b"## ")
 
 # One alternative per token kind, tried in order after the leading
-# whitespace; `<<` is a name and a `<` with no closing `>` is an error. A run
-# of words is one repeat of a byte class: `re` keeps state per repeat of a group.
+# whitespace; `<<` is a name, `<~` opens an ASCII85 string, whose digits include `>`,
+# and a `<` with no closing `>` is an error. A run of words is one repeat of a byte
+# class: `re` keeps state per repeat of a group.
 _TOKEN = re.compile(
     rb"[ \t\r\n\f\x00]*(?:"
     rb"(?P<comment>%[^\r\n]*)"
     rb"|(?P<string>\()"
     rb"|(?P<words>" + _REGULAR + rb"(?:[^()<>\[\]{}/%]*" + _REGULAR + rb")?)"
     rb"|(?P<name><<|>>?)"
+    rb"|(?P<a85><~(?P<a85_body>[^~]*)(?P<a85_end>~>)?)"
     rb"|(?P<hex><(?P<hex_body>[^>]*)>)"
     rb"|//?(?P<literal>" + _REGULAR + rb"*)"
     rb"|(?P<array>[\[\]])"
@@ -93,62 +96,29 @@ _KINDS = {"name": NAME, "literal": LITERAL_NAME, "comment": COMMENT,
           "array": ARRAY_DELIM, "open": PROC_DELIM, "close": PROC_DELIM}
 _ERRORS = {b")": "unmatched ')'", b"<": "unterminated hex string"}
 
-_STRING_ESCAPES = {
-    ord("n"): b"\n", ord("r"): b"\r", ord("t"): b"\t",
-    ord("b"): b"\b", ord("f"): b"\f",
-    ord("("): b"(", ord(")"): b")", ord("\\"): b"\\",
-}
+# What each escape other than an octal one stands for, where that is not its own byte: a
+# backslash before CR, LF or CRLF continues the line and stands for nothing.
+_STRING_ESCAPES = {b"n": b"\n", b"r": b"\r", b"t": b"\t", b"b": b"\b", b"f": b"\f",
+                   b"\r": b"", b"\n": b"", b"\r\n": b""}
+_STRING_END = re.compile(rb"\\[\s\S]|[()]")  # an escaped byte is neither paren
+_STRING_ESCAPE = re.compile(rb"\\(?:([0-7]{1,3})|(\r\n|[\s\S]))")
 
 
-_STRING_PLAIN = re.compile(rb"[^\\()]*")
+def _unescape(m: re.Match) -> bytes:
+    return bytes([int(m[1], 8) & 0xFF]) if m[1] else _STRING_ESCAPES.get(m[2], m[2])
 
 
 def _scan_string(data: bytes, start: int) -> tuple[bytes, int]:
-    """Decode a parenthesized string starting at data[start] == '('."""
-    out = bytearray()
-    depth = 1
-    i = start + 1
-    n = len(data)
-    while i < n:
-        plain_end = _STRING_PLAIN.match(data, i).end()
-        if plain_end > i:
-            out += data[i:plain_end]
-            i = plain_end
-            if i >= n:
-                break
-        ch = data[i]
-        if ch == 0x5C:  # backslash
-            if i + 1 >= n:
-                raise TokenizeError("unterminated string", start)
-            nxt = data[i + 1]
-            if nxt in _STRING_ESCAPES:
-                out += _STRING_ESCAPES[nxt]
-                i += 2
-            elif 0x30 <= nxt <= 0x37:  # up to three octal digits
-                j = i + 1
-                value = 0
-                while j < n and j < i + 4 and 0x30 <= data[j] <= 0x37:
-                    value = value * 8 + (data[j] - 0x30)
-                    j += 1
-                out.append(value & 0xFF)
-                i = j
-            elif nxt in (0x0A, 0x0D):  # line continuation
-                i += 2
-                if nxt == 0x0D and i < n and data[i] == 0x0A:
-                    i += 1
-            else:
-                out.append(nxt)
-                i += 2
-        elif ch == 0x28:  # (
+    """Decode the `(` string literal at data[start]: its body, and the end of its `)`."""
+    depth = 0
+    for m in _STRING_END.finditer(data, start):
+        if m[0] == b"(":
             depth += 1
-            out.append(ch)
-            i += 1
-        else:  # ) — the plain run stops only at backslash and parens
+        elif m[0] == b")":
             depth -= 1
-            if depth == 0:
-                return bytes(out), i + 1
-            out.append(ch)
-            i += 1
+            if not depth:
+                body = data[start + 1:m.start()]
+                return _STRING_ESCAPE.sub(_unescape, body) if b"\\" in body else body, m.end()
     raise TokenizeError("unterminated string", start)
 
 
@@ -157,8 +127,8 @@ def tokenize(data: bytes) -> list[tuple]:
 
     Whitespace runs attach to the following token; a trailing run attaches
     to the last token. An input with no tokens at all yields an empty
-    list. Unterminated strings or procedures and stray closers raise
-    TokenizeError with the offending byte offset.
+    list. Unterminated strings or procedures, invalid hex or ASCII85 strings
+    and stray closers raise TokenizeError with the offending byte offset.
     """
     tokens: list[tuple] = []
     proc_opens: list[int] = []
@@ -187,12 +157,19 @@ def tokenize(data: bytes) -> list[tuple]:
             elif group == "hex":
                 kind, lit_start = STRING, m.start(group)
                 digits = m["hex_body"].translate(None, _WS)
-                if len(digits) % 2:
-                    digits += b"0"
-                try:
-                    value = bytes.fromhex(digits.decode("latin-1"))
+                if digits.translate(None, b"0123456789ABCDEFabcdef"):
+                    raise TokenizeError("invalid hex string", lit_start)
+                value = bytes.fromhex((digits + b"0" * (len(digits) % 2)).decode("latin-1"))
+            elif group == "a85":
+                from base64 import a85decode  # here, so that only an input holding `<~` loads it
+                kind, lit_start = STRING, m.start(group)
+                digits = m["a85_body"].translate(None, _WS)
+                try:  # a85decode accepts a last group of one digit, which PLRM rejects
+                    if not m["a85_end"] or len(digits.replace(b"z", b"")) % 5 == 1:
+                        raise ValueError
+                    value = a85decode(digits)
                 except ValueError:
-                    value = b""
+                    raise TokenizeError("invalid ASCII85 string", lit_start) from None
             elif group == "error":
                 raise TokenizeError(_ERRORS[m[group]], end - 1)
             else:
@@ -276,11 +253,9 @@ class _Interpreter:
 
     def _error(self, message: str, word: tuple) -> ScanError:
         """A ScanError at the word's own bytes, without the whitespace its token holds."""
-        _name, run, index = word
-        _kind, _value, start, end, _lit = word_tokens(self.data, run)[index]
-        text = self.data[start:end]
-        return ScanError(message, (start + len(text) - len(text.lstrip(_WS)),
-                                   start + len(text.rstrip(_WS))))
+        _name, (_kind, _run, start, end, _lit), index = word
+        return ScanError(message, next(islice(_WORD.finditer(self.data, start, end), index,
+                                              None)).span())
 
     def _pop(self, word: tuple, count: int) -> list[object]:
         stack = self.stack

@@ -36,6 +36,11 @@ class DuplicateTagError(ValueError):
     exit_code = 2
 
 
+class ExportArgumentError(ValueError):
+    """An export argument is unusable, such as an empty basename."""
+    exit_code = 2
+
+
 class PsfragSyntaxError(ValueError):
     """A \\psfrag entry is invalid; the message names its line or its label."""
     exit_code = 1
@@ -365,7 +370,7 @@ def psfrag_export(scene: Scene,
     PostScript text and not tagged. Defaults: `ExportOptions()`, `EMPTY_HOOKS`.
     """
     if not str(basename):
-        raise ValueError("basename must be nonempty")
+        raise ExportArgumentError("basename must be nonempty")
     opts = _this.ExportOptions() if opts is None else opts
     hooks = _this.EMPTY_HOOKS if hooks is None else hooks
     working = _this.expand_decorations(scene)

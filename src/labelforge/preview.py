@@ -21,6 +21,11 @@ from .records import record
 PREVIEW_CREATOR = b"%%Creator: labelforge-preview"
 
 
+class PreviewError(ValueError):
+    """A matched tag's box under- or overflows at its font size and scale."""
+    exit_code = 1
+
+
 @record
 class LabelBox:
     """Box frame: origin bottom-left, baseline at y = depth."""
@@ -49,7 +54,12 @@ def tag_box_for(occ: TagOccurrence) -> LabelBox:
     # A mirroring (negative) size is measured at its magnitude, a zero one as tiny.
     width, height, depth = string_extents(occ.tag, abs(occ.font_size) or 1e-6)
     s = occ.scale
-    return LabelBox(max(width, 1e-6) * s, height * s, depth * s)
+    width, height = max(width, 1e-6) * s, height * s
+    if not (0 < width < math.inf and 0 < height < math.inf):
+        start, end = occ.byte_span
+        raise PreviewError(f"the box of tag {occ.tag!r} at bytes {start}..{end} is too small or "
+                           f"too large to measure at font size {occ.font_size:g}, scale {s:g}")
+    return LabelBox(width, height, depth * s)
 
 
 def place(replacement: LabelBox,

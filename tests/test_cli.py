@@ -112,6 +112,14 @@ def test_export_missing_scene_is_io_error(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_export_with_an_empty_basename_exits_two_in_one_line(tmp_path, capsys, monkeypatch):
+    scene = _copy_fixture("fig2", tmp_path)
+    monkeypatch.chdir(tmp_path)  # where a suffix-only name would be written
+    assert main(["export", str(scene), "--basename", ""]) == 2
+    assert capsys.readouterr() == ("", "error: basename must be nonempty\n")
+    assert list(tmp_path.iterdir()) == [scene]
+
+
 def test_export_bad_scene_is_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.scene"
     bad.write_text('{"version": 1, "plot_range": [[0, 1], [0, 1]], '
@@ -630,6 +638,34 @@ def test_preview_takes_a_zero_or_negative_font_size(tmp_path, capsys, size):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("size, scale", [
+    ("1e-320", "0.00001 0.00001"),  # the box's height underflows to 0
+    ("1e300", "1e10 1e-10"),  # its width and height overflow
+])
+def test_preview_of_a_box_too_small_or_large_to_measure_exits_one(tmp_path, capsys, size, scale):
+    eps_path, tex_path = tmp_path / "z.eps", tmp_path / "z.tex"
+    eps = f"/Times-Roman findfont {size} scalefont setfont {scale} scale 10 10 moveto (a) show\n"
+    eps_path.write_text(eps)
+    tex_path.write_text("\\psfrag{a}[cc][cc]{x}\n")
+    out_path = tmp_path / "prev.eps"
+    assert main(["inspect", str(eps_path)]) == 0
+    capsys.readouterr()
+    assert main(["preview", str(eps_path), str(tex_path), str(out_path)]) == 1
+    out, err = capsys.readouterr()
+    start = eps.index("(a)")
+    assert out == "" and err.startswith(
+        f"error: the box of tag 'a' at bytes {start}..{start + 3} is too small or too large")
+    assert err.count("\n") == 1 and not out_path.exists()
+
+
+def test_preview_draws_the_box_of_a_subnormal_font_size(tmp_path, capsys):
+    eps_path, tex_path = tmp_path / "z.eps", tmp_path / "z.tex"
+    eps_path.write_text("/Times-Roman findfont 1e-320 scalefont setfont 10 10 moveto (a) show\n")
+    tex_path.write_text("\\psfrag{a}[cc][cc]{x}\n")
+    assert main(["preview", str(eps_path), str(tex_path), str(tmp_path / "prev.eps")]) == 0
+    assert capsys.readouterr() == ("1 occurrences substituted\n", "")
+
+
 def test_full_workflow_manual_fixture(tmp_path, capsys):
     scene = _copy_fixture("ex_manual", tmp_path)
     base = tmp_path / "m"
@@ -851,6 +887,50 @@ def test_hooks_rejects_mistyped_values(text):
         parse_hooks(text)
 
 
+_SCENE_HEAD = '"version": 1, "plot_range": [[0, 1], [0, 1]], "size": [1, 1]'
+_TEXT_AT = '{"type": "text", "pos": [0, 0], '
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_scene, "[]", "scene document must be a JSON object"),
+    (parse_scene, '{"version": 1, "size": [1, 1]}', "missing scene keys: plot_range"),
+    (parse_scene, '{"version": 1, "plot_range": [[0, 1]], "size": [1, 1]}',
+     "plot_range must be [[xmin, xmax], [ymin, ymax]]"),
+    (parse_scene, '{"version": 1, "plot_range": [[0, 1], [0, 1]], "size": [1]}',
+     "size must be a pair of numbers"),
+    (parse_scene, '{"version": 1, "plot_range": [[0, 1], [0, 1]], "size": [1%s, 1]}' % ("0" * 400),
+     "size must be a finite number"),  # an integer too large for a float
+    (parse_scene, '{%s, "primitives": {}}' % _SCENE_HEAD, "primitives must be a list"),
+    (parse_scene, '{%s, "primitives": [5]}' % _SCENE_HEAD,
+     "each primitive must be an object with a type"),
+    (parse_scene, '{%s, "primitives": [{"type": "arrow", "from": [0, 0], "to": [1, 1], '
+     '"style": 5}]}' % _SCENE_HEAD, "style must be an object"),
+    (parse_scene, '{%s, "primitives": [%s"expr": 5}]}' % (_SCENE_HEAD, _TEXT_AT),
+     "text primitive must be an expression string"),
+    (parse_scene, '{%s, "primitives": [%s"expr": "x", "dir": [0, 0]}]}' % (_SCENE_HEAD, _TEXT_AT),
+     "text dir must be nonzero"),
+    (parse_scene, '{%s, "decorations": {"plot_label": 5}}' % _SCENE_HEAD,
+     "plot label must be a string or an object"),
+    (parse_scene, '{%s, "decorations": {"axes_labels": ["x"]}}' % _SCENE_HEAD,
+     "axes_labels must be a two-element list"),
+    (parse_scene, '{%s, "decorations": {"frame_ticks": {"left": 5}}}' % _SCENE_HEAD,
+     "left ticks must be a list"),
+    (parse_scene, '{%s, "decorations": {"frame_ticks": {"left": [5]}}}' % _SCENE_HEAD,
+     "each tick must be an object"),
+    (parse_scene, '{%s, "decorations": {"gridlines": {"x": 5}}}' % _SCENE_HEAD,
+     "gridlines x must be a list of numbers"),
+    (parse_hooks, "[]", "hooks document must be a JSON object"),
+    (parse_hooks, '{"version": 2}', "unsupported hooks version 2"),
+    (parse_hooks, '{"pre_apply": {"graph": []}}', "unknown label class 'graph'"),
+    (parse_hooks, '{"post_replace": {"math": [["a"]]}}',
+     "post_replace entries must be [find, replace] pairs"),
+])
+def test_scene_and_hooks_documents_name_what_they_reject(parse, text, message):
+    with pytest.raises(SceneFormatError) as info:
+        parse(text)
+    assert str(info.value) == message
+
+
 def test_hooks_parses_builtins():
     hooks = parse_hooks('{"pre_apply": {"math": ["hold", "expand_negations"]},'
                         ' "post_replace": {"text": [["a", "b"]]}}')
@@ -883,8 +963,9 @@ def _fresh_python(code: str, *argv: str) -> subprocess.CompletedProcess:
 
 def _loaded_after(*argv: str) -> list[str]:
     """The labelforge modules (and `fractions` and `decimal`, which only the expression
-    model needs, `json`, which only `export` and `inspect --format json` need, and
-    `dataclasses` and `inspect`, which nothing needs) a fresh interpreter holds after
+    model needs, `json`, which only `export` and `inspect --format json` need, `base64`,
+    which only an EPS holding an ASCII85 string needs, and `dataclasses` and `inspect`,
+    which nothing needs) a fresh interpreter holds after
     `main(argv)`, or after `import labelforge` when argv is empty. The probe itself
     imports only `sys`, so that it does not load what it looks for."""
     code = ("import sys\n"
@@ -894,7 +975,8 @@ def _loaded_after(*argv: str) -> list[str]:
             "else:\n"
             "    import labelforge\n"
             "watched = lambda m: (m.startswith('labelforge')\n"
-            "                    or m in ('fractions', 'decimal', 'json', 'dataclasses', 'inspect'))\n"
+            "                    or m in ('fractions', 'decimal', 'json', 'base64', 'dataclasses',\n"
+            "                             'inspect'))\n"
             "print(sorted(filter(watched, sys.modules)), file=sys.stderr)\n")
     return ast.literal_eval(_fresh_python(code, *argv).stderr.splitlines()[-1])
 
@@ -909,7 +991,7 @@ def test_each_command_imports_only_what_it_runs(tmp_path, capsys):
         "labelforge.fileio", "labelforge.records"]
     exported = _loaded_after("export", str(scene), "--basename", str(tmp_path / "g"))
     assert "labelforge.preview" not in exported
-    assert not {"dataclasses", "inspect"} & set(exported)
+    assert not {"base64", "dataclasses", "inspect"} & set(exported)
     reader = ["labelforge", "labelforge.affine", "labelforge.cli", "labelforge.directives",
               "labelforge.epsio", "labelforge.fileio", "labelforge.labeling",
               "labelforge.records"]
@@ -928,6 +1010,14 @@ def test_only_export_and_inspect_json_load_json(tmp_path, capsys):
     assert "json" not in _loaded_after("renumber", eps, tex)
     assert "json" in _loaded_after("inspect", "--format", "json", eps)
     assert "json" in _loaded_after("export", str(scene), "--basename", str(tmp_path / "g"))
+
+
+def test_only_an_eps_with_an_ascii85_string_loads_base64(tmp_path):
+    eps = tmp_path / "a85.eps"
+    eps.write_bytes(b"%!PS-Adobe-3.0 EPSF-3.0\n10 10 moveto <~@V>~> show\n")
+    assert "base64" in _loaded_after("inspect", str(eps))
+    assert "base64" not in _loaded_after("inspect", str(FIXTURES.parent / "golden"
+                                                      / "ex_auto-psfrag.eps"))
 
 
 def test_library_export_side_binds_its_names_on_first_use(tmp_path, capsys):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import base64
 import itertools
 import math
 import random
@@ -124,6 +125,34 @@ def test_tokenize_hex_string():
     assert tokens[0][1] == b"AB"
 
 
+@pytest.mark.parametrize("data, value", [
+    (b'<~87cURD]i,"Ebo80~>', b"Hello World!"),
+    (b"<~@V>~>", b"bh"),  # `>` is an ASCII85 digit: it does not end the literal
+    (b"<~ 8 7\r\nc\fU\x00RDZ\t~>", b"Hello"),  # PostScript whitespace is skipped
+    (b"<~z~>", b"\0\0\0\0"),
+    (b"<~~>", b""),
+])
+def test_an_ascii85_string_decodes_to_its_bytes(data, value):
+    assert tokenize(data) == [(STRING, value, 0, len(data), 0)]
+
+
+@pytest.mark.parametrize("data, message, offset", [
+    (b"1 <zz> show", "invalid hex string", 2),
+    (b"<41\x0b42>", "invalid hex string", 0),  # VT is no PostScript whitespace
+    (b"(a) <~v~> show", "invalid ASCII85 string", 4),
+    (b"<~abz~>", "invalid ASCII85 string", 0),
+    (b"<~uuuuu~>", "invalid ASCII85 string", 0),  # above 2**32 - 1
+    (b"<~a~>", "invalid ASCII85 string", 0),  # a last group of one digit
+    (b"<~ab c", "invalid ASCII85 string", 0),
+    (b"<~ab~c~>", "invalid ASCII85 string", 0),
+    (b"<~>", "invalid ASCII85 string", 0),
+])
+def test_an_invalid_hex_or_ascii85_string_is_an_error_at_its_opening(data, message, offset):
+    with pytest.raises(TokenizeError) as info:
+        tokenize(data)
+    assert str(info.value) == f"{message} at byte offset {offset}" and info.value.offset == offset
+
+
 def test_scan_odd_length_hex_string_pads_its_last_digit_with_zero():
     occs = scan_tags(b"10 10 moveto <414> show")
     assert [(occ.tag, occ.device_position) for occ in occs] == [("A@", (10.0, 10.0))]
@@ -198,6 +227,7 @@ _REFERENCE_TOKEN = re.compile(
     rb"|(?P<string>\()"
     rb"|(?P<number>[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?(?!" + _REGULAR + rb"))"
     rb"|(?P<name><<|>>?|" + _REGULAR + rb"+)"
+    rb"|(?P<a85><~(?P<a85_body>[^~]*)(?P<a85_end>~>)?)"
     rb"|(?P<hex><(?P<hex_body>[^>]*)>)"
     rb"|//?(?P<literal>" + _REGULAR + rb"*)"
     rb"|(?P<array>[\[\]])"
@@ -207,6 +237,67 @@ _REFERENCE_TOKEN = re.compile(
     rb")?")
 _REFERENCE_KINDS = {"number": NAME, "name": NAME, "literal": LITERAL_NAME, "comment": COMMENT,
                     "array": ARRAY_DELIM, "open": PROC_DELIM, "close": PROC_DELIM}
+
+
+# The byte loop that read `(` string literals before the two PLRM rules did, kept verbatim
+# with the two tables it reads as the oracle for `epsio._scan_string`.
+_STRING_ESCAPES = {
+    ord("n"): b"\n", ord("r"): b"\r", ord("t"): b"\t",
+    ord("b"): b"\b", ord("f"): b"\f",
+    ord("("): b"(", ord(")"): b")", ord("\\"): b"\\",
+}
+
+
+_STRING_PLAIN = re.compile(rb"[^\\()]*")
+
+
+def _reference_scan_string(data: bytes, start: int) -> tuple[bytes, int]:
+    """Decode a parenthesized string starting at data[start] == '('."""
+    out = bytearray()
+    depth = 1
+    i = start + 1
+    n = len(data)
+    while i < n:
+        plain_end = _STRING_PLAIN.match(data, i).end()
+        if plain_end > i:
+            out += data[i:plain_end]
+            i = plain_end
+            if i >= n:
+                break
+        ch = data[i]
+        if ch == 0x5C:  # backslash
+            if i + 1 >= n:
+                raise TokenizeError("unterminated string", start)
+            nxt = data[i + 1]
+            if nxt in _STRING_ESCAPES:
+                out += _STRING_ESCAPES[nxt]
+                i += 2
+            elif 0x30 <= nxt <= 0x37:  # up to three octal digits
+                j = i + 1
+                value = 0
+                while j < n and j < i + 4 and 0x30 <= data[j] <= 0x37:
+                    value = value * 8 + (data[j] - 0x30)
+                    j += 1
+                out.append(value & 0xFF)
+                i = j
+            elif nxt in (0x0A, 0x0D):  # line continuation
+                i += 2
+                if nxt == 0x0D and i < n and data[i] == 0x0A:
+                    i += 1
+            else:
+                out.append(nxt)
+                i += 2
+        elif ch == 0x28:  # (
+            depth += 1
+            out.append(ch)
+            i += 1
+        else:  # ) — the plain run stops only at backslash and parens
+            depth -= 1
+            if depth == 0:
+                return bytes(out), i + 1
+            out.append(ch)
+            i += 1
+    raise TokenizeError("unterminated string", start)
 
 
 def _reference_tokenize(data: bytes) -> list[tuple]:
@@ -231,16 +322,24 @@ def _reference_tokenize(data: bytes) -> list[tuple]:
             kind = NUMBER
         elif group == "string":
             kind, lit_start = STRING, pos
-            value, end = epsio._scan_string(data, pos)
+            value, end = _reference_scan_string(data, pos)
         elif group == "hex":
             kind, lit_start = STRING, pos
             digits = m["hex_body"].translate(None, epsio._WS)
+            if not re.fullmatch(rb"[0-9A-Fa-f]*", digits):
+                raise TokenizeError("invalid hex string", pos)
             if len(digits) % 2:
                 digits += b"0"
+            value = bytes.fromhex(digits.decode("latin-1"))
+        elif group == "a85":
+            kind, lit_start = STRING, pos
+            digits = m["a85_body"].translate(None, epsio._WS)
             try:
-                value = bytes.fromhex(digits.decode("latin-1"))
+                if m["a85_end"] is None or len(digits.replace(b"z", b"")) % 5 == 1:
+                    raise ValueError("PLRM: no `~>`, or a last group of one digit")
+                value = base64.a85decode(digits)
             except ValueError:
-                value = b""
+                raise TokenizeError("invalid ASCII85 string", pos) from None
         elif group == "error":
             raise TokenizeError(epsio._ERRORS[text], pos)
         else:
@@ -288,6 +387,7 @@ _FRAGMENTS = [
     b"(a)", b"()", b"(a(b)c)", b"(\\))", b"(\\()", b"(\\101\\n\\9)", b"(a\\\nb)", b"(a\\\r\nb)",
     b"(a\\\rb)", b"((x)", b"(\\", b"(",
     b"<>", b"<41>", b"<414>", b"<4 1\n42>", b"<zz>", b"<4", b"<<", b">>", b">",
+    b'<~87cURD]i,"Ebo80~>', b"<~z~>", b"<~@V>~>", b"<~>~>", b"<~a~>", b"<~v~>", b"<~", b"~>", b"<~>",
     b"[", b"]", b"{", b"}", b"/a", b"//b", b"/", b"moveto", b"show", b"a-b",
     b"1e999", b"-1e999", b"16#FF", b".5", b"1.", b"-2", b"+3.5e-2", b"1e", b".", b"-", b"0",
     b")", b"<", b"}",
@@ -301,6 +401,32 @@ _FRAGMENTS = [
 def test_tokenize_matches_the_match_per_token_oracle(data):
     assert (_tokenize_outcome(_per_word_tokenize, data)
             == _tokenize_outcome(_reference_tokenize, data))
+
+
+def _string_outcome(scan, data: bytes):
+    """The (value, end) of the `(` literal at data[0], or the error's message and offset."""
+    try:
+        return scan(data, 0)
+    except TokenizeError as exc:
+        return str(exc), exc.offset
+
+
+# The bytes where the two PLRM rules could part from the byte loop, alone and as the
+# escapes they make: parens, backslash, the named escapes, octal and non-octal digits, line
+# breaks and other bytes.
+_STRING_PIECES = [b"(", b")", b"\\", b"n", b"r", b"t", b"b", b"f", b"0", b"1", b"3", b"7", b"8",
+                  b"9", b"\r", b"\n", b"\r\n", b"a", b" ", b"\x00", b"\xff", b"%", b"<",
+                  b"\\\\", b"\\(", b"\\)", b"\\n", b"\\\r", b"\\\n", b"\\\r\n", b"\\\n\r",
+                  b"\\7", b"\\12", b"\\777", b"\\400", b"\\1234", b"\\8", b"\\x"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(_STRING_PIECES) | st.binary(max_size=1), max_size=20).map(b"".join),
+       st.sampled_from([b")", b"))", b"", b"\\", b") x"]))
+def test_scan_string_matches_the_byte_loop_oracle(body, tail):
+    data = b"(" + body + tail
+    assert _string_outcome(epsio._scan_string, data) == _string_outcome(
+        _reference_scan_string, data)
 
 
 @pytest.mark.parametrize("source", [p.stem for p in sorted(FIXTURES.glob("*.scene"))]
@@ -570,6 +696,7 @@ def test_a_scan_error_names_the_operator_bytes_alone(data, message, operator):
     (b"1\fmoveto\f", (2, 8)),
     (b"1\r\nmoveto\r\n2", (3, 9)),
     (b"1_0\x0b 1_0 moveto", (9, 15)),  # a run that float() alone would misread
+    pytest.param(b"1 2 lineto " * 5000 + b"moveto", (55000, 55006), id="long-run-last-word"),
 ])
 def test_a_scan_error_in_a_run_spans_its_own_word(data, span):
     with pytest.raises(ScanError, match="stack underflow on 'moveto'") as info:
