@@ -87,6 +87,9 @@ def cmd_export(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+_TSV_ESCAPES = str.maketrans({"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"})
+
+
 def cmd_inspect(args: argparse.Namespace) -> int:
     occurrences = scan_tags(Path(args.eps).read_bytes())
     if args.format == "json":
@@ -99,9 +102,9 @@ def cmd_inspect(args: argparse.Namespace) -> int:
              "scale": round(occ.scale, 3)}
             for occ in occurrences]))
     else:
-        for occ in occurrences:
-            print(f"{occ.tag}\t{occ.device_position[0]:.3f}\t{occ.device_position[1]:.3f}"
-                  f"\t{occ.rotation:.3f}\t{occ.scale:.3f}")
+        for occ in occurrences:  # one line of five fields each, whatever the tag holds
+            print(f"{occ.tag.translate(_TSV_ESCAPES)}\t{occ.device_position[0]:.3f}"
+                  f"\t{occ.device_position[1]:.3f}\t{occ.rotation:.3f}\t{occ.scale:.3f}")
     return EXIT_OK
 
 

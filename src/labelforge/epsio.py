@@ -462,8 +462,8 @@ def _fmt(v: float, places: int = 3) -> str:
 
 def _escape_ps_string(text: str) -> str:
     # PostScript strings are 8-bit; characters outside latin-1 degrade to '?'
-    if any(ord(ch) > 255 for ch in text):
-        text = "".join(ch if ord(ch) <= 255 else "?" for ch in text)
+    if max(text, default="") > "\xff":
+        text = "".join(ch if ch <= "\xff" else "?" for ch in text)
     return (text.replace("\\", "\\\\").replace("(", "\\(").replace(")", "\\)"))
 
 
@@ -529,6 +529,7 @@ def write_eps(scene: Scene,
     ]
     placements: list[TextPlacement] = []
     text_index = 0
+    select_font = f"gsave /Times-Roman {_fmt(FONT_SIZE)} selectfont "
 
     for prim in scene.primitives:
         if isinstance(prim, Polyline):
@@ -570,24 +571,19 @@ def write_eps(scene: Scene,
             ax, ay = prim.anchor
             mx = -(ax + 1.0) / 2.0 * w
             my = depth - (ay + 1.0) / 2.0 * h
-            line = (f"gsave /Times-Roman {_fmt(FONT_SIZE)} selectfont "
-                    f"{_fmt(anchor_dev[0])} {_fmt(anchor_dev[1])} translate "
+            line = (f"{select_font}{_fmt(anchor_dev[0])} {_fmt(anchor_dev[1])} translate "
                     f"{_fmt(rotation)} rotate {_fmt(mx)} {_fmt(my)} moveto "
                     f"({_escape_ps_string(shown)}) show grestore")
-            offset = Affine.rotation(rotation).apply(mx, my)
-            placements.append(TextPlacement(
-                index=text_index,
-                text=shown,
-                tagged=tagged,
-                show_point=(anchor_dev[0] + offset[0], anchor_dev[1] + offset[1]),
-                anchor_point=anchor_dev,
-                rotation=rotation,
-                font_size=FONT_SIZE,
-            ))
+            r = math.radians(rotation)  # (mx, my) turned as Affine.rotation(rotation) turns it
+            cos_r, sin_r = math.cos(r), math.sin(r)
+            show_point = (anchor_dev[0] + (cos_r * mx - sin_r * my),
+                          anchor_dev[1] + (sin_r * mx + cos_r * my))
+            placements.append(TextPlacement(text_index, shown, tagged, show_point, anchor_dev,
+                                            rotation, FONT_SIZE))
             text_index += 1
         # _fmt writes a non-finite number (all are if sx, sy, ox or oy is) as nan, inf or -inf,
         # words no operator contains; only a shown string, after the line's `(`, may hold them.
-        if any(word in line.partition("(")[0] for word in ("nan", "inf")):
+        if "nan" in (ops := line.partition("(")[0]) or "inf" in ops:
             raise SceneFormatError("device coordinates must be finite: the target size is too "
                                    "large for the plot range or a point lies too far outside it")
         lines.append(line)

@@ -113,13 +113,6 @@ def _negate(e: Expr) -> Expr:
 MAX_NESTING = 100  # brackets, parentheses and exponents; keeps recursion bounded
 
 
-@record
-class _Token:
-    kind: str  # number | ident | string | punct | eof
-    text: str
-    offset: int
-
-
 # One alternative per token kind after optional whitespace. Numbers are
 # decimal digits only (what int() reads); a word that does not start with
 # a letter or `_` (say `½x`) is rejected in _lex. A string ends at its
@@ -133,12 +126,13 @@ _TOKEN = re.compile(r"""\s*(?:
 _ESCAPE = re.compile(r"\\(.)", re.DOTALL)
 
 
-def _lex(source: str) -> list[_Token]:
+def _lex(source: str) -> list[tuple[str, str, int]]:
+    """The tokens of `source` as (kind, text, offset) tuples, kind one of number, ident,
+    string and punct, then ("eof", "", len(source))."""
     tokens = []
-    pos = 0
-    while (m := _TOKEN.match(source, pos)) is not None:
-        kind, start, pos = m.lastgroup, m.start(m.lastgroup), m.end()
-        text = m[kind]
+    for m in _TOKEN.finditer(source):
+        kind = m.lastgroup
+        text, start = m[kind], m.start(kind)
         if kind == "other" or (kind == "ident" and not (text[0].isalpha() or text[0] == "_")):
             raise ExprSyntaxError(f"unexpected character {text[0]!r}", start)
         if kind == "string":
@@ -148,13 +142,18 @@ def _lex(source: str) -> list[_Token]:
             if not close:
                 raise ExprSyntaxError("unterminated string", start)
             text = _ESCAPE.sub(r"\1", m["body"])
-        tokens.append(_Token(kind, text, start))
-    tokens.append(_Token("eof", "", len(source)))
+        tokens.append((kind, text, start))
+    tokens.append(("eof", "", len(source)))
     return tokens
 
 
+def _found(token: tuple[str, str, int]) -> str:
+    """How a syntax error names the token it found."""
+    return token[1] if token[0] != "eof" else "end of input"
+
+
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
+    def __init__(self, tokens: list[tuple[str, str, int]]):
         self.tokens = tokens
         self.pos = 0
         self.depth = 0
@@ -165,35 +164,30 @@ class _Parser:
         if self.depth > MAX_NESTING:
             raise ExprSyntaxError(f"nested deeper than {MAX_NESTING} levels", offset)
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
+    def advance(self) -> tuple[str, str, int]:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
-    def expect_punct(self, ch: str, opened_at: int | None = None) -> None:
-        tok = self.peek()
-        if tok.kind == "punct" and tok.text == ch:
-            self.advance()
+    def expect_punct(self, ch: str, opened_at: int) -> None:
+        if self.at_punct(ch):
+            self.pos += 1
             return
-        found = tok.text if tok.kind != "eof" else "end of input"
-        if ch in ("]", ")") and tok.kind == "eof" and opened_at is not None:
+        kind, _, offset = tok = self.tokens[self.pos]
+        if kind == "eof":
             raise ExprSyntaxError(
                 f"unbalanced bracket: {'[' if ch == ']' else '('} opened", opened_at)
-        raise ExprSyntaxError(f"expected {ch!r}, found {found!r}", tok.offset)
+        raise ExprSyntaxError(f"expected {ch!r}, found {_found(tok)!r}", offset)
 
-    def at_punct(self, *chars: str) -> str | None:
-        tok = self.peek()
-        if tok.kind == "punct" and tok.text in chars:
-            return tok.text
-        return None
+    def at_punct(self, chars: str) -> str | None:
+        """The current token's text if it is one of the punctuation marks in `chars`."""
+        kind, text, _ = self.tokens[self.pos]
+        return text if kind == "punct" and text in chars else None
 
     def parse_expr(self) -> Expr:
         terms = [self.parse_term()]
-        while (op := self.at_punct("+", "-")) is not None:
-            self.advance()
+        while (op := self.at_punct("+-")) is not None:
+            self.pos += 1
             rhs = self.parse_term()
             terms.append(rhs if op == "+" else _negate(rhs))
         if len(terms) == 1:
@@ -202,8 +196,8 @@ class _Parser:
 
     def parse_term(self) -> Expr:
         factors = [self.parse_factor()]
-        while (op := self.at_punct("*", "/")) is not None:
-            self.advance()
+        while (op := self.at_punct("*/")) is not None:
+            self.pos += 1
             rhs = self.parse_factor()
             if op == "*":
                 factors.append(rhs)
@@ -217,7 +211,7 @@ class _Parser:
     def parse_factor(self) -> Expr:
         signs = 0
         while self.at_punct("-"):
-            self.advance()
+            self.pos += 1
             signs += 1
         factor = self.parse_power()
         for _ in range(signs):
@@ -227,53 +221,47 @@ class _Parser:
     def parse_power(self) -> Expr:
         base = self.parse_atom()
         if self.at_punct("^"):
-            self.enter(self.advance().offset)
+            self.enter(self.advance()[2])
             exponent = self.parse_factor()
             self.depth -= 1
             return Call("Power", (base, exponent))
         return base
 
     def parse_atom(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "number":
-            self.advance()
-            if "." in tok.text:
-                return Num(Fraction(tok.text), tok.text)
-            return Num(Fraction(int(tok.text)))
-        if tok.kind == "string":
-            self.advance()
-            return Str(tok.text)
-        if tok.kind == "ident":
-            self.advance()
-            if self.at_punct("["):
-                opened = self.advance().offset
-                self.enter(opened)
-                args: list[Expr] = []
-                if not self.at_punct("]"):
-                    args.append(self.parse_expr())
-                    while self.at_punct(","):
-                        self.advance()
-                        args.append(self.parse_expr())
-                self.expect_punct("]", opened_at=opened)
-                self.depth -= 1
-                if tok.text == "HoldForm":
-                    if len(args) != 1:
-                        raise ExprSyntaxError("HoldForm takes exactly one argument", tok.offset)
-                    return Hold(args[0])
-                if not tok.text.isidentifier():
-                    raise ExprSyntaxError(f"call head {tok.text!r} is not an identifier",
-                                          tok.offset)
-                return Call(tok.text, tuple(args))
-            return Sym(tok.text)
-        if self.at_punct("("):
-            opened = self.advance().offset
+        kind, text, offset = tok = self.advance()
+        if kind == "number":
+            if "." in text:
+                return Num(Fraction(text), text)
+            return Num(Fraction(int(text)))
+        if kind == "string":
+            return Str(text)
+        if kind == "ident":
+            if not self.at_punct("["):
+                return Sym(text)
+            opened = self.advance()[2]
             self.enter(opened)
+            args: list[Expr] = []
+            if not self.at_punct("]"):
+                args.append(self.parse_expr())
+                while self.at_punct(","):
+                    self.pos += 1
+                    args.append(self.parse_expr())
+            self.expect_punct("]", opened)
+            self.depth -= 1
+            if text == "HoldForm":
+                if len(args) != 1:
+                    raise ExprSyntaxError("HoldForm takes exactly one argument", offset)
+                return Hold(args[0])
+            if not text.isidentifier():
+                raise ExprSyntaxError(f"call head {text!r} is not an identifier", offset)
+            return Call(text, tuple(args))
+        if kind == "punct" and text == "(":
+            self.enter(offset)
             inner = self.parse_expr()
-            self.expect_punct(")", opened_at=opened)
+            self.expect_punct(")", offset)
             self.depth -= 1
             return inner
-        found = tok.text if tok.kind != "eof" else "end of input"
-        raise ExprSyntaxError(f"expected expression, found {found!r}", tok.offset)
+        raise ExprSyntaxError(f"expected expression, found {_found(tok)!r}", offset)
 
 
 def _fold_division(lhs: Expr, rhs: Expr) -> Expr:
@@ -297,9 +285,9 @@ def parse_expr(source: str) -> Expr:
         raise ExprSyntaxError("empty expression", 0)
     parser = _Parser(_lex(source))
     result = parser.parse_expr()
-    trailing = parser.peek()
-    if trailing.kind != "eof":
-        raise ExprSyntaxError(f"unexpected trailing input {trailing.text!r}", trailing.offset)
+    kind, text, offset = parser.tokens[parser.pos]
+    if kind != "eof":
+        raise ExprSyntaxError(f"unexpected trailing input {text!r}", offset)
     return result
 
 
@@ -331,8 +319,8 @@ def _folds_on_reparse(args: tuple[Expr, ...]) -> bool:
 
 
 def _is_negative_term(e: Expr) -> bool:
-    if isinstance(e, Num):
-        return e.value < 0 or (e.literal or "").startswith("-")
+    if isinstance(e, Num):  # a Fraction's sign is its numerator's, which is cheaper to read
+        return e.value.numerator < 0 or (e.literal or "").startswith("-")
     return (isinstance(e, Call) and e.head == "Times" and bool(e.args)
             and _is_negative_term(e.args[0]))
 
@@ -366,8 +354,10 @@ def _src(e: Expr) -> tuple[str, int]:
         first = e.args[0]
         parts = [_src(first)[0] if isinstance(first, Num) else _paren(_src(first), 2)]
         for term in e.args[1:]:
-            if _is_negative_term(term):
-                parts.append(" - " + _paren(_src(_positive_term(term)), 2))
+            # The reader negates what follows " - ", so a term goes there only if negating
+            # its positive form rebuilds it: not -1*0, which 0-1*0 parses to.
+            if _is_negative_term(term) and _negate(positive := _positive_term(term)) == term:
+                parts.append(" - " + _paren(_src(positive), 2))
             else:
                 parts.append(" + " + _paren(_src(term), 2))
         return "".join(parts), 1
@@ -413,6 +403,10 @@ class LabelClass(Enum):
     TEXT = "Text"
     MATH = "Math"
     NUMERIC = "Numeric"
+
+    # Members are singletons, so identity hashing agrees with equality, and it runs in C
+    # where Enum's own __hash__ (a hash of the name) runs in Python on every dict lookup.
+    __hash__ = object.__hash__
 
 
 _NUMERIC_HEADS = frozenset({
@@ -492,7 +486,8 @@ def _frac_tex(p: int | str, q: int | str) -> str:
 
 
 def _tex(e: Expr, ctx: int, held: bool) -> str:
-    return _paren(_tex_raw(e, held), ctx)
+    text, prec = _tex_raw(e, held)
+    return f"({text})" if prec < ctx else text  # _paren, inlined on this hot path
 
 
 def _tex_num(e: Num) -> tuple[str, int]:
@@ -635,12 +630,6 @@ class HookSet:
     pre_apply: Mapping[LabelClass, tuple[TransformFn, ...]] = _NO_HOOKS
     post_replace: Mapping[LabelClass, tuple[tuple[str, str], ...]] = _NO_HOOKS
 
-    def pre_for(self, cls: LabelClass) -> tuple[TransformFn, ...]:
-        return tuple(self.pre_apply.get(cls, ()))
-
-    def post_for(self, cls: LabelClass) -> tuple[tuple[str, str], ...]:
-        return tuple(self.post_replace.get(cls, ()))
-
 
 EMPTY_HOOKS = HookSet()
 
@@ -668,7 +657,7 @@ def guess_tex(e: Expr, hooks: HookSet = EMPTY_HOOKS, *, include_scale_hook: bool
     into the psfrag scale slot instead.
     """
     cls = classify(e)
-    for transform in hooks.pre_for(cls):
+    for transform in hooks.pre_apply.get(cls, ()):
         e = transform(e)
     if cls is LabelClass.TEXT:
         text = _text_content(e)
@@ -677,7 +666,7 @@ def guess_tex(e: Expr, hooks: HookSet = EMPTY_HOOKS, *, include_scale_hook: bool
         body = to_tex(e)
     open_s, scale_s, dollar, close_s = _WRAP[cls]
     out = open_s + (scale_s if include_scale_hook else "") + body + dollar + close_s
-    for find, replace in hooks.post_for(cls):
+    for find, replace in hooks.post_replace.get(cls, ()):
         out = out.replace(find, replace)
     return out
 

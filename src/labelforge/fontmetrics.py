@@ -37,15 +37,11 @@ ASCENT = 0.683
 DESCENT = 0.217
 
 
-def char_width(char: str, font_size: float) -> float:
-    code = ord(char)
-    width = WIDTHS[code] if code < 256 else _DEFAULT_WIDTH
-    return width * font_size / 1000.0
-
-
 def string_width(text: str, font_size: float) -> float:
-    """Advance width of `text` set in Times-Roman at `font_size` points."""
-    return sum(char_width(ch, font_size) for ch in text)
+    """Advance width of `text` set in Times-Roman at `font_size` points: the sum, in
+    order, of each character's width scaled to the font size."""
+    return sum([(WIDTHS[code] if code < 256 else _DEFAULT_WIDTH) * font_size / 1000.0
+                for code in map(ord, text)])
 
 
 def string_extents(text: str, font_size: float) -> tuple[float, float, float]:

@@ -154,7 +154,10 @@ def pos_from_anchor(anchor: tuple[float, float]) -> PosCode:
     ax, ay = anchor
     horizontal = "l" if ax < -0.5 else ("r" if ax > 0.5 else "c")
     vertical = "t" if ay > 0.5 else ("b" if ay < -0.5 else "c")
-    return PosCode(vertical, horizontal)
+    return _ANCHOR_CODES[vertical + horizontal]
+
+
+_ANCHOR_CODES = {v + h: PosCode(v, h) for v in "tcb" for h in "lcr"}  # built once, shared
 
 
 def resolve_alignment(directive: LabelDirective,
@@ -203,6 +206,8 @@ def build_entry(directive: LabelDirective,
 def _fmt_num(v: float) -> str:
     """The shortest positional decimal that reads back as `v`, the one number form TeX
     reads: `repr`'s digits with the exponent worked in, and no `.0` (5e-05 is `0.00005`)."""
+    if v % 1 == 0 and -2**53 < v < 2**53:  # an integer a float holds exactly: no point
+        return str(int(v))
     mantissa, _, exp = repr(abs(float(v))).partition("e")
     whole, _, frac = mantissa.partition(".")
     point = len(whole) + int(exp or 0)

@@ -22,7 +22,8 @@ PREVIEW_CREATOR = b"%%Creator: labelforge-preview"
 
 
 class PreviewError(ValueError):
-    """A matched tag's box under- or overflows at its font size and scale."""
+    """A matched tag's box under- or overflows at its font size and scale, or its placed
+    preview needs a number no PostScript interpreter reads."""
     exit_code = 1
 
 
@@ -92,9 +93,12 @@ def default_measure(body: str) -> LabelBox:
 
 
 def _preview_block(occ: TagOccurrence, box: LabelBox, transform: Affine) -> bytes:
-    a, b, c, d, tx, ty = (_fmt(v, 6) for v in transform.as_ps_array())
-    w, h, depth, label_y = (_fmt(v, 6) for v in
-                            (box.width, box.height, box.depth, box.depth + 1))
+    values = (*transform.as_ps_array(), box.width, box.height, box.depth, box.depth + 1)
+    if not all(abs(v) <= 1e38 for v in values):  # the largest real in PLRM Appendix B
+        start, end = occ.byte_span
+        raise PreviewError(f"the preview of tag {occ.tag!r} at bytes {start}..{end} needs a "
+                           "number beyond 1e38, the largest a PostScript interpreter reads")
+    a, b, c, d, tx, ty, w, h, depth, label_y = (_fmt(v, 6) for v in values)
     lines = [
         "gsave",
         f"[{a} {b} {c} {d} {tx} {ty}] concat",

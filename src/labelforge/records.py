@@ -67,7 +67,6 @@ def _delattr(self, name):
 
 def replace(obj, /, **changes):
     """A copy of record `obj` with `changes`, built through `__init__`, so
-    `__post_init__` checks it again; an unknown field is a TypeError."""
-    for name in obj.__match_args__:
-        changes.setdefault(name, getattr(obj, name))
-    return obj.__class__(**changes)
+    `__post_init__` checks it again; an unknown field is a TypeError. The
+    instance dict holds exactly the fields, as `__init__` stored them."""
+    return obj.__class__(**{**obj.__dict__, **changes})

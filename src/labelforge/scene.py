@@ -91,14 +91,13 @@ class TextPrimitive:
     direction: tuple[float, float] = (1.0, 0.0)
 
     def __post_init__(self):
-        object.__setattr__(self, "position", tuple(self.position))
-        object.__setattr__(self, "anchor", tuple(self.anchor))
-        object.__setattr__(self, "direction", tuple(self.direction))
-        if not all(map(math.isfinite, self.position)):
+        (px, py), (ax, ay), (dx, dy) = self.position, self.anchor, self.direction
+        fields = self.__dict__  # where __init__ stored them; each pair is kept as a tuple
+        fields["position"], fields["anchor"], fields["direction"] = (px, py), (ax, ay), (dx, dy)
+        if not (math.isfinite(px) and math.isfinite(py)):
             raise SceneFormatError("text position must be finite")
-        if not all(-1.0 <= a <= 1.0 for a in self.anchor):
+        if not (-1.0 <= ax <= 1.0 and -1.0 <= ay <= 1.0):
             raise SceneFormatError("anchor components must lie in [-1, 1]")
-        dx, dy = self.direction
         if not abs(math.hypot(dx, dy) - 1.0) <= 1e-9:  # written so that NaN fails too
             raise SceneFormatError("direction must be a unit vector")
 

@@ -25,12 +25,10 @@ SCENE_VERSION = 1
 def _require_keys(obj: Any, allowed: set[str], required: set[str], what: str) -> None:
     if not isinstance(obj, dict):
         raise SceneFormatError(f"{what} must be an object")
-    unknown = set(obj) - allowed
-    if unknown:
-        raise SceneFormatError(f"unknown {what} keys: {', '.join(sorted(unknown))}")
-    missing = required - set(obj)
-    if missing:
-        raise SceneFormatError(f"missing {what} keys: {', '.join(sorted(missing))}")
+    if not obj.keys() <= allowed:
+        raise SceneFormatError(f"unknown {what} keys: {', '.join(sorted(obj.keys() - allowed))}")
+    if not required <= obj.keys():
+        raise SceneFormatError(f"missing {what} keys: {', '.join(sorted(required - obj.keys()))}")
 
 
 def _loads(text: str) -> Any:
@@ -47,6 +45,8 @@ def _loads(text: str) -> Any:
 
 def _number(value: Any, what: str) -> float:
     """A finite JSON number as a float; 1e400 reads as inf and is rejected."""
+    if type(value) is float and -math.inf < value < math.inf:  # the common case, first
+        return value
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
             number = float(value)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -17,8 +18,10 @@ import pytest
 import labelforge
 from labelforge import cli, epsio, labeling, scan_tags
 from labelforge.cli import main
+from labelforge.directives import PosCode
 from labelforge.labeling import parse_psfrag_document
-from labelforge.scenefile import SceneFormatError, parse_hooks, parse_scene
+from labelforge.scene import TextPrimitive
+from labelforge.scenefile import SceneFormatError, load_scene, parse_hooks, parse_scene
 
 from conftest import FIXTURES
 
@@ -103,6 +106,52 @@ def test_export_is_deterministic_across_runs(tmp_path, capsys):
         (tmp_path / "b-psfrag.eps").read_bytes()
     assert (tmp_path / "a-psfrag.tex").read_bytes() == \
         (tmp_path / "b-psfrag.tex").read_bytes()
+
+
+# The first 16 hex digits of the sha256 of the EPS and the tex that `export` writes for each
+# fixture under each option set, computed at commit 39cdf92, before the expression parser,
+# the label records and the entry builder were rewritten for speed. An export that changes
+# a byte must change this table on purpose.
+EXPORT_DIGESTS = {
+    ("ex_3d", ""): ("2bc521fb064a089a", "871d6d807d9f96aa"),
+    ("ex_3d", "--renumber-tags"): ("ee96b9d7aba5d496", "8f0c0160cb55d119"),
+    ("ex_3d", "--no-auto-convert"): ("2bc521fb064a089a", "871d6d807d9f96aa"),
+    ("ex_3d", "--no-auto-position"): ("2bc521fb064a089a", "871d6d807d9f96aa"),
+    ("ex_auto", ""): ("b383a69dea3eec16", "033039f8ab7c8d94"),
+    ("ex_auto", "--renumber-tags"): ("10f2728e1519acfd", "eada4f033dbc3f1c"),
+    ("ex_auto", "--no-auto-convert"): ("585f74374c7751e1", "63b882069460b335"),
+    ("ex_auto", "--no-auto-position"): ("585f74374c7751e1", "63b882069460b335"),
+    ("ex_hold", ""): ("076743b9ebd48844", "327a7a0cbaed6999"),
+    ("ex_hold", "--renumber-tags"): ("f135e0a60662da49", "1a089ecfed203831"),
+    ("ex_hold", "--no-auto-convert"): ("ab93ded2f5eeea72", "63b882069460b335"),
+    ("ex_hold", "--no-auto-position"): ("ab93ded2f5eeea72", "63b882069460b335"),
+    ("ex_manual", ""): ("b383a69dea3eec16", "a746b9982024b096"),
+    ("ex_manual", "--renumber-tags"): ("10f2728e1519acfd", "6abfc4c00c75c242"),
+    ("ex_manual", "--no-auto-convert"): ("b383a69dea3eec16", "a746b9982024b096"),
+    ("ex_manual", "--no-auto-position"): ("b383a69dea3eec16", "a746b9982024b096"),
+    ("ex_rot", ""): ("6eb202b32c9cfe91", "3cc72709cbec937f"),
+    ("ex_rot", "--renumber-tags"): ("b739803c7238d5f8", "3cb766d2516b9ecd"),
+    ("ex_rot", "--no-auto-convert"): ("c382a8b76b6d5910", "da2d07b73f54948b"),
+    ("ex_rot", "--no-auto-position"): ("c382a8b76b6d5910", "354c8f48fc1ea5f8"),
+    ("fig2", ""): ("41ad030c68d79f9e", "18d87f983b1af020"),
+    ("fig2", "--renumber-tags"): ("78436a128090582b", "b98352409abc36c5"),
+    ("fig2", "--no-auto-convert"): ("41ad030c68d79f9e", "18d87f983b1af020"),
+    ("fig2", "--no-auto-position"): ("41ad030c68d79f9e", "18d87f983b1af020"),
+    ("mini", ""): ("2338b02a24c22140", "3b98b05f34a1fa1f"),
+    ("mini", "--renumber-tags"): ("53751e9b309fd52a", "e40696bdb33dbffe"),
+    ("mini", "--no-auto-convert"): ("5d0a1036683b6749", "63b882069460b335"),
+    ("mini", "--no-auto-position"): ("5d0a1036683b6749", "63b882069460b335"),
+}
+
+
+@pytest.mark.parametrize("name, flag", sorted(EXPORT_DIGESTS))
+def test_export_writes_the_same_bytes_as_before(tmp_path, capsys, name, flag):
+    scene = _copy_fixture(name, tmp_path)
+    assert main(["export", str(scene), "--basename", str(tmp_path / "s"),
+                 *([flag] if flag else [])]) == 0
+    digests = tuple(hashlib.sha256((tmp_path / f"s-psfrag.{ext}").read_bytes()).hexdigest()[:16]
+                    for ext in ("eps", "tex"))
+    assert digests == EXPORT_DIGESTS[name, flag]
 
 
 def test_export_missing_scene_is_io_error(tmp_path, capsys):
@@ -248,6 +297,35 @@ def test_export_prints_each_label_source_once(tmp_path, capsys, monkeypatch):
     assert len(calls) == 13
 
 
+
+def _count_checks(monkeypatch, cls) -> list:
+    """A list that grows by one each time a `cls` record is built and checked."""
+    calls = []
+    original = cls.__post_init__
+    monkeypatch.setattr(cls, "__post_init__", lambda self: calls.append(1) or original(self))
+    return calls
+
+
+def test_export_builds_no_alignment_code_per_automatic_label(tmp_path, capsys, monkeypatch):
+    built = _count_checks(monkeypatch, PosCode)
+    scene = _copy_fixture("ex_auto", tmp_path)
+    load_scene(scene)
+    loaded, built[:] = len(built), []
+    assert main(["export", str(scene), "--basename", str(tmp_path / "a")]) == 0
+    assert capsys.readouterr().out == "13 labels, 13 tagged\n"
+    assert len(built) == loaded  # the codes the scene names; its 13 labels are automatic
+
+
+# The fixtures without decorations: `cmd_export` expands the decorations a second time
+# only to count the labels, which builds each decoration label once more.
+@pytest.mark.parametrize("name", ["ex_3d", "ex_rot", "fig2", "mini"])
+def test_export_checks_each_label_at_most_twice(tmp_path, capsys, monkeypatch, name):
+    checked = _count_checks(monkeypatch, TextPrimitive)
+    scene = _copy_fixture(name, tmp_path)
+    assert main(["export", str(scene), "--basename", str(tmp_path / "a")]) == 0
+    labels = int(capsys.readouterr().out.split()[0])
+    assert 0 < len(checked) <= 2 * labels  # once on load, once more if auto_wrap wraps it
+
 def test_export_duplicate_tag_is_semantic_error(tmp_path, capsys):
     bad = tmp_path / "dup.scene"
     bad.write_text(json.dumps({
@@ -350,6 +428,24 @@ def test_inspect_json_format(tmp_path, capsys):
     assert len(rows) == 13
     assert set(rows[0]) == {"tag", "x", "y", "rot", "scale"}
 
+
+
+@pytest.mark.parametrize("literal, field", [
+    (r"a\\b", r"a\\b"), (r"a\tb", r"a\tb"), (r"a\nb", r"a\nb"), (r"a\rb", r"a\rb"),
+    (r"\t\n\r\\", r"\t\n\r\\"), (r"\\t", r"\\t"), ("plain", "plain"),
+])
+def test_inspect_tsv_prints_one_line_of_five_fields_per_occurrence(tmp_path, capsys,
+                                                                    literal, field):
+    eps = tmp_path / "t.eps"
+    eps.write_text(f"10 10 moveto ({literal}) show 20 20 moveto (x) show\n")
+    assert main(["inspect", str(eps)]) == 0
+    lines = capsys.readouterr().out.split("\n")
+    assert lines[-1] == "" and len(lines) == 3
+    assert [len(line.split("\t")) for line in lines[:2]] == [5, 5]
+    assert lines[0].split("\t")[0] == field and lines[1].startswith("x\t")
+    assert main(["inspect", str(eps), "--format", "json"]) == 0
+    tags = [row["tag"] for row in json.loads(capsys.readouterr().out)]
+    assert tags == [field.encode().decode("unicode_escape"), "x"]
 
 def test_inspect_empty_eps(tmp_path, capsys):
     eps = tmp_path / "empty.eps"
@@ -658,6 +754,32 @@ def test_preview_of_a_box_too_small_or_large_to_measure_exits_one(tmp_path, caps
     assert err.count("\n") == 1 and not out_path.exists()
 
 
+
+@pytest.mark.parametrize("scale, code", [
+    ("1" + "0" * 307, 1),  # each of the six transform numbers is about 1e307
+    ("1" + "0" * 38, 1),  # a and d are 1e38 itself, the translation beyond it
+    ("1" + "0" * 30, 0),
+    ("0." + "0" * 300 + "1", 0),
+])
+def test_preview_refuses_a_number_beyond_the_largest_postscript_real(tmp_path, capsys,
+                                                                      scale, code):
+    eps = "%!PS-Adobe-3.0 EPSF-3.0\n10 10 moveto (a) show\nshowpage\n"
+    (tmp_path / "z.eps").write_text(eps)
+    (tmp_path / "z.tex").write_text(f"\\psfrag{{a}}[cc][cc][{scale}][0]{{xxxxx}}\n")
+    out_path = tmp_path / "prev.eps"
+    assert main(["preview", str(tmp_path / "z.eps"), str(tmp_path / "z.tex"),
+                 str(out_path)]) == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        concat = next(line for line in out_path.read_text().splitlines() if "concat" in line)
+        assert max(len(word) for word in concat.split()) < 40 and err == ""
+        return
+    start = eps.index("(a)")
+    assert out == "" and err == (f"error: the preview of tag 'a' at bytes {start}..{start + 3} "
+                                 "needs a number beyond 1e38, the largest a PostScript "
+                                 "interpreter reads\n")
+    assert not out_path.exists()
+
 def test_preview_draws_the_box_of_a_subnormal_font_size(tmp_path, capsys):
     eps_path, tex_path = tmp_path / "z.eps", tmp_path / "z.tex"
     eps_path.write_text("/Times-Roman findfont 1e-320 scalefont setfont 10 10 moveto (a) show\n")
@@ -935,8 +1057,8 @@ def test_hooks_parses_builtins():
     hooks = parse_hooks('{"pre_apply": {"math": ["hold", "expand_negations"]},'
                         ' "post_replace": {"text": [["a", "b"]]}}')
     from labelforge.exprkit import LabelClass
-    assert len(hooks.pre_for(LabelClass.MATH)) == 2
-    assert hooks.post_for(LabelClass.TEXT) == (("a", "b"),)
+    assert len(hooks.pre_apply[LabelClass.MATH]) == 2
+    assert hooks.post_replace[LabelClass.TEXT] == (("a", "b"),)
 
 
 # ------------------------------------------------------ imports and call paths

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import re
 import warnings
 from fractions import Fraction
 
@@ -8,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from labelforge.exprkit import (MAX_NESTING, Call, ExprSyntaxError, Hold, HookSet,
-                                LabelClass, Num, Str, Sym, UnknownHeadWarning, classify,
-                                expand_negations, guess_tex, hold_transform, num,
-                                numeric_q, parse_expr, plain_text, print_source,
-                                to_tex)
+from labelforge.exprkit import (MAX_NESTING, Call, Expr, ExprSyntaxError, Hold, HookSet,
+                                LabelClass, Num, Str, Sym, UnknownHeadWarning, _fold_division,
+                                _negate, classify, expand_negations, guess_tex, hold_transform,
+                                num, numeric_q, parse_expr, plain_text, print_source, to_tex)
+from labelforge.records import record
 
 
 def test_parse_simple_call():
@@ -165,6 +166,15 @@ def _random_expr(rng: random.Random, depth: int):
     return Call(head, tuple(_random_expr(rng, depth - 1) for _ in range(n)))
 
 
+@pytest.mark.parametrize("source, printed", [
+    ("0-1*0", "0 + -1*0"), ("x-1*2", "x + -1*2"), ("x-1*y*z", "x + -1*y*z"),
+    ("x-1*(2*y)", "x + -1*(2*y)"), ("x-1*y", "x - y"), ("x-2", "x - 2"), ("x-y*z", "x - y*z"),
+])
+def test_print_source_writes_a_unit_coefficient_the_reader_needs(source, printed):
+    assert print_source(parse_expr(source)) == printed
+    assert parse_expr(printed) == parse_expr(source)
+
+
 def test_print_source_roundtrip_random_trees():
     rng = random.Random(1357)
     for _ in range(300):
@@ -192,6 +202,215 @@ def test_parse_property_syntax_error_or_roundtrip(source):
         to_tex(tree)
         guess_tex(tree)
 
+
+
+# ---------------------------------------------------------------------------
+# The lexer and parser as they were before tokens became plain tuples: one `_Token`
+# record per token and `at_punct(*chars)`. Kept verbatim as the oracle for `parse_expr`.
+
+@record
+class _Token:
+    kind: str  # number | ident | string | punct | eof
+    text: str
+    offset: int
+
+
+_REFERENCE_TOKEN = re.compile(r"""\s*(?:
+    (?P<number>\d+(?:\.\d*)?)
+  | (?P<ident>\w+)
+  | (?P<string>"(?P<body>(?:[^"\\]|\\["\\])*)(?P<close>"|\\.|))
+  | (?P<punct>[-+*/^()\[\],])
+  | (?P<other>\S))""", re.VERBOSE | re.DOTALL)
+_REFERENCE_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+
+
+def _lex(source: str) -> list[_Token]:
+    tokens = []
+    pos = 0
+    while (m := _REFERENCE_TOKEN.match(source, pos)) is not None:
+        kind, start, pos = m.lastgroup, m.start(m.lastgroup), m.end()
+        text = m[kind]
+        if kind == "other" or (kind == "ident" and not (text[0].isalpha() or text[0] == "_")):
+            raise ExprSyntaxError(f"unexpected character {text[0]!r}", start)
+        if kind == "string":
+            close = m["close"]
+            if close.startswith("\\"):
+                raise ExprSyntaxError(f"invalid string escape '{close}'", m.start("close"))
+            if not close:
+                raise ExprSyntaxError("unterminated string", start)
+            text = _REFERENCE_ESCAPE.sub(r"\1", m["body"])
+        tokens.append(_Token(kind, text, start))
+    tokens.append(_Token("eof", "", len(source)))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, tokens: list[_Token]):
+        self.tokens = tokens
+        self.pos = 0
+        self.depth = 0
+
+    def enter(self, offset: int) -> None:
+        """Open one level of nesting; the caller closes it with depth -= 1."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ExprSyntaxError(f"nested deeper than {MAX_NESTING} levels", offset)
+
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]
+
+    def advance(self) -> _Token:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect_punct(self, ch: str, opened_at: int | None = None) -> None:
+        tok = self.peek()
+        if tok.kind == "punct" and tok.text == ch:
+            self.advance()
+            return
+        found = tok.text if tok.kind != "eof" else "end of input"
+        if ch in ("]", ")") and tok.kind == "eof" and opened_at is not None:
+            raise ExprSyntaxError(
+                f"unbalanced bracket: {'[' if ch == ']' else '('} opened", opened_at)
+        raise ExprSyntaxError(f"expected {ch!r}, found {found!r}", tok.offset)
+
+    def at_punct(self, *chars: str) -> str | None:
+        tok = self.peek()
+        if tok.kind == "punct" and tok.text in chars:
+            return tok.text
+        return None
+
+    def parse_expr(self) -> Expr:
+        terms = [self.parse_term()]
+        while (op := self.at_punct("+", "-")) is not None:
+            self.advance()
+            rhs = self.parse_term()
+            terms.append(rhs if op == "+" else _negate(rhs))
+        if len(terms) == 1:
+            return terms[0]
+        return Call("Plus", tuple(terms))
+
+    def parse_term(self) -> Expr:
+        factors = [self.parse_factor()]
+        while (op := self.at_punct("*", "/")) is not None:
+            self.advance()
+            rhs = self.parse_factor()
+            if op == "*":
+                factors.append(rhs)
+            else:
+                lhs = factors[0] if len(factors) == 1 else Call("Times", tuple(factors))
+                factors = [_fold_division(lhs, rhs)]
+        if len(factors) == 1:
+            return factors[0]
+        return Call("Times", tuple(factors))
+
+    def parse_factor(self) -> Expr:
+        signs = 0
+        while self.at_punct("-"):
+            self.advance()
+            signs += 1
+        factor = self.parse_power()
+        for _ in range(signs):
+            factor = _negate(factor)
+        return factor
+
+    def parse_power(self) -> Expr:
+        base = self.parse_atom()
+        if self.at_punct("^"):
+            self.enter(self.advance().offset)
+            exponent = self.parse_factor()
+            self.depth -= 1
+            return Call("Power", (base, exponent))
+        return base
+
+    def parse_atom(self) -> Expr:
+        tok = self.peek()
+        if tok.kind == "number":
+            self.advance()
+            if "." in tok.text:
+                return Num(Fraction(tok.text), tok.text)
+            return Num(Fraction(int(tok.text)))
+        if tok.kind == "string":
+            self.advance()
+            return Str(tok.text)
+        if tok.kind == "ident":
+            self.advance()
+            if self.at_punct("["):
+                opened = self.advance().offset
+                self.enter(opened)
+                args: list[Expr] = []
+                if not self.at_punct("]"):
+                    args.append(self.parse_expr())
+                    while self.at_punct(","):
+                        self.advance()
+                        args.append(self.parse_expr())
+                self.expect_punct("]", opened_at=opened)
+                self.depth -= 1
+                if tok.text == "HoldForm":
+                    if len(args) != 1:
+                        raise ExprSyntaxError("HoldForm takes exactly one argument", tok.offset)
+                    return Hold(args[0])
+                if not tok.text.isidentifier():
+                    raise ExprSyntaxError(f"call head {tok.text!r} is not an identifier",
+                                          tok.offset)
+                return Call(tok.text, tuple(args))
+            return Sym(tok.text)
+        if self.at_punct("("):
+            opened = self.advance().offset
+            self.enter(opened)
+            inner = self.parse_expr()
+            self.expect_punct(")", opened_at=opened)
+            self.depth -= 1
+            return inner
+        found = tok.text if tok.kind != "eof" else "end of input"
+        raise ExprSyntaxError(f"expected expression, found {found!r}", tok.offset)
+
+
+def _reference_parse(source: str) -> Expr:
+    if not source.strip():
+        raise ExprSyntaxError("empty expression", 0)
+    parser = _Parser(_lex(source))
+    result = parser.parse_expr()
+    trailing = parser.peek()
+    if trailing.kind != "eof":
+        raise ExprSyntaxError(f"unexpected trailing input {trailing.text!r}", trailing.offset)
+    return result
+
+
+def _parse_outcome(parse, source: str):
+    """The tree, or the error's class, message and offset."""
+    try:
+        return parse(source)
+    except ExprSyntaxError as exc:
+        return type(exc), str(exc), exc.offset
+
+
+# Fragments of sources: identifiers, numbers, strings with good and bad escapes, every
+# punctuation mark, whitespace, HoldForm, non-ASCII letters and digits, stray characters,
+# and runs of openers that nest past MAX_NESTING when a few are joined.
+_FRAGMENTS = ("x", "Sin", "y2", "_a", "HoldForm[", "Zeta[", "0", "12", "3.", "1.5", ".",
+              '"a b"', '"q\\"t"', '"\\\\"', '"bad\\n"', '"open', "+", "-", "*", "/", "^",
+              "(", ")", "[", "]", ",", " ", "\t", "\n", "é", "²", "١", "½",
+              " ", "$", "@", "\x00", "f[" * 40, "(" * 40, "x^" * 40, "-" * 30)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.sampled_from(_FRAGMENTS) | st.characters(), max_size=14).map("".join))
+def test_parse_expr_matches_the_token_record_oracle(source):
+    assert _parse_outcome(parse_expr, source) == _parse_outcome(_reference_parse, source)
+
+
+@pytest.mark.parametrize("source", [
+    "f[" * MAX_NESTING + "x" + "]" * MAX_NESTING,
+    "f[" * (MAX_NESTING + 1) + "x" + "]" * (MAX_NESTING + 1),
+    "(" * (MAX_NESTING + 1) + "x",
+    "x^" * (MAX_NESTING + 1) + "2",
+    "HoldForm[" * MAX_NESTING + "x" + "]" * MAX_NESTING,
+    "f[x", "(x", "f[x)", "(x]", "HoldForm[x, y]", "x y", "", " \t", '"a\\q"', "x +",
+])
+def test_parse_expr_matches_the_oracle_at_the_edges(source):
+    assert _parse_outcome(parse_expr, source) == _parse_outcome(_reference_parse, source)
 
 def test_numeric_q_cases():
     assert numeric_q(Num(Fraction(3, 2), "1.5"))

@@ -6,7 +6,7 @@ import re
 import string
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from labelforge import (DuplicateTagError, ExportOptions, LabelDirective,
@@ -16,7 +16,7 @@ from labelforge import (DuplicateTagError, ExportOptions, LabelDirective,
                         shortlex_tag)
 from labelforge.directives import PosCode
 from labelforge.exprkit import EMPTY_HOOKS, Str, Sym, num, parse_expr
-from labelforge.labeling import (PsfragSyntaxError, format_psfrag_line,
+from labelforge.labeling import (PsfragSyntaxError, _fmt_num, format_psfrag_line,
                                  parse_psfrag_document, retag_psfrag_text)
 
 
@@ -308,6 +308,26 @@ def test_reader_takes_exactly_the_entries_the_record_takes(tag, posn, scale, rot
         slots = re.match(r"\\psfrag\{\w+\}\[\w+\]\[\w+\]\[([^]]*)\]\[([^]]*)\]\{", line)
         assert all(re.fullmatch(_TEX_DECIMAL, slot) for slot in slots.groups())
         assert parse_psfrag_line(line) == entry
+
+
+def _reference_fmt_num(v: float) -> str:
+    """`_fmt_num` before integral values took a shortcut: the oracle for every float."""
+    mantissa, _, exp = repr(abs(float(v))).partition("e")
+    whole, _, frac = mantissa.partition(".")
+    point = len(whole) + int(exp or 0)
+    digits = ("0" * (1 - point) + whole + frac).ljust(point, "0")
+    point = max(point, 1)
+    head, tail = digits[:point].lstrip("0") or "0", digits[point:].rstrip("0")
+    return ("-" if v < 0 else "") + head + ("." + tail if tail else "")
+
+
+@settings(max_examples=1000)
+@given(st.floats(allow_nan=False, allow_infinity=False)
+       | st.integers(-2**1023, 2**1023).map(float)
+       | st.integers(2**52, 2**54).map(float).flatmap(lambda v: st.sampled_from([v, -v]))
+       | st.sampled_from([0.0, -0.0, 2.0**53, 2.0**53 - 1, -2.0**53, 1e16, 5e-324]))
+def test_number_slot_matches_the_reference_formatter(value):
+    assert _fmt_num(value) == _reference_fmt_num(value)
 
 
 _POSITIONAL = [

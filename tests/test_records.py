@@ -19,7 +19,7 @@ from labelforge import records
 from labelforge.affine import Affine
 from labelforge.directives import LabelDirective, PosCode
 from labelforge.epsio import TagOccurrence, TextPlacement, _Font, _PsString
-from labelforge.exprkit import Call, Hold, HookSet, LabelClass, Num, Str, Sym, _Token
+from labelforge.exprkit import Call, Hold, HookSet, LabelClass, Num, Str, Sym
 from labelforge.labeling import PsfragEntry
 from labelforge.preview import LabelBox, PreviewResult
 from labelforge.records import replace
@@ -47,7 +47,6 @@ SAMPLES = {
     Str: [("x",), ("a b",)],
     Call: [("Sin", (Sym("x"),)), ("Plus", [Num(Fraction(1)), Sym("y")])],
     Hold: [(Sym("x"),), (Hold(Sym("x")),), (Call("Plus", (Sym("b"), Sym("a"))),)],
-    _Token: [("ident", "x", 0), ("eof", "", 3)],
     HookSet: [(), ({LabelClass.MATH: ()}, {LabelClass.TEXT: (("a", "b"),)})],
     PsfragEntry: [("a", BC, BC), ("b", BC, PosCode("t", "l"), 2.0, 90.0, "$x$")],
     LabelBox: [(10.0, 5.0), (10.0, 5.0, 1.0)],
@@ -106,7 +105,7 @@ def _outcome(fn, *args):
 def test_every_record_class_has_samples():
     assert sorted(c.__qualname__ for c in _record_classes()) == sorted(
         c.__qualname__ for c in SAMPLES)
-    assert len(SAMPLES) == 28
+    assert len(SAMPLES) == 27
 
 
 @pytest.mark.parametrize("cls", list(SAMPLES), ids=lambda c: c.__qualname__)
@@ -188,7 +187,7 @@ def test_record_classes_share_every_method_but_init():
     classes = _record_classes()
     assert {cls.__repr__ for cls in classes} == {records._repr}
     assert {cls.__eq__ for cls in classes} == {records._eq}
-    assert len(classes) == 28
+    assert len(classes) == 27
     for method, shared in [("__hash__", records._hash), ("__setattr__", records._setattr),
                            ("__delattr__", records._delattr)]:
         assert {vars(cls)[method] for cls in classes} == {shared}
