@@ -24,8 +24,8 @@ EXIT_IO = 3
 # What the commands call beyond the EPS reader, read as attributes of `_this` so that
 # `__getattr__` imports each on its first read: `inspect` loads no more.
 __getattr__ = deferred(__name__, {"load_scene", "load_hooks", "ExportOptions", "psfrag_export",
-                                  "expand_decorations", "parse_psfrag_document", "renumber",
-                                  "retag_psfrag_text", "substitute_preview"})
+                                  "parse_psfrag_document", "renumber", "retag_psfrag_text",
+                                  "substitute_preview"})
 _this = sys.modules[__name__]
 
 
@@ -79,11 +79,8 @@ def cmd_export(args: argparse.Namespace) -> int:
                                renumber_tags=args.renumber_tags,
                                auto_convert_text=not args.no_auto_convert,
                                auto_position=not args.no_auto_position)
-    _eps, _tex, registry = _this.psfrag_export(scene, args.basename, opts, hooks)
-    # write_eps shows each text primitive of the expanded scene once, and auto-wrapping
-    # neither adds nor drops one, so this counts the shows without scanning the EPS.
-    total = len(_this.expand_decorations(scene).text_primitives())
-    print(f"{total} labels, {len(registry)} tagged")
+    result = _this.psfrag_export(scene, args.basename, opts, hooks)
+    print(f"{result.labels} labels, {len(result.registry)} tagged")
     return EXIT_OK
 
 

@@ -442,19 +442,6 @@ _ARROW_HEAD_LENGTH = 8.0  # points
 _ARROW_HEAD_HALF_ANGLE = 25.0  # degrees
 
 
-@record
-class TextPlacement:
-    """Exact device placement of one text primitive, for round-trips."""
-
-    index: int  # position among the scene's text primitives
-    text: str
-    tagged: bool
-    show_point: tuple[float, float]
-    anchor_point: tuple[float, float]
-    rotation: float
-    font_size: float
-
-
 def _fmt(v: float, places: int = 3) -> str:
     s = f"{v:.{places}f}".rstrip("0").rstrip(".")
     return s if s not in ("", "-0") else "0"  # -0.0 and any tiny negative print as 0
@@ -494,14 +481,13 @@ _PROLOG = (
 
 def write_eps(scene: Scene,
               tag_text: Mapping[int, str] | None = None,
-              ) -> tuple[bytes, list[TextPlacement]]:
+              ) -> bytes:
     """Emit a deterministic EPSF-3.0 rendering of an expanded scene.
 
     `tag_text` maps text-primitive index (in primitive order) to the tag
     string to show; unmapped text primitives are drawn with their plain
     rendering. Text is set in Times-Roman so untagged output remains
-    presentable. Returns the bytes plus the exact device placement of
-    every text primitive.
+    presentable.
     """
     from .exprkit import plain_text  # here, so that reading EPS loads no scene model
     from .fontmetrics import string_extents
@@ -527,7 +513,6 @@ def write_eps(scene: Scene,
         "%%EndComments",
         _PROLOG.rstrip("\n"),
     ]
-    placements: list[TextPlacement] = []
     text_index = 0
     select_font = f"gsave /Times-Roman {_fmt(FONT_SIZE)} selectfont "
 
@@ -558,7 +543,6 @@ def write_eps(scene: Scene,
             line = f"gsave {_style_ops(prim.style)} {segments} grestore"
         else:  # a TextPrimitive, the last kind of scene.Primitive
             shown = tag_text.get(text_index)
-            tagged = shown is not None
             if shown is None:
                 shown = plain_text(prim.expr)
             anchor_dev = dev(prim.position)
@@ -574,12 +558,6 @@ def write_eps(scene: Scene,
             line = (f"{select_font}{_fmt(anchor_dev[0])} {_fmt(anchor_dev[1])} translate "
                     f"{_fmt(rotation)} rotate {_fmt(mx)} {_fmt(my)} moveto "
                     f"({_escape_ps_string(shown)}) show grestore")
-            r = math.radians(rotation)  # (mx, my) turned as Affine.rotation(rotation) turns it
-            cos_r, sin_r = math.cos(r), math.sin(r)
-            show_point = (anchor_dev[0] + (cos_r * mx - sin_r * my),
-                          anchor_dev[1] + (sin_r * mx + cos_r * my))
-            placements.append(TextPlacement(text_index, shown, tagged, show_point, anchor_dev,
-                                            rotation, FONT_SIZE))
             text_index += 1
         # _fmt writes a non-finite number (all are if sx, sy, ox or oy is) as nan, inf or -inf,
         # words no operator contains; only a shown string, after the line's `(`, may hold them.
@@ -588,7 +566,7 @@ def write_eps(scene: Scene,
                                    "large for the plot range or a point lies too far outside it")
         lines.append(line)
     lines += ("showpage", "%%EOF")
-    return ("\n".join(lines) + "\n").encode("latin-1"), placements
+    return ("\n".join(lines) + "\n").encode("latin-1")
 
 
 def rewrite_tags(data: bytes, tag_map: Mapping[str, str]) -> bytes:

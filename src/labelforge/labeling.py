@@ -360,11 +360,19 @@ def retag_psfrag_text(text: str, tag_map: dict[str, str]) -> str:
     return "".join(lines)
 
 
+@record
+class ExportResult:
+    eps: bytes
+    tex: str
+    registry: TagRegistry
+    labels: int  # text primitives shown, tagged or not
+
+
 def psfrag_export(scene: Scene,
                   basename: str | Path,
                   opts: ExportOptions | None = None,
                   hooks: HookSet | None = None,
-                  ) -> tuple[bytes, str, TagRegistry]:
+                  ) -> ExportResult:
     """Export a scene to `basename+eps_suffix` and `basename+tex_suffix`.
 
     Pipeline: decorations are expanded (so directive-carrying tick labels
@@ -373,10 +381,13 @@ def psfrag_export(scene: Scene,
     text primitive, tags are optionally renumbered, and both files are
     written atomically. Bare text primitives that remain are drawn as plain
     PostScript text and not tagged. Defaults: `ExportOptions()`, `EMPTY_HOOKS`.
+    Returns both files' contents, the registry and the number of labels shown.
     """
     if not str(basename):
         raise ExportArgumentError("basename must be nonempty")
     opts = _this.ExportOptions() if opts is None else opts
+    if opts.eps_suffix == opts.tex_suffix:
+        raise ExportArgumentError(f"EPS and tex suffixes must differ: both are {opts.eps_suffix!r}")
     hooks = _this.EMPTY_HOOKS if hooks is None else hooks
     working = _this.expand_decorations(scene)
     if opts.effective_auto_convert:
@@ -384,12 +395,13 @@ def psfrag_export(scene: Scene,
 
     registry = TagRegistry()
     tag_of_index: dict[int, str] = {}
+    texts = working.text_primitives()
     # Re-emit each built label's warnings, repeats included, naming the label.
     labelled: list[tuple[str, warnings.WarningMessage]] = []
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            for idx, prim in enumerate(working.text_primitives()):
+            for idx, prim in enumerate(texts):
                 if prim.directive is None:
                     continue
                 seen = len(caught)
@@ -408,10 +420,10 @@ def psfrag_export(scene: Scene,
         registry = renamed
         tag_of_index = {idx: tag_map[tag] for idx, tag in tag_of_index.items()}
 
-    eps_bytes, _placements = epsio.write_eps(working, tag_of_index)
+    eps_bytes = epsio.write_eps(working, tag_of_index)
     tex_text = emit_tex(registry)
 
     base = str(basename)
     atomic_write_bytes(base + opts.eps_suffix, eps_bytes)
     atomic_write_text(base + opts.tex_suffix, tex_text)
-    return eps_bytes, tex_text, registry
+    return ExportResult(eps_bytes, tex_text, registry, len(texts))

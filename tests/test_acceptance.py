@@ -21,7 +21,7 @@ from labelforge.exprkit import Str
 from labelforge.labeling import PsfragEntry, parse_psfrag_document
 from labelforge.preview import substitute_preview, tag_box_for
 
-from conftest import FIXTURES, GOLDEN
+from conftest import FIXTURES, GOLDEN, check_shows
 
 
 def criterion(number: int, title: str):
@@ -83,8 +83,7 @@ def test_criterion_4_renumbering(tmp_path, capsys):
         for i in range(60))
     scene = Scene(plot_range=((0.0, 11.0), (0.0, 7.0)), target_size=(300.0, 200.0),
                   primitives=prims)
-    _eps, _tex, registry = psfrag_export(scene, tmp_path / "sixty",
-                                         ExportOptions(renumber_tags=True))
+    registry = psfrag_export(scene, tmp_path / "sixty", ExportOptions(renumber_tags=True)).registry
     alphabet = string.ascii_lowercase + string.ascii_uppercase
     brute = []
     length = 1
@@ -180,20 +179,9 @@ def _roundtrip_case(scene_source: Scene, opts: ExportOptions, registry, eps: byt
     for idx, prim in enumerate(working.text_primitives()):
         if prim.directive is not None:
             tag_map[idx] = next(tags)
-    rebuilt, placements = write_eps(working, tag_map)
-    assert rebuilt == eps  # reconstruction matches the exported bytes
-    occs = scan_tags(eps)
-    assert len(occs) == len(placements)
-    recovered_tags = set()
-    for occ, placement in zip(occs, placements):
-        assert occ.tag == placement.text
-        dx = occ.device_position[0] - placement.show_point[0]
-        dy = occ.device_position[1] - placement.show_point[1]
-        assert math.hypot(dx, dy) < 0.5
-        delta = abs(occ.rotation - placement.rotation) % 360.0
-        assert min(delta, 360.0 - delta) < 0.1
-        if placement.tagged:
-            recovered_tags.add(occ.tag)
+    assert write_eps(working, tag_map) == eps  # reconstruction matches the exported bytes
+    occs = check_shows(eps, working, tag_map)
+    recovered_tags = {occs[idx].tag for idx in tag_map}
     assert recovered_tags == set(registry.tags())  # 100% of tagged primitives
 
 

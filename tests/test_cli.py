@@ -144,6 +144,26 @@ EXPORT_DIGESTS = {
 }
 
 
+# The labels and the tagged labels `export` counts for each case of EXPORT_DIGESTS, as it
+# printed them at commit 775ef13, when it still counted the labels with a second pass.
+EXPORT_COUNTS = {
+    "ex_3d": {"": (18, 18), "--renumber-tags": (18, 18), "--no-auto-convert": (18, 18),
+              "--no-auto-position": (18, 18)},
+    "ex_auto": {"": (13, 13), "--renumber-tags": (13, 13), "--no-auto-convert": (13, 0),
+                "--no-auto-position": (13, 0)},
+    "ex_hold": {"": (16, 16), "--renumber-tags": (16, 16), "--no-auto-convert": (16, 0),
+                "--no-auto-position": (16, 0)},
+    "ex_manual": {"": (13, 13), "--renumber-tags": (13, 13), "--no-auto-convert": (13, 13),
+                  "--no-auto-position": (13, 13)},
+    "ex_rot": {"": (12, 12), "--renumber-tags": (12, 12), "--no-auto-convert": (12, 6),
+               "--no-auto-position": (12, 6)},
+    "fig2": {"": (15, 15), "--renumber-tags": (15, 15), "--no-auto-convert": (15, 15),
+             "--no-auto-position": (15, 15)},
+    "mini": {"": (2, 2), "--renumber-tags": (2, 2), "--no-auto-convert": (2, 0),
+             "--no-auto-position": (2, 0)},
+}
+
+
 @pytest.mark.parametrize("name, flag", sorted(EXPORT_DIGESTS))
 def test_export_writes_the_same_bytes_as_before(tmp_path, capsys, name, flag):
     scene = _copy_fixture(name, tmp_path)
@@ -152,6 +172,7 @@ def test_export_writes_the_same_bytes_as_before(tmp_path, capsys, name, flag):
     digests = tuple(hashlib.sha256((tmp_path / f"s-psfrag.{ext}").read_bytes()).hexdigest()[:16]
                     for ext in ("eps", "tex"))
     assert digests == EXPORT_DIGESTS[name, flag]
+    assert capsys.readouterr().out == "%d labels, %d tagged\n" % EXPORT_COUNTS[name][flag]
 
 
 def test_export_missing_scene_is_io_error(tmp_path, capsys):
@@ -166,6 +187,16 @@ def test_export_with_an_empty_basename_exits_two_in_one_line(tmp_path, capsys, m
     monkeypatch.chdir(tmp_path)  # where a suffix-only name would be written
     assert main(["export", str(scene), "--basename", ""]) == 2
     assert capsys.readouterr() == ("", "error: basename must be nonempty\n")
+    assert list(tmp_path.iterdir()) == [scene]
+
+
+@pytest.mark.parametrize("suffix", [".out", ""])
+def test_export_with_equal_suffixes_exits_two_in_one_line(tmp_path, capsys, suffix):
+    scene = _copy_fixture("mini", tmp_path)
+    assert main(["export", str(scene), "--basename", str(tmp_path / "o"),
+                 "--eps-suffix", suffix, "--tex-suffix", suffix]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: EPS and tex suffixes must differ: both are {suffix!r}\n")
     assert list(tmp_path.iterdir()) == [scene]
 
 
@@ -316,15 +347,25 @@ def test_export_builds_no_alignment_code_per_automatic_label(tmp_path, capsys, m
     assert len(built) == loaded  # the codes the scene names; its 13 labels are automatic
 
 
-# The fixtures without decorations: `cmd_export` expands the decorations a second time
-# only to count the labels, which builds each decoration label once more.
-@pytest.mark.parametrize("name", ["ex_3d", "ex_rot", "fig2", "mini"])
+@pytest.mark.parametrize("name", [p.stem for p in sorted(FIXTURES.glob("*.scene"))])
 def test_export_checks_each_label_at_most_twice(tmp_path, capsys, monkeypatch, name):
     checked = _count_checks(monkeypatch, TextPrimitive)
     scene = _copy_fixture(name, tmp_path)
     assert main(["export", str(scene), "--basename", str(tmp_path / "a")]) == 0
     labels = int(capsys.readouterr().out.split()[0])
-    assert 0 < len(checked) <= 2 * labels  # once on load, once more if auto_wrap wraps it
+    assert 0 < len(checked) <= 2 * labels  # on load or expansion, again if auto_wrap wraps it
+
+
+def test_export_expands_the_decorations_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    original = labeling.expand_decorations
+    monkeypatch.setattr(labeling, "expand_decorations",
+                        lambda scene: calls.append(1) or original(scene))
+    scene = _copy_fixture("ex_hold", tmp_path)
+    assert main(["export", str(scene), "--basename", str(tmp_path / "a")]) == 0
+    assert capsys.readouterr().out == "16 labels, 16 tagged\n"
+    assert len(calls) == 1
+
 
 def test_export_duplicate_tag_is_semantic_error(tmp_path, capsys):
     bad = tmp_path / "dup.scene"
@@ -1067,9 +1108,8 @@ def test_hooks_parses_builtins():
 # each one's defining submodule.
 DEFERRED = {
     "labelforge": sorted(labelforge._EXPORTS),
-    "labelforge.cli": ["ExportOptions", "expand_decorations", "load_hooks", "load_scene",
-                       "parse_psfrag_document", "psfrag_export", "renumber",
-                       "retag_psfrag_text", "substitute_preview"],
+    "labelforge.cli": ["ExportOptions", "load_hooks", "load_scene", "parse_psfrag_document",
+                       "psfrag_export", "renumber", "retag_psfrag_text", "substitute_preview"],
     "labelforge.labeling": ["EMPTY_HOOKS", "ExportOptions", "auto_wrap", "expand_decorations",
                             "guess_tex", "print_source"],
 }

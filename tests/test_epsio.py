@@ -22,7 +22,7 @@ from labelforge.epsio import (ARRAY_DELIM, COMMENT, LITERAL_NAME, NAME, NUMBER,
                               PROC_DELIM, STRING, WORDS, ScanWarning)
 from labelforge.exprkit import Str
 
-from conftest import FIXTURES, GOLDEN
+from conftest import FIXTURES, GOLDEN, check_shows
 
 
 # -------------------------------------------------------------- tokenize
@@ -81,7 +81,7 @@ def test_tokenize_nested_parens():
 
 def test_tokenize_lossless_spans_on_writer_output(scene_of):
     scene = expand_decorations(scene_of("ex_auto"))
-    data, _ = write_eps(scene)
+    data = write_eps(scene)
     tokens = tokenize(data)
     assert b"".join(data[start:end] for _kind, _value, start, end, _lit in tokens) == data
 
@@ -459,7 +459,7 @@ def _polyline_scene(points: int) -> Scene:
 
 
 def test_the_token_count_of_a_written_scene_does_not_grow_with_its_points():
-    small, large = (write_eps(_polyline_scene(points))[0] for points in (10, 250))
+    small, large = (write_eps(_polyline_scene(points)) for points in (10, 250))
     assert len(large) > 5 * len(small)
     assert len(tokenize(small)) == len(tokenize(large))
 
@@ -611,10 +611,8 @@ def test_scan_vertical_direction_gives_ninety_degrees(tmp_path):
     scene = Scene(plot_range=((0.0, 1.0), (0.0, 1.0)), target_size=(100.0, 100.0),
                   primitives=(TextPrimitive(Str("up"), (0.5, 0.5),
                                             direction=(0.0, 1.0)),))
-    data, placements = write_eps(scene)
-    occs = scan_tags(data)
+    occs = scan_tags(write_eps(scene))
     assert occs[0].rotation == pytest.approx(90.0, abs=1e-9)
-    assert placements[0].rotation == pytest.approx(90.0)
 
 
 def test_scan_grestore_underflow_is_error():
@@ -767,12 +765,11 @@ def test_scan_gsave_nesting_random_depths():
 
 def test_write_empty_scene_bounding_box():
     scene = Scene(plot_range=((0.0, 1.0), (0.0, 1.0)), target_size=(360.0, 223.0))
-    data, placements = write_eps(scene)
+    data = write_eps(scene)
     assert data.startswith(b"%!PS-Adobe-3.0 EPSF-3.0\n%%BoundingBox: 0 0 360 223\n")
     assert b"%%Creator: labelforge" in data
     assert b"%%EndComments" in data
     assert b" show" not in data
-    assert placements == []
     assert scan_tags(data) == []
 
 
@@ -783,8 +780,7 @@ def test_write_requires_expanded_scene(scene_of):
 
 def test_write_rot_fixture_rotations(scene_of):
     scene = expand_decorations(scene_of("ex_rot"))
-    data, placements = write_eps(scene)
-    occs = scan_tags(data)
+    occs = scan_tags(write_eps(scene))
     assert len(occs) == 12
     for k, occ in enumerate(occs):
         want = k * 30.0
@@ -795,14 +791,14 @@ def test_write_rot_fixture_rotations(scene_of):
 
 def test_write_auto_fixture_show_count(scene_of):
     scene = expand_decorations(scene_of("ex_auto"))
-    data, _ = write_eps(scene)
+    data = write_eps(scene)
     assert len(scan_tags(data)) == 13
 
 
 def test_write_is_deterministic(scene_of):
     scene = expand_decorations(scene_of("ex_auto"))
-    first, _ = write_eps(scene)
-    second, _ = write_eps(scene)
+    first = write_eps(scene)
+    second = write_eps(scene)
     assert first == second
 
 
@@ -817,16 +813,7 @@ def test_write_scan_roundtrip_positions(scene_of):
         scene = auto_wrap(expand_decorations(scene_of(name)))
         texts = scene.text_primitives()
         tags = {i: f"tag{i}" for i in range(len(texts))}
-        data, placements = write_eps(scene, tags)
-        occs = scan_tags(data)
-        assert len(occs) == len(placements)
-        for occ, placement in zip(occs, placements):
-            assert occ.tag == placement.text
-            dx = occ.device_position[0] - placement.show_point[0]
-            dy = occ.device_position[1] - placement.show_point[1]
-            assert math.hypot(dx, dy) < 0.5
-            delta = (occ.rotation - placement.rotation) % 360.0
-            assert min(delta, 360.0 - delta) < 0.1
+        check_shows(write_eps(scene, tags), scene, tags)
 
 
 def test_write_rejects_non_finite():
@@ -854,7 +841,7 @@ def test_write_refuses_a_device_coordinate_that_overflows(kind):
 def test_write_shows_a_string_that_says_nan_or_inf():
     scene = Scene(plot_range=((0.0, 1.0), (0.0, 1.0)), target_size=(100.0, 100.0),
                   primitives=(TextPrimitive(Str("(nan) inf"), (0.5, 0.5)),))
-    data, _ = write_eps(scene)
+    data = write_eps(scene)
     assert [occ.tag for occ in scan_tags(data)] == ["(nan) inf"]
 
 
@@ -916,7 +903,7 @@ def test_rewrite_changes_only_bytes_inside_the_scanned_literals(shows, renames):
     scene = Scene(plot_range=((0.0, 1.0), (0.0, 1.0)), target_size=(100.0, 100.0),
                   primitives=tuple(TextPrimitive(Str(text + "(\\"), (0.1 * i, 0.5))
                                    for i, (text, _tagged) in enumerate(shows)))
-    eps, _ = write_eps(scene, {i: text for i, (text, tagged) in enumerate(shows) if tagged})
+    eps = write_eps(scene, {i: text for i, (text, tagged) in enumerate(shows) if tagged})
     tag_map = dict(zip(sorted({text for text, tagged in shows if tagged}), renames))
     out = rewrite_tags(eps, tag_map)
     before, after = scan_tags(eps), scan_tags(out)

@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 from labelforge import records
 from labelforge.affine import Affine
 from labelforge.directives import LabelDirective, PosCode
-from labelforge.epsio import TagOccurrence, TextPlacement, _Font, _PsString
+from labelforge.epsio import TagOccurrence, _Font, _PsString
 from labelforge.exprkit import Call, Hold, HookSet, LabelClass, Num, Str, Sym
-from labelforge.labeling import PsfragEntry
+from labelforge.labeling import ExportResult, PsfragEntry, TagRegistry
 from labelforge.preview import LabelBox, PreviewResult
 from labelforge.records import replace
 from labelforge.scene import (Arrow, CircleArc, DecorationSpec, ExportOptions, FrameTicks,
@@ -40,8 +40,6 @@ SAMPLES = {
                     ("b", (1.0, 2.0), 90.0, 2.0, 10.0, (3, 6))],
     _Font: [("Helvetica", 10.0), ("Times-Roman", 12.0)],
     _PsString: [(b"ab", (0, 4)), (b"", (5, 7))],
-    TextPlacement: [(0, "x", True, (1.0, 2.0), (1.5, 2.5), 0.0, 10.0),
-                    (1, "y", False, (1.0, 2.0), (1.5, 2.5), 45.0, 10.0)],
     Num: [(Fraction(1, 2),), (Fraction(3, 2), "1.5")],
     Sym: [("x",), ("y",)],
     Str: [("x",), ("a b",)],
@@ -49,6 +47,7 @@ SAMPLES = {
     Hold: [(Sym("x"),), (Hold(Sym("x")),), (Call("Plus", (Sym("b"), Sym("a"))),)],
     HookSet: [(), ({LabelClass.MATH: ()}, {LabelClass.TEXT: (("a", "b"),)})],
     PsfragEntry: [("a", BC, BC), ("b", BC, PosCode("t", "l"), 2.0, 90.0, "$x$")],
+    ExportResult: [(b"%!", "", TagRegistry(), 0), (b"%!", "\\psfrag", TagRegistry(), 1)],
     LabelBox: [(10.0, 5.0), (10.0, 5.0, 1.0)],
     PreviewResult: [(b"%!", 1, ["u"], ["s"]), (b"%!", 0, [], [])],
     StrokeStyle: [(), (2.0, (1.0, 2.0), 0.5)],

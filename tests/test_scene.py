@@ -216,4 +216,4 @@ def test_scene_refuses_a_target_size_whose_bounding_box_overflows_a_postscript_i
 def test_scene_takes_the_largest_target_size_a_bounding_box_can_hold():
     from labelforge import write_eps
     scene = Scene(plot_range=((0.0, 1.0), (0.0, 1.0)), target_size=(2147483647.0, 0.5))
-    assert b"%%BoundingBox: 0 0 2147483647 1\n" in write_eps(scene)[0]
+    assert b"%%BoundingBox: 0 0 2147483647 1\n" in write_eps(scene)
