@@ -437,7 +437,6 @@ def scan_tags(data: bytes) -> list[TagOccurrence]:
 # Writer
 
 FONT_SIZE = 10.0
-_MARGIN_FRACTION = 0.05
 _ARROW_HEAD_LENGTH = 8.0  # points
 _ARROW_HEAD_HALF_ANGLE = 25.0  # degrees
 
@@ -448,10 +447,7 @@ def _fmt(v: float, places: int = 3) -> str:
 
 
 def _escape_ps_string(text: str) -> str:
-    # PostScript strings are 8-bit; characters outside latin-1 degrade to '?'
-    if max(text, default="") > "\xff":
-        text = "".join(ch if ch <= "\xff" else "?" for ch in text)
-    return (text.replace("\\", "\\\\").replace("(", "\\(").replace(")", "\\)"))
+    return text.replace("\\", "\\\\").replace("(", "\\(").replace(")", "\\)")
 
 
 def _style_ops(style: StrokeStyle) -> str:
@@ -491,17 +487,17 @@ def write_eps(scene: Scene,
     """
     from .exprkit import plain_text  # here, so that reading EPS loads no scene model
     from .fontmetrics import string_extents
-    from .scene import Arrow, CircleArc, Polyline, SceneFormatError
+    from .scene import PLOT_MARGIN_FRACTION as margin, Arrow, CircleArc, Polyline, SceneFormatError
     if not scene.decorations.is_empty():
         raise ValueError("scene decorations must be expanded before writing")
     tag_text = tag_text or {}
     (xmin, xmax), (ymin, ymax) = scene.plot_range
     width, height = scene.target_size
 
-    sx = width * (1 - 2 * _MARGIN_FRACTION) / (xmax - xmin)
-    sy = height * (1 - 2 * _MARGIN_FRACTION) / (ymax - ymin)
-    ox = _MARGIN_FRACTION * width - xmin * sx
-    oy = _MARGIN_FRACTION * height - ymin * sy
+    sx = width * (1 - 2 * margin) / (xmax - xmin)
+    sy = height * (1 - 2 * margin) / (ymax - ymin)
+    ox = margin * width - xmin * sx
+    oy = margin * height - ymin * sy
 
     def dev(p: tuple[float, float]) -> tuple[float, float]:
         return (p[0] * sx + ox, p[1] * sy + oy)
@@ -566,7 +562,8 @@ def write_eps(scene: Scene,
                                    "large for the plot range or a point lies too far outside it")
         lines.append(line)
     lines += ("showpage", "%%EOF")
-    return ("\n".join(lines) + "\n").encode("latin-1")
+    # PostScript strings are 8-bit: a shown character outside Latin-1 is written as `?`.
+    return ("\n".join(lines) + "\n").encode("latin-1", "replace")
 
 
 def rewrite_tags(data: bytes, tag_map: Mapping[str, str]) -> bytes:
@@ -587,7 +584,7 @@ def rewrite_tags(data: bytes, tag_map: Mapping[str, str]) -> bytes:
     missing = sorted(set(tag_map) - found)
     if missing:
         raise RewriteError(f"tags not found in EPS: {', '.join(missing)}")
-    return splice(data, [(span, b"(" + _escape_ps_string(new_tag).encode("latin-1") + b")")
+    return splice(data, [(span, f"({_escape_ps_string(new_tag)})".encode("latin-1", "replace"))
                          for span, new_tag in edits])
 
 

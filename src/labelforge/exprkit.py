@@ -640,14 +640,6 @@ _WRAP = {
 }
 
 
-def _text_content(e: Expr) -> str | None:
-    if isinstance(e, Str):
-        return e.text
-    if isinstance(e, Hold):
-        return _text_content(e.inner)
-    return None
-
-
 def guess_tex(e: Expr, hooks: HookSet = EMPTY_HOOKS, *, include_scale_hook: bool = True) -> str:
     """Render an expression into its final replacement body.
 
@@ -659,11 +651,9 @@ def guess_tex(e: Expr, hooks: HookSet = EMPTY_HOOKS, *, include_scale_hook: bool
     cls = classify(e)
     for transform in hooks.pre_apply.get(cls, ()):
         e = transform(e)
-    if cls is LabelClass.TEXT:
-        text = _text_content(e)
-        body = escape_text(text) if text is not None else to_tex(e)
-    else:
-        body = to_tex(e)
+    inner = e.inner if isinstance(e, Hold) else e  # one level: a Hold holds no Hold
+    is_text = cls is LabelClass.TEXT and isinstance(inner, Str)
+    body = escape_text(inner.text) if is_text else to_tex(e)
     open_s, scale_s, dollar, close_s = _WRAP[cls]
     out = open_s + (scale_s if include_scale_hook else "") + body + dollar + close_s
     for find, replace in hooks.post_replace.get(cls, ()):

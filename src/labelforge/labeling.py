@@ -9,6 +9,7 @@ the anchor-to-alignment mapping, and the top-level export orchestration.
 from __future__ import annotations
 
 import math
+import os
 import re
 import sys
 import warnings
@@ -208,13 +209,8 @@ def _fmt_num(v: float) -> str:
     reads: `repr`'s digits with the exponent worked in, and no `.0` (5e-05 is `0.00005`)."""
     if v % 1 == 0 and -2**53 < v < 2**53:  # an integer a float holds exactly: no point
         return str(int(v))
-    mantissa, _, exp = repr(abs(float(v))).partition("e")
-    whole, _, frac = mantissa.partition(".")
-    point = len(whole) + int(exp or 0)
-    digits = ("0" * (1 - point) + whole + frac).ljust(point, "0")
-    point = max(point, 1)
-    head, tail = digits[:point].lstrip("0") or "0", digits[point:].rstrip("0")
-    return ("-" if v < 0 else "") + head + ("." + tail if tail else "")
+    from decimal import Decimal  # here: preview and renumber load this module, print no slot
+    return format(Decimal(repr(float(v))).normalize(), "f")
 
 
 _TEX_HEADER = (
@@ -383,11 +379,16 @@ def psfrag_export(scene: Scene,
     PostScript text and not tagged. Defaults: `ExportOptions()`, `EMPTY_HOOKS`.
     Returns both files' contents, the registry and the number of labels shown.
     """
-    if not str(basename):
+    base = str(basename)
+    if not base:
         raise ExportArgumentError("basename must be nonempty")
     opts = _this.ExportOptions() if opts is None else opts
     if opts.eps_suffix == opts.tex_suffix:
         raise ExportArgumentError(f"EPS and tex suffixes must differ: both are {opts.eps_suffix!r}")
+    eps_path, tex_path = base + opts.eps_suffix, base + opts.tex_suffix
+    if (real := os.path.realpath(eps_path)) == os.path.realpath(tex_path):
+        raise ExportArgumentError(f"EPS and tex paths must differ: {eps_path!r} and {tex_path!r} "
+                                  f"both name {real!r}")
     hooks = _this.EMPTY_HOOKS if hooks is None else hooks
     working = _this.expand_decorations(scene)
     if opts.effective_auto_convert:
@@ -423,7 +424,6 @@ def psfrag_export(scene: Scene,
     eps_bytes = epsio.write_eps(working, tag_of_index)
     tex_text = emit_tex(registry)
 
-    base = str(basename)
-    atomic_write_bytes(base + opts.eps_suffix, eps_bytes)
-    atomic_write_text(base + opts.tex_suffix, tex_text)
+    atomic_write_bytes(eps_path, eps_bytes)
+    atomic_write_text(tex_path, tex_text)
     return ExportResult(eps_bytes, tex_text, registry, len(texts))

@@ -10,6 +10,7 @@ typesetting anything.
 from __future__ import annotations
 
 import math
+import re
 
 from .affine import Affine
 from .directives import PosCode
@@ -19,6 +20,7 @@ from .labeling import PsfragEntry, TagRegistry
 from .records import record
 
 PREVIEW_CREATOR = b"%%Creator: labelforge-preview"
+_LINE_END = re.compile(rb"\r\n?|\n")
 
 
 class PreviewError(ValueError):
@@ -129,31 +131,31 @@ def substitute_preview(eps: bytes, registry: TagRegistry) -> PreviewResult:
     labelforge-preview creator marker.
     """
     occurrences = scan_tags(eps)
-    matched: list[tuple[TagOccurrence, bytes]] = []
+    blanks: list[tuple[tuple[int, int], bytes]] = []
+    drawing = []
     for occ in occurrences:
         entry = registry.get(occ.tag)
         if entry is None:
             continue
         box = default_measure(entry.body)
         transform = place(box, entry, occ, tag_box_for(occ))
-        matched.append((occ, _preview_block(occ, box, transform)))
+        blanks.append((occ.byte_span, b"()"))
+        drawing.append(_preview_block(occ, box, transform))
 
-    out = splice(eps, [(occ.byte_span, b"()") for occ, _block in matched])
-
-    drawing = b"".join(block for _occ, block in matched)
+    # Edits are made on the input, where a line ends at LF, CR or CRLF: the creator line
+    # goes after the first line and the drawing before the last line that starts with
+    # `showpage`, each at the end if there is no such line, after a line break.
+    end = len(eps)
+    first = _LINE_END.search(eps)
+    showpage = max(eps.rfind(b"\nshowpage"), eps.rfind(b"\rshowpage"))
+    inserts = [(first.end() if first else end, PREVIEW_CREATOR + b"\n")]
     if drawing:
-        anchor = out.rfind(b"\nshowpage")
-        if anchor >= 0:
-            out = out[:anchor + 1] + drawing + out[anchor + 1:]
-        else:
-            out += drawing
-
-    first_eol = out.find(b"\n")
-    banner = PREVIEW_CREATOR + b"\n"
-    if first_eol >= 0:
-        out = out[:first_eol + 1] + banner + out[first_eol + 1:]
-    else:
-        out += b"\n" + banner
+        inserts.append((showpage + 1 if showpage >= 0 else end, b"".join(drawing)))
+    if not eps.endswith((b"\n", b"\r")) and any(at == end for at, _text in inserts):
+        inserts.insert(0, (end, b"\n"))
+    # A point inside a blanked literal (one continued past a line end) moves to its end.
+    inserts = [(next((e for (s, e), _ in blanks if s < at < e), at), text) for at, text in inserts]
+    out = splice(eps, blanks + [((at, at), text) for at, text in inserts])
     shown = {occ.tag for occ in occurrences}
-    return PreviewResult(out, len(matched), sorted(tag for tag in shown if tag not in registry),
+    return PreviewResult(out, len(blanks), sorted(tag for tag in shown if tag not in registry),
                          [tag for tag in registry.tags() if tag not in shown])

@@ -11,6 +11,7 @@ it is built, so a scene that exists holds only finite geometry.
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from itertools import chain
 from typing import Union
 
@@ -204,10 +205,11 @@ class ExportOptions:
 
 # Fixed decoration geometry: tick marks 2% of the shorter plot extent,
 # labels 0.6% outside the frame, axes labels one 12 pt line further out.
+# The EPS writer leaves a plot margin of 5% of the target size on each side.
 _TICK_FRACTION = 0.02
 _LABEL_OFFSET_FRACTION = 0.006
 _AXIS_LABEL_CLEARANCE_PT = 12.0
-_PLOT_MARGIN_FRACTION = 0.05
+PLOT_MARGIN_FRACTION = 0.05
 
 _TICK_STYLE = StrokeStyle(width=0.7)
 _GRID_STYLE = StrokeStyle(width=0.4, dash=(0.1, 1.0), gray=0.5)
@@ -250,8 +252,8 @@ def expand_decorations(scene: Scene) -> Scene:
     if deco.axes_labels is not None:
         x_label, y_label = deco.axes_labels
         width, height = scene.target_size
-        usable_w = (1 - 2 * _PLOT_MARGIN_FRACTION) * width
-        usable_h = (1 - 2 * _PLOT_MARGIN_FRACTION) * height
+        usable_w = (1 - 2 * PLOT_MARGIN_FRACTION) * width
+        usable_h = (1 - 2 * PLOT_MARGIN_FRACTION) * height
         if x_label is not None:
             clearance = _AXIS_LABEL_CLEARANCE_PT * yspan / usable_h
             axes.append(TextPrimitive(
@@ -303,10 +305,7 @@ def linear_ticks(lo: float, hi: float, step: float) -> tuple[Tick, ...]:
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    decimals = 0
-    step_text = repr(float(step))
-    if "." in step_text and step != int(step):
-        decimals = len(step_text.split(".")[1])
+    decimals = 0 if step == int(step) else -Decimal(repr(float(step))).as_tuple().exponent
     if lo != int(lo):
         decimals = max(decimals, 1)
     count = int(math.floor((hi - lo) / step + 1e-9)) + 1

@@ -200,6 +200,26 @@ def test_export_with_equal_suffixes_exits_two_in_one_line(tmp_path, capsys, suff
     assert list(tmp_path.iterdir()) == [scene]
 
 
+@pytest.mark.parametrize("eps_suffix, tex_suffix, made", [
+    ("/../x.out", "/./../x.out", "o"),  # `o` is a directory
+    (".eps", "_link", "o_link"),  # `o_link` is a symbolic link to `o.eps`
+])
+def test_export_with_suffixes_naming_one_file_exits_two_in_one_line(tmp_path, capsys, eps_suffix,
+                                                                    tex_suffix, made):
+    scene = _copy_fixture("mini", tmp_path)
+    if made == "o":
+        (tmp_path / "o").mkdir()
+    else:
+        (tmp_path / made).symlink_to(tmp_path / "o.eps")
+    before = sorted(tmp_path.iterdir())
+    assert main(["export", str(scene), "--basename", str(tmp_path / "o"),
+                 "--eps-suffix", eps_suffix, "--tex-suffix", tex_suffix]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: EPS and tex paths must differ: ")
+    assert err.count("\n") == 1 and str(tmp_path / "x.out" if made == "o" else "o.eps") in err
+    assert sorted(tmp_path.iterdir()) == before and not (tmp_path / "o.eps").exists()
+
+
 def test_export_bad_scene_is_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.scene"
     bad.write_text('{"version": 1, "plot_range": [[0, 1], [0, 1]], '

@@ -845,7 +845,25 @@ def test_write_shows_a_string_that_says_nan_or_inf():
     assert [occ.tag for occ in scan_tags(data)] == ["(nan) inf"]
 
 
+@pytest.mark.parametrize("text", ["\u03c0 (a)", "\U0001f600 (a)", "\ud800 (a)"],
+                         ids=["pi", "emoji", "lone-surrogate"])
+def test_write_shows_a_character_outside_latin_1_as_a_question_mark(text):
+    scene = Scene(plot_range=((0.0, 1.0), (0.0, 1.0)), target_size=(100.0, 100.0),
+                  primitives=(TextPrimitive(Str(text), (0.5, 0.5)),))
+    data = write_eps(scene)
+    assert b" (? \\(a\\)) show grestore\n" in data
+    assert [occ.tag for occ in scan_tags(data)] == ["? (a)"]
+
+
 # ----------------------------------------------------------- rewrite_tags
+
+def test_rewrite_to_a_tag_outside_latin_1_writes_question_marks(export):
+    eps, _tex, _reg = export("ex_auto")
+    occ = next(o for o in scan_tags(eps) if o.tag == "Sinx")
+    out = rewrite_tags(eps, {"Sinx": "\u03c0\U0001f600\xe9"})
+    start, end = occ.byte_span
+    assert out == eps[:start] + b"(??\xe9)" + eps[end:]
+
 
 def test_rewrite_single_tag_touches_only_its_span(export):
     eps, _tex, _reg = export("ex_auto")

@@ -12,7 +12,7 @@ from labelforge.affine import Affine
 from labelforge.directives import PosCode
 from labelforge.epsio import TagOccurrence
 from labelforge.labeling import PsfragEntry, parse_psfrag_document
-from labelforge.preview import PREVIEW_CREATOR, tag_box_for
+from labelforge.preview import PREVIEW_CREATOR, default_measure, tag_box_for
 
 from conftest import FIXTURES
 
@@ -194,6 +194,49 @@ def test_preview_without_showpage_appends_the_boxes_and_puts_the_banner_second()
     head = b"%!PS-Adobe-3.0 EPSF-3.0\n" + PREVIEW_CREATOR + b"\n10 10 moveto () show\ngsave\n"
     assert out.startswith(head) and out.endswith(b"(T) show\ngrestore\n")
     assert out.count(b"gsave") == 1
+
+
+_PROPERTY_REGISTRY = parse_psfrag_document("\\psfrag{gA}[cc][cc][1][0]{x}\n"
+                                            "\\psfrag{gB}[Bl][tr][2][30]{$y^2$}\n")
+_SHOW = st.tuples(st.sampled_from(["gA", "gB", "zz"]), st.integers(-50, 550),
+                  st.integers(-50, 550), st.integers(-179, 180))
+
+
+@settings(max_examples=300, deadline=None)
+@given(eol=st.sampled_from([b"\n", b"\r", b"\r\n"]), showpage=st.booleans(),
+       final_eol=st.booleans(), shows=st.lists(_SHOW, min_size=1, max_size=4))
+def test_preview_of_any_line_ends_blanks_the_tags_and_draws_before_showpage(eol, showpage,
+                                                                           final_eol, shows):
+    lines = [b"%!PS-Adobe-3.0 EPSF-3.0", b"%%BoundingBox: 0 0 500 500"]
+    lines += [f"gsave /Times-Roman 10 selectfont {x} {y} translate {r} rotate 0 0 moveto "
+              f"({tag}) show grestore".encode() for tag, x, y, r in shows]
+    lines += [b"showpage", b"%%EOF"] if showpage else []
+    eps = eol.join(lines) + (eol if final_eol else b"")
+    before = scan_tags(eps)
+    result = substitute_preview(eps, _PROPERTY_REGISTRY)
+    after = scan_tags(result.eps)
+    matched = [occ for occ in before if occ.tag in _PROPERTY_REGISTRY]
+    assert len(after) == len(before) + len(matched) and result.matched == len(matched)
+    for old, new in zip(before, after):
+        blank = old.tag in _PROPERTY_REGISTRY
+        assert (new.tag, new.device_position) == ("" if blank else old.tag, old.device_position)
+    for occ, caption in zip(matched, after[len(before):]):
+        entry = _PROPERTY_REGISTRY.get(occ.tag)
+        box = default_measure(entry.body)
+        want = place(box, entry, occ, tag_box_for(occ)).apply(1, box.depth + 1)
+        assert caption.tag == occ.tag
+        assert caption.device_position == pytest.approx(want, abs=1e-5)  # `_fmt(v, 6)` rounds
+    assert result.eps.splitlines()[1] == PREVIEW_CREATOR
+    if showpage:
+        assert all(c.byte_span[1] < result.eps.rindex(b"showpage") for c in after[len(before):])
+
+
+def test_preview_inserts_nothing_inside_a_blanked_string_continued_past_a_line_end():
+    # `(t\<LF>)` reads as `t`, so the first line ends inside the literal that is blanked
+    eps = b"(t\\\n) show"
+    out = substitute_preview(eps, parse_psfrag_document("\\psfrag{t}{x}\n")).eps
+    assert out.startswith(b"()" + PREVIEW_CREATOR + b"\n show\ngsave\n")
+    assert [occ.tag for occ in scan_tags(out)] == ["", "t"]
 
 
 @pytest.mark.parametrize("name", [p.stem for p in sorted(FIXTURES.glob("*.scene"))])

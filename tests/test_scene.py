@@ -165,6 +165,17 @@ def test_linear_ticks_integer_labels():
         ["-15", "-10", "-5", "0", "5", "10", "15"]
 
 
+@pytest.mark.parametrize("step, labels", [
+    (5e-05, ["0.00000", "0.00005", "0.00010", "0.00015", "0.00020"]),
+    (1e-05, ["0.00000", "0.00001", "0.00002", "0.00003", "0.00004"]),
+    (2.5e-07, ["0.00000000", "0.00000025", "0.00000050", "0.00000075", "0.00000100"]),
+])
+def test_linear_ticks_keep_the_decimals_of_a_step_below_1e_4(step, labels):
+    # repr writes these steps with an exponent (5e-05, 2.5e-07)
+    ticks = linear_ticks(0, 4 * step, step)
+    assert [t.label.literal for t in ticks] == labels
+
+
 def test_scene_validation():
     with pytest.raises(ValueError):
         Scene(plot_range=((1.0, 1.0), (0.0, 1.0)), target_size=(10.0, 10.0))
