@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import re
 import warnings
-from functools import partial
 from itertools import islice
 from typing import TYPE_CHECKING, Mapping
 
@@ -240,8 +239,9 @@ class _PsString:
 
 
 class _Interpreter:
-    """Runs a token list. Each operator the scanner models has a method named after it;
-    operators alike but for their operand count share a method that takes the count."""
+    """Runs a token list. Each operator the scanner models has a method named after it,
+    which takes the operands `run` has popped for it; operators alike but for their
+    operand count share a method."""
 
     def __init__(self, data: bytes):
         self.data = data  # the tokens' source, read only to name an error's bytes
@@ -256,21 +256,6 @@ class _Interpreter:
         _name, (_kind, _run, start, end, _lit), index = word
         return ScanError(message, next(islice(_WORD.finditer(self.data, start, end), index,
                                               None)).span())
-
-    def _pop(self, word: tuple, count: int) -> list[object]:
-        stack = self.stack
-        if len(stack) < count:
-            raise self._error(f"stack underflow on {word[0]!r}", word)
-        taken = stack[len(stack) - count:]
-        del stack[len(stack) - count:]
-        return taken
-
-    def _pop_numbers(self, word: tuple, count: int) -> list[float]:
-        taken = self._pop(word, count)
-        for item in taken:
-            if not isinstance(item, float):
-                raise self._error(f"non-numeric operand for {word[0]!r}", word)
-        return taken
 
     def _transform(self, m: Affine, word: tuple) -> None:
         new = self.ctm @ m
@@ -291,8 +276,22 @@ class _Interpreter:
                         push(number)
                         continue
                     op = ops.get(word)  # no operator's name holds `_` or VT
-                    if op is not None:  # any other name pops nothing
-                        op(self, (word.decode("latin-1"), token, index))
+                    if op is None:  # any other name pops nothing
+                        continue
+                    count, numeric, handler = op
+                    at = (word.decode("latin-1"), token, index)
+                    if not count:  # stack[-0:] would be the whole stack
+                        handler(self, at)
+                        continue
+                    if len(stack) < count:
+                        raise self._error(f"stack underflow on {at[0]!r}", at)
+                    operands = stack[-count:]
+                    del stack[-count:]
+                    if numeric:
+                        for item in operands:
+                            if not isinstance(item, float):
+                                raise self._error(f"non-numeric operand for {at[0]!r}", at)
+                    handler(self, at, *operands)
             elif kind == LITERAL_NAME:
                 push(value)
             elif kind == STRING:
@@ -316,17 +315,16 @@ class _Interpreter:
                             break
                 push(_PROC)
 
-    def translate(self, word: tuple) -> None:
-        self._transform(Affine.translation(*self._pop_numbers(word, 2)), word)
+    def translate(self, word: tuple, tx: float, ty: float) -> None:
+        self._transform(Affine.translation(tx, ty), word)
 
-    def scale(self, word: tuple) -> None:
-        self._transform(Affine.scaling(*self._pop_numbers(word, 2)), word)
+    def scale(self, word: tuple, sx: float, sy: float) -> None:
+        self._transform(Affine.scaling(sx, sy), word)
 
-    def rotate(self, word: tuple) -> None:
-        self._transform(Affine.rotation(*self._pop_numbers(word, 1)), word)
+    def rotate(self, word: tuple, angle: float) -> None:
+        self._transform(Affine.rotation(angle), word)
 
-    def concat(self, word: tuple) -> None:
-        (arr,) = self._pop(word, 1)
+    def concat(self, word: tuple, arr: object) -> None:
         if not (isinstance(arr, list) and len(arr) == 6
                 and all(isinstance(v, float) for v in arr)):
             raise self._error("concat needs a six-number matrix", word)
@@ -340,54 +338,47 @@ class _Interpreter:
             raise self._error("grestore with no saved state", word)
         self.ctm, self.point, self.font_size = self.saved.pop()
 
-    def moveto(self, word: tuple) -> None:
-        x, y = self._pop_numbers(word, 2)
+    def moveto(self, word: tuple, x: float, y: float) -> None:
         self.point = (x, y)
 
-    def rmoveto(self, word: tuple) -> None:
-        dx, dy = self._pop_numbers(word, 2)
+    def rmoveto(self, word: tuple, dx: float, dy: float) -> None:
         cx, cy = self.point or (0.0, 0.0)
         self.point = (cx + dx, cy + dy)
 
     def newpath(self, word: tuple) -> None:
         self.point = None
 
-    def _path_to(self, word: tuple, count: int) -> None:
-        tail = self._pop(word, count)[-2:]
-        if all(isinstance(v, float) for v in tail):
-            self.point = (tail[0], tail[1])
+    def _path_to(self, word: tuple, *operands: object) -> None:
+        x, y = operands[-2:]
+        if isinstance(x, float) and isinstance(y, float):
+            self.point = (x, y)
 
-    def findfont(self, word: tuple) -> None:
-        (font_name,) = self._pop(word, 1)
+    def _drop(self, word: tuple, *operands: object) -> None:
+        """The operands are dropped, the effect is not modelled."""
+
+    def findfont(self, word: tuple, font_name: object) -> None:
         self.stack.append(_Font(str(font_name), 1.0))
 
-    def scalefont(self, word: tuple) -> None:
-        (size,) = self._pop(word, 1)
+    def scalefont(self, word: tuple, base: object, size: object) -> None:
         if not isinstance(size, float):
             raise self._error("scalefont needs a numeric size", word)
-        (base,) = self._pop(word, 1)
         font = base if isinstance(base, _Font) else _Font("", 1.0)
         self.stack.append(_Font(font.name, font.size * size))
 
-    def setfont(self, word: tuple) -> None:
-        (font,) = self._pop(word, 1)
+    def setfont(self, word: tuple, font: object) -> None:
         if isinstance(font, _Font):
             self.font_size = font.size
 
-    def selectfont(self, word: tuple) -> None:
-        (size,) = self._pop(word, 1)
-        self._pop(word, 1)
+    def selectfont(self, word: tuple, _font_name: object, size: object) -> None:
         if isinstance(size, float):
             self.font_size = size
 
-    def _text_variant(self, word: tuple, count: int) -> None:
+    def _text_variant(self, word: tuple, *operands: object) -> None:
         # stacklevel 4: this method, run, scan_tags, then scan_tags' caller
         warnings.warn(f"{word[0]} is not treated as a tag occurrence",
                       ScanWarning, stacklevel=4)
-        self._pop(word, count)
 
-    def show(self, word: tuple) -> None:
-        (operand,) = self._pop(word, 1)
+    def show(self, word: tuple, operand: object) -> None:
         if not isinstance(operand, _PsString):
             raise self._error("show needs a string operand", word)
         ctm = self.ctm
@@ -407,19 +398,23 @@ class _Interpreter:
         ))
 
 
-# The operators the scanner models: name's bytes -> handler(interpreter, (name, WORDS
-# token, the name's index in it)). Any other name, even `stroke` or `bind`, pops nothing.
-_OPS = {name.encode(): getattr(_Interpreter, name) for name in (
-    "translate", "scale", "rotate", "concat", "gsave", "grestore", "moveto", "rmoveto",
-    "newpath", "findfont", "scalefont", "setfont", "selectfont", "show")}
-_OPS.update({name.encode(): partial(handler, count=count) for handler, arities in [
-    (_Interpreter._text_variant, {"widthshow": 4, "awidthshow": 6, "ashow": 3, "kshow": 2,
-                                  "xshow": 2, "xyshow": 2, "glyphshow": 1, "cshow": 2}),
-    (_Interpreter._path_to, {"lineto": 2, "curveto": 6}),
-    (_Interpreter._pop, {  # the operands are dropped, the effect is not modelled
-        "rlineto": 2, "rcurveto": 6, "arc": 5, "arcn": 5, "setlinewidth": 1, "setgray": 1,
-        "setrgbcolor": 3, "sethsbcolor": 3, "setdash": 2, "setlinecap": 1, "setlinejoin": 1,
-        "setmiterlimit": 1, "pop": 1, "def": 2})] for name, count in arities.items()})
+# The operators the scanner models: name's bytes -> (count, numeric, handler). `run` pops
+# the count of operands, each a float if numeric, and calls handler(interpreter, (name, WORDS
+# token, the name's index in it), *operands). Any other name, even `stroke` or `bind`, pops
+# nothing.
+_OPS = {name.encode(): (count, numeric, getattr(_Interpreter, method or name))
+        for method, numeric, counts in [
+            (None, True, {"translate": 2, "scale": 2, "rotate": 1, "moveto": 2, "rmoveto": 2}),
+            (None, False, {"concat": 1, "gsave": 0, "grestore": 0, "newpath": 0, "findfont": 1,
+                           "scalefont": 2, "setfont": 1, "selectfont": 2, "show": 1}),
+            ("_path_to", False, {"lineto": 2, "curveto": 6}),
+            ("_text_variant", False, {"widthshow": 4, "awidthshow": 6, "ashow": 3, "kshow": 2,
+                                      "xshow": 2, "xyshow": 2, "glyphshow": 1, "cshow": 2}),
+            ("_drop", False, {
+                "rlineto": 2, "rcurveto": 6, "arc": 5, "arcn": 5, "setlinewidth": 1,
+                "setgray": 1, "setrgbcolor": 3, "sethsbcolor": 3, "setdash": 2, "setlinecap": 1,
+                "setlinejoin": 1, "setmiterlimit": 1, "pop": 1, "def": 2})]
+        for name, count in counts.items()}
 
 
 def scan_tags(data: bytes) -> list[TagOccurrence]:

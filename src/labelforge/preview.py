@@ -142,13 +142,15 @@ def substitute_preview(eps: bytes, registry: TagRegistry) -> PreviewResult:
         blanks.append((occ.byte_span, b"()"))
         drawing.append(_preview_block(occ, box, transform))
 
-    # Edits are made on the input, where a line ends at LF, CR or CRLF: the creator line
-    # goes after the first line and the drawing before the last line that starts with
-    # `showpage`, each at the end if there is no such line, after a line break.
+    # Edits are made on the input, where a line ends at LF, CR or CRLF. The creator line
+    # goes after the first line if that is a comment, whose end is a token boundary, else
+    # at the start; the drawing goes before the last line that starts with `showpage`. Each
+    # goes at the end if there is no such line, after a line break.
     end = len(eps)
     first = _LINE_END.search(eps)
+    creator_at = (first.end() if first else end) if eps.startswith(b"%") else 0
     showpage = max(eps.rfind(b"\nshowpage"), eps.rfind(b"\rshowpage"))
-    inserts = [(first.end() if first else end, PREVIEW_CREATOR + b"\n")]
+    inserts = [(creator_at, PREVIEW_CREATOR + b"\n")]
     if drawing:
         inserts.append((showpage + 1 if showpage >= 0 else end, b"".join(drawing)))
     if not eps.endswith((b"\n", b"\r")) and any(at == end for at, _text in inserts):

@@ -404,6 +404,18 @@ def test_export_duplicate_tag_is_semantic_error(tmp_path, capsys):
     assert not (tmp_path / "x-psfrag.tex").exists()
 
 
+def test_export_of_a_zero_scaling_exits_one_and_writes_nothing(tmp_path, capsys):
+    scene = tmp_path / "s.scene"
+    scene.write_text(json.dumps({
+        "version": 1, "plot_range": [[0, 1], [0, 1]], "size": [100, 100],
+        "primitives": [{"type": "text", "expr": "y", "pos": [0.5, 0.5],
+                        "psfrag": {"scaling": 0}}]}))
+    before = sorted(tmp_path.iterdir())
+    assert main(["export", str(scene), "--basename", str(tmp_path / "s")]) == 1
+    assert capsys.readouterr().err == "error: scaling must be positive\n"
+    assert sorted(tmp_path.iterdir()) == before
+
+
 @pytest.mark.parametrize("psfrag, hooks", [
     ({"tex": "{a"}, None),
     ({"tex": "a\nb"}, None),
@@ -567,6 +579,16 @@ def test_renumber_missing_tag_exits_two(tmp_path, capsys):
     assert code == 2
     assert "ghost" in capsys.readouterr().err
     assert eps_path.read_bytes() == before_eps  # nothing written
+
+
+def test_renumber_of_a_one_letter_alignment_code_exits_one(tmp_path, capsys):
+    eps_path, tex_path = tmp_path / "r.eps", tmp_path / "r.tex"
+    eps_path.write_bytes(b"%!PS\n0 0 moveto (gA01) show\n")
+    tex_path.write_text("\\psfrag{gA01}[c]{x}\n")
+    assert main(["renumber", str(eps_path), str(tex_path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: line 1: alignment code must be two characters: 'c'\n")
+    assert list(tmp_path.glob("*.bak")) == []
 
 
 def test_renumber_leaves_commented_psfrag_line_alone(tmp_path, capsys):
@@ -775,6 +797,16 @@ def test_preview_strict_stale_tag_exits_two(tmp_path, capsys):
                  "--strict"])
     assert code == 2
     assert "stale" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
+def test_preview_strict_shown_text_with_no_entry_exits_two(tmp_path, capsys):
+    eps_path, tex_path = tmp_path / "z.eps", tmp_path / "z.tex"
+    eps_path.write_bytes(b"%!PS\n0 0 moveto (zzz) show\n")
+    tex_path.write_text("")
+    out_path = tmp_path / "prev.eps"
+    assert main(["preview", str(eps_path), str(tex_path), str(out_path), "--strict"]) == 2
+    assert capsys.readouterr().err == "error: shown text 'zzz' has no entry\n"
     assert not out_path.exists()
 
 

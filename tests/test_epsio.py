@@ -489,7 +489,14 @@ def _reference_scan(data: bytes) -> list:
         elif kind == NAME:
             op = epsio._OPS.get(value.encode("latin-1"))
             if op is not None:
-                op(interp, (value, token, 0))
+                count, numeric, handler = op
+                word = (value, token, 0)
+                if len(stack) < count:
+                    raise interp._error(f"stack underflow on {value!r}", word)
+                operands = [stack.pop() for _ in range(count)][::-1]
+                if numeric and not all(isinstance(item, float) for item in operands):
+                    raise interp._error(f"non-numeric operand for {value!r}", word)
+                handler(interp, word, *operands)
         elif kind == STRING:
             push(epsio._PsString(value, (lit_start, end)))
         elif kind == ARRAY_DELIM:
@@ -657,6 +664,42 @@ def test_scan_show_variant_pops_its_operands_and_warns_once(program):
         interp.run(tokenize(program))
     assert interp.stack == [] and interp.occurrences == []
     assert [w.category for w in caught] == [ScanWarning]
+
+
+_COUNTS = [(name.decode("latin-1"), count) for name, (count, _numeric, _handler)
+           in sorted(epsio._OPS.items())]
+
+
+def _suitable_operands(name: str, count: int) -> bytes:
+    return {"concat": b"[1 0 0 1 0 0] ", "show": b"(a) "}.get(name, b"1 " * count)
+
+
+@pytest.mark.parametrize("name, count", [(name, count) for name, count in _COUNTS if count])
+def test_one_operand_too_few_is_an_underflow_at_the_operator_before_any_warning(name, count):
+    program = b"1 " * (count - 1) + name.encode()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ScanError) as info:
+            scan_tags(program)
+    assert str(info.value) == (f"stack underflow on {name!r} at bytes "
+                               f"{len(program) - len(name)}..{len(program)}")
+    assert caught == []
+
+
+@pytest.mark.parametrize("name, count", _COUNTS)
+def test_each_operator_pops_exactly_its_count(name, count):
+    program = (b"/sentinel " + (b"gsave " if name == "grestore" else b"")
+               + _suitable_operands(name, count) + name.encode())
+    interp = epsio._Interpreter(program)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ScanWarning)
+        interp.run(tokenize(program))
+    assert interp.stack[0] == "sentinel"
+    pushed = interp.stack[1:]
+    if name in ("findfont", "scalefont"):
+        assert [type(font) for font in pushed] == [epsio._Font]
+    else:
+        assert pushed == []
 
 
 def test_a_show_variant_warning_points_at_the_caller_of_scan_tags():

@@ -468,6 +468,7 @@ def test_to_tex_canonical_order_without_hold():
     ("0.5", "0.5"),
     ("2*3", "2\\,3"),
     ("E^x", "e^x"),
+    ("Plus[x]", "x"),
 ])
 def test_to_tex_forms(source, expected):
     assert to_tex(parse_expr(source)) == expected
@@ -564,6 +565,10 @@ def test_guess_tex_pre_apply_applies_in_order():
 def test_expand_negations():
     tree = expand_negations(parse_expr("-1*(a + b)"))
     assert to_tex(tree) == "-a-b"
+
+
+def test_expand_negations_reaches_inside_a_hold():
+    assert print_source(expand_negations(parse_expr("HoldForm[-(a+b)]"))) == "HoldForm[-1*a - b]"
 
 
 def test_plain_text_forms():

@@ -235,8 +235,25 @@ def test_preview_inserts_nothing_inside_a_blanked_string_continued_past_a_line_e
     # `(t\<LF>)` reads as `t`, so the first line ends inside the literal that is blanked
     eps = b"(t\\\n) show"
     out = substitute_preview(eps, parse_psfrag_document("\\psfrag{t}{x}\n")).eps
-    assert out.startswith(b"()" + PREVIEW_CREATOR + b"\n show\ngsave\n")
+    assert out.startswith(PREVIEW_CREATOR + b"\n() show\ngsave\n")
     assert [occ.tag for occ in scan_tags(out)] == ["", "t"]
+
+
+def test_preview_puts_the_creator_line_first_when_the_input_opens_with_no_comment():
+    # the first line ends inside `(a<LF>b)`, a literal that is not blanked
+    eps = b"(a\nb) show (t) show\n"
+    out = substitute_preview(eps, parse_psfrag_document("\\psfrag{t}[cc][cc][1][0]{x}\n")).eps
+    assert out.startswith(PREVIEW_CREATOR + b"\n(a\nb) show () show\n")
+    assert [occ.tag for occ in scan_tags(out)] == ["a\nb", "", "t"]
+
+
+def test_preview_draws_after_a_blanked_string_that_holds_the_showpage_line():
+    # `(t\<LF>showpage)` reads as `tshowpage`; its second line starts with `showpage`
+    eps = b"%!PS\n(t\\\nshowpage) show\n"
+    out = substitute_preview(eps, parse_psfrag_document("\\psfrag{tshowpage}{x}\n")).eps
+    assert out.startswith(b"%!PS\n" + PREVIEW_CREATOR + b"\n()gsave\n")
+    assert out.endswith(b"grestore\n show\n")
+    assert [occ.tag for occ in scan_tags(out)] == ["tshowpage", ""]
 
 
 @pytest.mark.parametrize("name", [p.stem for p in sorted(FIXTURES.glob("*.scene"))])
