@@ -1,17 +1,18 @@
 """Command-line front end: export, inspect, renumber, preview.
 
-Exit codes: 0 success, 1 parse error, 2 semantic error (each error class
-carries its own as `exit_code`), 3 I/O failure. Every failing path writes no
+Exit codes: 0 success, 1 parse error, 2 semantic or usage error (each error
+class carries its own as `exit_code`), 3 I/O failure. Every failing path writes no
 output files; in-place commands always keep .bak copies of the originals.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
+import re
 import sys
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 from . import deferred
 from .epsio import rewrite_tags, scan_tags
@@ -29,50 +30,7 @@ __getattr__ = deferred(__name__, {"load_scene", "load_hooks", "ExportOptions", "
 _this = sys.modules[__name__]
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="labelforge",
-        description="Export plot scenes to tagged EPS plus psfrag macros.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p_export = sub.add_parser("export", help="export a scene file")
-    p_export.add_argument("scene", help="scene document (JSON)")
-    p_export.add_argument("--basename", required=True,
-                          help="output base name; suffixes are appended")
-    p_export.add_argument("--tex-suffix", default="-psfrag.tex")
-    p_export.add_argument("--eps-suffix", default="-psfrag.eps")
-    p_export.add_argument("--renumber-tags", action="store_true")
-    p_export.add_argument("--no-auto-convert", action="store_true",
-                          help="tag only manually marked labels")
-    p_export.add_argument("--no-auto-position", action="store_true",
-                          help="ignore anchors; implies --no-auto-convert")
-    p_export.add_argument("--hooks", default=os.environ.get("LABELFORGE_HOOKS"),
-                          help="hook definition file (default: $LABELFORGE_HOOKS)")
-    p_export.set_defaults(func=cmd_export)
-
-    p_inspect = sub.add_parser("inspect", help="list tag occurrences in an EPS")
-    p_inspect.add_argument("eps")
-    p_inspect.add_argument("--format", choices=("tsv", "json"), default="tsv")
-    p_inspect.set_defaults(func=cmd_inspect)
-
-    p_renumber = sub.add_parser("renumber",
-                                help="renumber tags in an EPS/tex pair in place")
-    p_renumber.add_argument("eps")
-    p_renumber.add_argument("tex")
-    p_renumber.set_defaults(func=cmd_renumber)
-
-    p_preview = sub.add_parser("preview",
-                               help="substitute placeholder boxes for tags")
-    p_preview.add_argument("eps")
-    p_preview.add_argument("tex")
-    p_preview.add_argument("out")
-    p_preview.add_argument("--strict", action="store_true",
-                           help="fail on any unmatched tag in either direction")
-    p_preview.set_defaults(func=cmd_preview)
-    return parser
-
-
-def cmd_export(args: argparse.Namespace) -> int:
+def cmd_export(args: SimpleNamespace) -> int:
     scene = _this.load_scene(args.scene)
     hooks = _this.load_hooks(args.hooks) if args.hooks else None
     opts = _this.ExportOptions(tex_suffix=args.tex_suffix, eps_suffix=args.eps_suffix,
@@ -87,7 +45,7 @@ def cmd_export(args: argparse.Namespace) -> int:
 _TSV_ESCAPES = str.maketrans({"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"})
 
 
-def cmd_inspect(args: argparse.Namespace) -> int:
+def cmd_inspect(args: SimpleNamespace) -> int:
     occurrences = scan_tags(Path(args.eps).read_bytes())
     if args.format == "json":
         import json  # here, so that no other command pays for loading it
@@ -105,7 +63,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_renumber(args: argparse.Namespace) -> int:
+def cmd_renumber(args: SimpleNamespace) -> int:
     eps_path, tex_path = Path(args.eps), Path(args.tex)
     eps_data = eps_path.read_bytes()
     tex_text = read_text(tex_path)
@@ -121,7 +79,7 @@ def cmd_renumber(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_preview(args: argparse.Namespace) -> int:
+def cmd_preview(args: SimpleNamespace) -> int:
     eps_data = Path(args.eps).read_bytes()
     registry = _this.parse_psfrag_document(read_text(args.tex))
     result = _this.substitute_preview(eps_data, registry)
@@ -136,15 +94,168 @@ def cmd_preview(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# Each command's handler, positionals, and options with their defaults. False marks a flag,
+# a tuple lists the allowed values with the default first, None marks a required option,
+# and "$NAME" is that environment variable, read each time a command line is.
+COMMANDS = {
+    "export": (cmd_export, ("scene",), {
+        "--basename": None, "--tex-suffix": "-psfrag.tex", "--eps-suffix": "-psfrag.eps",
+        "--renumber-tags": False, "--no-auto-convert": False, "--no-auto-position": False,
+        "--hooks": "$LABELFORGE_HOOKS"}),
+    "inspect": (cmd_inspect, ("eps",), {"--format": ("tsv", "json")}),
+    "renumber": (cmd_renumber, ("eps", "tex"), {}),
+    "preview": (cmd_preview, ("eps", "tex", "out"), {"--strict": False}),
+}
+_HELP = ("-h", "--help")
+
+
+class UsageError(ValueError):
+    """A command line that COMMANDS does not describe."""
+    exit_code = 2
+
+
+def _usage(command: str | None) -> str:
+    """One usage line for `command`, or for every command when it is None."""
+    lines = []
+    for name in [command] if command else COMMANDS:
+        _, positionals, options = COMMANDS[name]
+        words = ["labelforge", name, *positionals]
+        for option, default in options.items():
+            if default is False:
+                words.append(f"[{option}]")
+            elif default is None:
+                words.append(f"{option}={option[2:].upper()}")
+            else:
+                shown = "{" + ",".join(default) + "}" if isinstance(default, tuple) else default
+                words.append(f"[{option}={shown}]")
+        lines.append(" ".join(words))
+    return "usage: " + "\n       ".join(lines)
+
+
+def _print_usage(args: SimpleNamespace) -> int:
+    print(_usage(args.command))
+    return EXIT_OK
+
+
+def _option(token: str, names: tuple[str, ...]) -> tuple[str | None, str | None] | None:
+    """None when `token` is an argument; else the option of `names` it gives (None for an
+    unknown one) and its `=` value. A long option may be cut to a prefix of one name only."""
+    if token in names:
+        return token, None
+    if token[:1] != "-" or token == "-":
+        return None
+    name, eq, value = token.partition("=")
+    if eq and name in names:
+        return name, value
+    if token[1] == "-":
+        matches = [(option, value if eq else None) for option in names if option.startswith(name)]
+    else:  # one dash: "-hX" gives -h the value X
+        matches = [(token[:2], token[2:])] if token[:2] in names else []
+    if len(matches) > 1:
+        raise UsageError(f"ambiguous option {token!r} could be "
+                         f"{', '.join(option for option, _ in matches)}")
+    if matches:
+        return matches[0]
+    if " " in token or re.match(r"^-\d+$|^-\d*\.\d+$", token):  # a negative number
+        return None
+    return None, None
+
+
+def _dest(option: str) -> str:
+    return option[2:].replace("-", "_")
+
+
+def _parse_args(argv: list[str]) -> SimpleNamespace:
+    """`argv` read by COMMANDS as argparse read it, with `func` the handler to run.
+
+    Options and arguments mix in any order, the last of a repeated option wins, and each
+    token after the first "--" is an argument. -h or --help, reached before any error,
+    gives `_print_usage`. An unknown option or a surplus argument fails only once the
+    whole line is read, so that a later -h still gives the usage.
+    """
+    unknown = []
+    for i, token in enumerate(argv):
+        kind = None if token == "--" else _option(token, _HELP)
+        if kind is None:
+            break
+        if kind[0] is None:
+            unknown.append(f"unknown option {token!r}")
+        elif kind[1] is not None:
+            raise UsageError(f"{kind[0]} takes no value: {kind[1]!r}")
+        else:
+            return SimpleNamespace(command=None, func=_print_usage)
+    else:
+        raise UsageError(f"missing command: choose from {', '.join(COMMANDS)}")
+    command, rest = argv[i], argv[i + 1:]
+    if command not in COMMANDS:
+        raise UsageError(f"unknown command {command!r}: choose from {', '.join(COMMANDS)}")
+    func, positionals, options = COMMANDS[command]
+    dash = rest.index("--") if "--" in rest else len(rest)
+    names = _HELP + tuple(options)
+    # Every token before "--" is looked up before any is taken: an ambiguous one fails first.
+    kinds = [_option(token, names) for token in rest[:dash]]
+    args = SimpleNamespace(command=command, func=func)
+    for option, default in options.items():
+        if isinstance(default, tuple):
+            default = default[0]
+        elif isinstance(default, str) and default[:1] == "$":
+            default = os.environ.get(default[1:])
+        setattr(args, _dest(option), default)
+    arguments, taken = [], None  # `taken`: the index of the last token read as an argument
+    j = 0
+    while j < len(rest):
+        token, kind = rest[j], kinds[j] if j < dash else None
+        if j == dash:  # argparse reads "--" with the argument before or after it
+            if taken != j - 1 and not (len(arguments) < len(positionals) and j + 1 < len(rest)):
+                unknown.append("unexpected argument '--'")
+        elif kind is None:
+            if len(arguments) < len(positionals):
+                arguments.append(token)
+                taken = j
+            else:
+                unknown.append(f"unexpected argument {token!r}")
+        elif kind[0] is None:
+            unknown.append(f"unknown option {token!r}")
+        else:
+            option, value = kind
+            default = False if option in _HELP else options[option]
+            if default is False:
+                if value is not None:
+                    raise UsageError(f"{command}: {option} takes no value: {value!r}")
+                if option in _HELP:
+                    return SimpleNamespace(command=command, func=_print_usage)
+                value = True
+            elif value is None:
+                if j + 1 >= dash or kinds[j + 1] is not None:
+                    raise UsageError(f"{command}: {option} needs a value")
+                j += 1
+                value = rest[j]
+            if isinstance(default, tuple) and value not in default:
+                raise UsageError(f"{command}: {option} must be one of {', '.join(default)}: "
+                                 f"{value!r}")
+            setattr(args, _dest(option), value)
+        j += 1
+    missing = positionals[len(arguments):] + tuple(
+        option for option, default in options.items()
+        if default is None and getattr(args, _dest(option)) is None)
+    if missing:
+        raise UsageError(f"{command}: missing {', '.join(missing)}")
+    if unknown:
+        raise UsageError(f"{command}: {unknown[0]}")
+    for name, value in zip(positionals, arguments):
+        setattr(args, name, value)
+    return args
+
+
 def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     with warnings.catch_warnings():
         warnings.showwarning = _print_warning
         try:
+            args = _parse_args(sys.argv[1:] if argv is None else argv)
             return args.func(args)
         except ValueError as exc:
             if not hasattr(exc, "exit_code"):

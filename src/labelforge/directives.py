@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import re
-from typing import TYPE_CHECKING
 
 from .records import record
 
+TYPE_CHECKING = False  # as `typing.TYPE_CHECKING`, without loading `typing` at run time
 if TYPE_CHECKING:
     from .exprkit import Expr
 
@@ -37,10 +37,14 @@ class PosCode:
     def parse(cls, code: str) -> "PosCode":
         if len(code) != 2:
             raise ValueError(f"alignment code must be two characters: {code!r}")
-        return cls(code[0], code[1])
+        return POS_CODES.get(code) or cls(code[0], code[1])
 
     def __str__(self) -> str:
         return self.vertical + self.horizontal
+
+
+# The twelve codes, built once: parsers and the anchor mapping share these instances.
+POS_CODES = {v + h: PosCode(v, h) for v in _VERTICALS for h in _HORIZONTALS}
 
 
 @record

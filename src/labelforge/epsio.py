@@ -15,12 +15,14 @@ import math
 import re
 import warnings
 from itertools import islice
-from typing import TYPE_CHECKING, Mapping
 
 from .affine import Affine
 from .records import record
 
+TYPE_CHECKING = False  # as `typing.TYPE_CHECKING`, without loading `typing` at run time
 if TYPE_CHECKING:
+    from collections.abc import Mapping
+
     from .scene import Scene, StrokeStyle
 
 

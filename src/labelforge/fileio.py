@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import os
-import shutil
-import tempfile
 from pathlib import Path
 
 
@@ -29,6 +27,8 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
     A new file gets the mode open() would give it (0o666 less the umask);
     a replaced file keeps its mode.
     """
+    import tempfile  # here, so that a command that writes nothing does not load it
+
     path = Path(path)
     try:
         mode = path.stat().st_mode & 0o7777
@@ -60,6 +60,8 @@ def make_backup(path: str | Path) -> Path:
     The old backup is removed first: it may carry a read-only mode copied
     from a read-only original.
     """
+    import shutil  # here, like `tempfile` above
+
     path = Path(path)
     backup = path.with_name(path.name + ".bak")
     backup.unlink(missing_ok=True)

@@ -13,15 +13,16 @@ import os
 import re
 import sys
 import warnings
-from pathlib import Path
-from typing import TYPE_CHECKING
 
 from . import deferred, epsio
-from .directives import LabelDirective, PosCode, is_valid_tag
+from .directives import POS_CODES, LabelDirective, PosCode, is_valid_tag
 from .fileio import atomic_write_bytes, atomic_write_text
 from .records import record, replace
 
+TYPE_CHECKING = False  # as `typing.TYPE_CHECKING`, without loading `typing` at run time
 if TYPE_CHECKING:
+    from pathlib import Path
+
     from .exprkit import HookSet
     from .scene import ExportOptions, Scene
 
@@ -47,7 +48,7 @@ class PsfragSyntaxError(ValueError):
     exit_code = 1
 
 
-FALLBACK_POSITION = PosCode("b", "c")
+FALLBACK_POSITION = POS_CODES["bc"]
 
 
 @record
@@ -155,10 +156,7 @@ def pos_from_anchor(anchor: tuple[float, float]) -> PosCode:
     ax, ay = anchor
     horizontal = "l" if ax < -0.5 else ("r" if ax > 0.5 else "c")
     vertical = "t" if ay > 0.5 else ("b" if ay < -0.5 else "c")
-    return _ANCHOR_CODES[vertical + horizontal]
-
-
-_ANCHOR_CODES = {v + h: PosCode(v, h) for v in "tcb" for h in "lcr"}  # built once, shared
+    return POS_CODES[vertical + horizontal]
 
 
 def resolve_alignment(directive: LabelDirective,

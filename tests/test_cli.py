@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import argparse
 import ast
+import contextlib
 import hashlib
 import importlib
 import importlib.util
+import io
 import json
 import os
 import re
@@ -14,6 +17,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import labelforge
 from labelforge import cli, epsio, labeling, scan_tags
@@ -1167,32 +1172,46 @@ DEFERRED = {
 }
 
 
-def _fresh_python(code: str, *argv: str) -> subprocess.CompletedProcess:
-    """Run `code` with `argv` in a fresh interpreter that imports this checkout's labelforge."""
+def _fresh_python(code: str, *argv: str,
+                  flags: tuple[str, ...] = ()) -> subprocess.CompletedProcess:
+    """Run `code` with `argv` in a fresh interpreter, started with `flags`, that imports this
+    checkout's labelforge."""
     src = str(Path(labelforge.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
-                          env=env, check=True)
+    return subprocess.run([sys.executable, *flags, "-c", code, *argv], capture_output=True,
+                          text=True, env=env, check=True)
 
 
-def _loaded_after(*argv: str) -> list[str]:
-    """The labelforge modules (and `fractions` and `decimal`, which only the expression
-    model needs, `json`, which only `export` and `inspect --format json` need, `base64`,
-    which only an EPS holding an ASCII85 string needs, and `dataclasses` and `inspect`,
-    which nothing needs) a fresh interpreter holds after
-    `main(argv)`, or after `import labelforge` when argv is empty. The probe itself
-    imports only `sys`, so that it does not load what it looks for."""
+# Modules that only some commands need, or none: `fractions` and `decimal` (the expression
+# model), `json` (`export` and `inspect --format json`), `base64` (an EPS holding an ASCII85
+# string), and `dataclasses`, `inspect`, and `argparse` with the `gettext` and `locale` it
+# loads (none). `site` may load `typing`, `tempfile` and `shutil` itself, so only a
+# `python -S` probe watches them: `inspect` needs none of them.
+_WATCHED = ("fractions", "decimal", "json", "base64", "dataclasses", "inspect", "argparse",
+            "gettext", "locale")
+_WATCHED_WITHOUT_SITE = _WATCHED + ("typing", "tempfile", "shutil")
+
+
+def _loaded_after(*argv: str, site: bool = True) -> list[str]:
+    """The labelforge modules and the `_WATCHED` ones (`_WATCHED_WITHOUT_SITE` under
+    `python -S` when `site` is false) a fresh interpreter holds after `main(argv)`, or after
+    `import labelforge` when argv is empty. The probe itself imports only `sys`, so that it
+    does not load what it looks for."""
+    watched = _WATCHED if site else _WATCHED_WITHOUT_SITE
     code = ("import sys\n"
             "if sys.argv[1:]:\n"
             "    import labelforge.cli\n"
             "    labelforge.cli.main(sys.argv[1:])\n"
             "else:\n"
             "    import labelforge\n"
-            "watched = lambda m: (m.startswith('labelforge')\n"
-            "                    or m in ('fractions', 'decimal', 'json', 'base64', 'dataclasses',\n"
-            "                             'inspect'))\n"
+            f"watched = lambda m: m.startswith('labelforge') or m in {watched!r}\n"
             "print(sorted(filter(watched, sys.modules)), file=sys.stderr)\n")
-    return ast.literal_eval(_fresh_python(code, *argv).stderr.splitlines()[-1])
+    proc = _fresh_python(code, *argv, flags=() if site else ("-S",))
+    return ast.literal_eval(proc.stderr.splitlines()[-1])
+
+
+_INSPECT_LOADS = ["labelforge", "labelforge.affine", "labelforge.cli", "labelforge.epsio",
+                  "labelforge.fileio", "labelforge.records"]
 
 
 def test_each_command_imports_only_what_it_runs(tmp_path, capsys):
@@ -1200,18 +1219,22 @@ def test_each_command_imports_only_what_it_runs(tmp_path, capsys):
     assert main(["export", str(scene), "--basename", str(tmp_path / "f")]) == 0
     eps, tex = str(tmp_path / "f-psfrag.eps"), str(tmp_path / "f-psfrag.tex")
     assert _loaded_after() == ["labelforge"]
-    assert _loaded_after("inspect", eps) == [
-        "labelforge", "labelforge.affine", "labelforge.cli", "labelforge.epsio",
-        "labelforge.fileio", "labelforge.records"]
+    assert _loaded_after("inspect", eps) == _INSPECT_LOADS
     exported = _loaded_after("export", str(scene), "--basename", str(tmp_path / "g"))
     assert "labelforge.preview" not in exported
-    assert not {"base64", "dataclasses", "inspect"} & set(exported)
+    assert not {"base64", "dataclasses", "inspect", "argparse", "gettext",
+                "locale"} & set(exported)
     reader = ["labelforge", "labelforge.affine", "labelforge.cli", "labelforge.directives",
               "labelforge.epsio", "labelforge.fileio", "labelforge.labeling",
               "labelforge.records"]
     assert _loaded_after("preview", eps, tex, str(tmp_path / "p.eps")) == sorted(
         reader + ["labelforge.fontmetrics", "labelforge.preview"])
     assert _loaded_after("renumber", eps, tex) == reader
+
+
+def test_inspect_on_an_interpreter_without_site_loads_nothing_it_does_not_run():
+    eps = str(FIXTURES.parent / "golden" / "ex_auto-psfrag.eps")
+    assert _loaded_after("inspect", eps, site=False) == _INSPECT_LOADS
 
 
 def test_only_export_and_inspect_json_load_json(tmp_path, capsys):
@@ -1343,3 +1366,172 @@ def test_commands_call_through_the_cli_module_names(tmp_path, capsys, monkeypatc
     assert main(["renumber", eps, tex]) == 0
     assert calls == {"load_scene": 1, "psfrag_export": 1, "parse_psfrag_document": 2,
                      "renumber": 1, "rewrite_tags": 1, "substitute_preview": 1}
+
+
+# ----------------------------------------------------------- command line
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The argparse parser `cli` used before it read `cli.COMMANDS`: the oracle for
+    `cli._parse_args`."""
+    parser = argparse.ArgumentParser(
+        prog="labelforge",
+        description="Export plot scenes to tagged EPS plus psfrag macros.")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    p_export = sub.add_parser("export", help="export a scene file")
+    p_export.add_argument("scene", help="scene document (JSON)")
+    p_export.add_argument("--basename", required=True,
+                          help="output base name; suffixes are appended")
+    p_export.add_argument("--tex-suffix", default="-psfrag.tex")
+    p_export.add_argument("--eps-suffix", default="-psfrag.eps")
+    p_export.add_argument("--renumber-tags", action="store_true")
+    p_export.add_argument("--no-auto-convert", action="store_true",
+                          help="tag only manually marked labels")
+    p_export.add_argument("--no-auto-position", action="store_true",
+                          help="ignore anchors; implies --no-auto-convert")
+    p_export.add_argument("--hooks", default=os.environ.get("LABELFORGE_HOOKS"),
+                          help="hook definition file (default: $LABELFORGE_HOOKS)")
+    p_export.set_defaults(func=cli.cmd_export)
+
+    p_inspect = sub.add_parser("inspect", help="list tag occurrences in an EPS")
+    p_inspect.add_argument("eps")
+    p_inspect.add_argument("--format", choices=("tsv", "json"), default="tsv")
+    p_inspect.set_defaults(func=cli.cmd_inspect)
+
+    p_renumber = sub.add_parser("renumber",
+                                help="renumber tags in an EPS/tex pair in place")
+    p_renumber.add_argument("eps")
+    p_renumber.add_argument("tex")
+    p_renumber.set_defaults(func=cli.cmd_renumber)
+
+    p_preview = sub.add_parser("preview",
+                               help="substitute placeholder boxes for tags")
+    p_preview.add_argument("eps")
+    p_preview.add_argument("tex")
+    p_preview.add_argument("out")
+    p_preview.add_argument("--strict", action="store_true",
+                           help="fail on any unmatched tag in either direction")
+    p_preview.set_defaults(func=cli.cmd_preview)
+    return parser
+
+
+def _run_main(argv: list[str]) -> tuple[int, str, str]:
+    """`main(argv)`'s exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+_OPTIONS = sorted({option for _, _, options in cli.COMMANDS.values() for option in options}
+                  | {"--help"})
+# No value is "--": argparse 3.11 read `--format=--` as the format [], which ran as tsv,
+# where `_parse_args` refuses it. Nor is "-hh", which argparse read as -h -h.
+_VALUES = st.sampled_from(["v", "", "a=b", "=", "json", "tsv", "xml", "-"])
+# Each option in full and cut to each shorter prefix that still has two dashes and a
+# letter: "--h" is --help to the top level and ambiguous to `export`, "--no-auto" always.
+_SPELLINGS = st.sampled_from([option[:n] for option in _OPTIONS
+                              for n in range(3, len(option) + 1)])
+_TOKENS = (st.sampled_from([*cli.COMMANDS, "--", "-h", "--nope", "-x"]) | _VALUES
+           | _SPELLINGS | st.builds("{}={}".format, _SPELLINGS, _VALUES))
+
+
+@st.composite
+def _near_table_lines(draw) -> list[str]:
+    """A command with its positionals and some of its options, each cut to a prefix and
+    given its value apart or after "=", in any order, with at most one of `_TOKENS` put in."""
+    command = draw(st.sampled_from(list(cli.COMMANDS)))
+    _, positionals, options = cli.COMMANDS[command]
+    groups = [[draw(_VALUES)] for _ in positionals]
+    for option in draw(st.lists(st.sampled_from(list(options)), max_size=4)) if options else []:
+        cut = option[:draw(st.integers(3, len(option)))]
+        if options[option] is False:
+            groups.append([cut])
+        elif draw(st.booleans()):
+            groups.append([f"{cut}={draw(_VALUES)}"])
+        else:
+            groups.append([cut, draw(_VALUES)])
+    words = [word for group in draw(st.permutations(groups)) for word in group]
+    for at, token in draw(st.lists(st.tuples(st.integers(0, len(words)), _TOKENS), max_size=1)):
+        words.insert(at, token)
+    return [command, *words]
+
+
+@settings(max_examples=600, deadline=None)
+@example(["inspect", "--form", "json", "x"])
+@example(["inspect", "--form=json", "--", "-x"])
+@example(["export", "--basename=", "-", "--hooks", "h", "--hooks=k", "--no-auto-c", "--no-auto-c"])
+@example(["preview", "a", "--", "b", "c"])
+@example(["preview", "a", "b", "c", "--"])
+@example(["inspect", "a", "--format", "json", "--"])
+@example(["renumber", "-1", "-.5"])
+@example(["renumber", "--", "a", "--"])
+@example(["--nope", "-h", "export"])
+@example(["export", "-h", "--no-auto"])
+@given(st.lists(_TOKENS, max_size=8) | _near_table_lines())
+def test_parse_args_reads_a_command_line_as_argparse_did(argv):
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        try:
+            expected, exit_code = vars(_build_parser().parse_args(argv)), None
+        except SystemExit as exc:
+            expected, exit_code = None, exc.code
+    if exit_code == 2:
+        with pytest.raises(cli.UsageError):
+            cli._parse_args(argv)
+        code, out, err = _run_main(argv)
+        assert (code, out, err.count("\n"), err[:7]) == (2, "", 1, "error: ")
+    elif exit_code == 0:
+        assert cli._parse_args(argv).func is cli._print_usage
+        code, out, err = _run_main(argv)
+        assert (code, out[:7], err) == (0, "usage: ", "")
+    else:
+        assert exit_code is None
+        got = vars(cli._parse_args(argv))
+        assert got.pop("func") is expected.pop("func")
+        # argparse 3.11 reads a "--" after the first one as an empty list when it stands
+        # alone for a positional; `_parse_args` reads it as the argument "--".
+        assert got == {name: "--" if value == [] else value for name, value in expected.items()}
+
+
+@pytest.mark.parametrize("argv", [
+    [],  # no command
+    ["bogus"],
+    ["inspect", "{eps}", "--nope"],
+    ["export", "{scene}", "--basename", "{out}", "--no-auto"],  # ambiguous prefix
+    ["export", "{scene}"],  # no --basename
+    ["renumber", "{eps}"],
+    ["inspect", "{eps}", "{eps}"],
+    ["inspect", "{eps}", "--format", "xml"],
+    ["export", "{scene}", "--basename", "{out}", "--renumber-tags=1"],
+    ["export", "{scene}", "--basename"],
+], ids=["no-command", "unknown-command", "unknown-option", "ambiguous-prefix",
+        "no-basename", "missing-positional", "extra-positional", "bad-format",
+        "flag-with-value", "option-without-value"])
+def test_a_usage_error_exits_two_in_one_line_and_writes_nothing(tmp_path, capsys, argv):
+    scene = _copy_fixture("fig2", tmp_path)
+    eps = tmp_path / "in.eps"
+    shutil.copyfile(FIXTURES.parent / "golden" / "ex_auto-psfrag.eps", eps)
+    before = sorted(tmp_path.iterdir())
+    argv = [word.format(scene=scene, eps=eps, out=tmp_path / "out") for word in argv]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and err.startswith("error: ")
+    assert sorted(tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["--nope", "--he"], ["export", "-h"],
+                                  ["preview", "a", "--help"], ["inspect", "--he", "--nope"]])
+def test_help_prints_the_usage_the_table_gives(capsys, argv):
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    commands = [argv[0]] if argv[0] in cli.COMMANDS else list(cli.COMMANDS)
+    assert err == "" and out.startswith("usage: labelforge ")
+    assert out.count("\n") == len(commands)
+    for command, line in zip(commands, out.splitlines()):
+        _, positionals, options = cli.COMMANDS[command]
+        words = line.split()
+        words = words[words.index("labelforge") + 1:]
+        assert words[:1 + len(positionals)] == [command, *positionals]
+        assert [word.strip("[]").partition("=")[0] for word in words[1 + len(positionals):]] == [
+            *options]

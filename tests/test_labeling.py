@@ -14,10 +14,10 @@ from labelforge import (DuplicateTagError, ExportOptions, LabelDirective,
                         emit_tex, parse_psfrag_line, pos_from_anchor,
                         psfrag_export, renumber, resolve_alignment,
                         shortlex_tag)
-from labelforge.directives import PosCode
+from labelforge.directives import POS_CODES, PosCode
 from labelforge.exprkit import EMPTY_HOOKS, Str, Sym, num, parse_expr
-from labelforge.labeling import (PsfragSyntaxError, _fmt_num, format_psfrag_line,
-                                 parse_psfrag_document, retag_psfrag_text)
+from labelforge.labeling import (FALLBACK_POSITION, PsfragSyntaxError, _fmt_num,
+                                 format_psfrag_line, parse_psfrag_document, retag_psfrag_text)
 
 
 def _entry(tag: str, body: str = "$x$") -> PsfragEntry:
@@ -129,14 +129,18 @@ def test_pos_from_anchor(anchor, code):
 def test_pos_from_anchor_never_produces_baseline():
     for ax in (-1.0, -0.5, 0.0, 0.5, 1.0):
         for ay in (-1.0, -0.5, 0.0, 0.5, 1.0):
-            assert pos_from_anchor((ax, ay)).vertical != "B"
+            code = pos_from_anchor((ax, ay))
+            assert code.vertical != "B"
+            assert code is POS_CODES[str(code)]
 
 
 def test_poscode_roundtrips_all_twelve():
     codes = [v + h for v in "tcbB" for h in "lcr"]
-    assert len(codes) == 12
+    assert len(codes) == 12 and list(POS_CODES) == codes
     for code in codes:
         assert str(PosCode.parse(code)) == code
+        assert PosCode.parse(code) is POS_CODES[code]
+    assert FALLBACK_POSITION is POS_CODES["bc"]
 
 
 def test_resolve_alignment_automatic_takes_anchor():
