@@ -80,6 +80,8 @@ def cmd_renumber(args: SimpleNamespace) -> int:
 
 
 def cmd_preview(args: SimpleNamespace) -> int:
+    if (out := os.path.realpath(args.out)) in map(os.path.realpath, (args.eps, args.tex)):
+        raise UsageError(f"preview: output {args.out!r} is an input: both name {out!r}")
     eps_data = Path(args.eps).read_bytes()
     registry = _this.parse_psfrag_document(read_text(args.tex))
     result = _this.substitute_preview(eps_data, registry)
@@ -110,7 +112,7 @@ _HELP = ("-h", "--help")
 
 
 class UsageError(ValueError):
-    """A command line that COMMANDS does not describe."""
+    """A command line that COMMANDS does not describe, or whose paths clash."""
     exit_code = 2
 
 

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import re
-
 from .records import record
 
 TYPE_CHECKING = False  # as `typing.TYPE_CHECKING`, without loading `typing` at run time
@@ -12,12 +10,11 @@ if TYPE_CHECKING:
 
 _VERTICALS = ("t", "c", "b", "B")
 _HORIZONTALS = ("l", "c", "r")
-_TAG_RE = re.compile(r"[A-Za-z0-9]+")
 
 
 def is_valid_tag(tag: str) -> bool:
     """A psfrag tag is a nonempty run of ASCII letters and digits."""
-    return bool(_TAG_RE.fullmatch(tag))
+    return tag.isascii() and tag.isalnum()
 
 
 @record

@@ -438,9 +438,9 @@ _ARROW_HEAD_LENGTH = 8.0  # points
 _ARROW_HEAD_HALF_ANGLE = 25.0  # degrees
 
 
-def _fmt(v: float, places: int = 3) -> str:
-    s = f"{v:.{places}f}".rstrip("0").rstrip(".")
-    return s if s not in ("", "-0") else "0"  # -0.0 and any tiny negative print as 0
+def _fmt(v: float, spec: str = ".3f") -> str:
+    s = f"{v:{spec}}".rstrip("0").rstrip(".")  # to the places of `spec`, no trailing zeros
+    return s if s != "-0" else "0"  # -0.0 and any tiny negative print as 0
 
 
 def _escape_ps_string(text: str) -> str:

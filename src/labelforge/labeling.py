@@ -287,41 +287,49 @@ def parse_psfrag_line(line: str) -> PsfragEntry | None:
     tag = stripped[i:close]
     i = close + 1
     options: list[str] = []
-    while len(options) < 4 and i < len(stripped) and stripped[i] == "[":
+    while stripped.startswith("[", i):
+        if len(options) == 4:
+            raise ValueError("psfrag takes at most four optional arguments")
         end = stripped.find("]", i)
         if end < 0:
             raise ValueError("psfrag optional argument has no closing bracket")
         options.append(stripped[i + 1:end])
         i = end + 1
-    if i < len(stripped) and stripped[i] == "[":
-        raise ValueError("psfrag takes at most four optional arguments")
-    if stripped[i:].lstrip()[:1] in ("", "%"):
-        raise ValueError("psfrag entry must be on one line")
-    if stripped[i] != "{":
+    if not stripped.startswith("{", i):
+        if stripped[i:].lstrip()[:1] in ("", "%"):
+            raise ValueError("psfrag entry must be on one line")
         raise ValueError(f"psfrag replacement must start with '{{': {stripped[i:]!r}")
-    body_end = _group_end(stripped, i)
-    if body_end < 0:
-        raise ValueError("psfrag replacement text has no closing brace")
-    rest = stripped[body_end + 1:].lstrip()
-    if rest and not rest.startswith("%"):
-        raise ValueError(f"unexpected text after psfrag replacement: {rest!r}")
-    body = stripped[i + 1:body_end]
-    options += [""] * (4 - len(options))
-    posn = PosCode.parse(options[0]) if options[0] else FALLBACK_POSITION
-    psposn = PosCode.parse(options[1]) if options[1] else posn
-    scale = _read_num(options[2], 1.0)
-    rot = _read_num(options[3], 0.0)
-    return PsfragEntry(tag=tag, posn=posn, psposn=psposn, scale=scale, rot=rot, body=body)
-
-
-_DECIMAL = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)")
+    # The group runs to the last `}` before the comment, which an unescaped `%` starts (one
+    # after an odd run of `\` is escaped); PsfragEntry checks that it is one TeX group.
+    end = stripped.find("%", i)
+    while end >= 0 and (end - len(stripped[:end].rstrip("\\"))) % 2:
+        end = stripped.find("%", end + 1)
+    group = (stripped[i:end] if end >= 0 else stripped[i:]).rstrip()
+    try:
+        if not group.endswith("}"):
+            raise ValueError("psfrag replacement text must end its line")  # worded below
+        posn, psposn, scale, rot = options + [""] * (4 - len(options))
+        posn = PosCode.parse(posn) if posn else FALLBACK_POSITION
+        psposn = PosCode.parse(psposn) if psposn else posn
+        return PsfragEntry(tag=tag, posn=posn, psposn=psposn, scale=_read_num(scale, 1.0),
+                           rot=_read_num(rot, 0.0), body=group[1:-1])
+    except ValueError:  # a line whose group does not close as the line ends names that first
+        body_end = _group_end(stripped, i)
+        if body_end < 0:
+            raise ValueError("psfrag replacement text has no closing brace") from None
+        rest = stripped[body_end + 1:].lstrip()
+        if rest and not rest.startswith("%"):
+            raise ValueError(f"unexpected text after psfrag replacement: {rest!r}") from None
+        raise
 
 
 def _read_num(slot: str, default: float) -> float:
     """A scale or rotation slot: `default` when empty, else a decimal as TeX reads one."""
     if not slot:
         return default
-    if not _DECIMAL.fullmatch(slot.strip(" ")):
+    number = slot.strip(" ")  # then a sign, and digits with at most one point among them
+    digits = (number[1:] if number[:1] in ("+", "-") else number).replace(".", "", 1)
+    if not (digits.isascii() and digits.isdigit()):
         raise ValueError(f"psfrag scale and rotation must be decimals like -1.5: {slot!r}")
     return float(slot)
 

@@ -10,7 +10,6 @@ typesetting anything.
 from __future__ import annotations
 
 import math
-import re
 
 from .affine import Affine
 from .directives import PosCode
@@ -20,7 +19,6 @@ from .labeling import PsfragEntry, TagRegistry
 from .records import record
 
 PREVIEW_CREATOR = b"%%Creator: labelforge-preview"
-_LINE_END = re.compile(rb"\r\n?|\n")
 
 
 class PreviewError(ValueError):
@@ -94,23 +92,17 @@ def default_measure(body: str) -> LabelBox:
     return LabelBox(width=5.0 * max(len(body), 1), height=10.0, depth=2.0)
 
 
-def _preview_block(occ: TagOccurrence, box: LabelBox, transform: Affine) -> bytes:
+def _preview_block(occ: TagOccurrence, box: LabelBox, transform: Affine) -> str:
     values = (*transform.as_ps_array(), box.width, box.height, box.depth, box.depth + 1)
     if not all(abs(v) <= 1e38 for v in values):  # the largest real in PLRM Appendix B
         start, end = occ.byte_span
         raise PreviewError(f"the preview of tag {occ.tag!r} at bytes {start}..{end} needs a "
                            "number beyond 1e38, the largest a PostScript interpreter reads")
-    a, b, c, d, tx, ty, w, h, depth, label_y = (_fmt(v, 6) for v in values)
-    lines = [
-        "gsave",
-        f"[{a} {b} {c} {d} {tx} {ty}] concat",
-        "0 setgray 0.4 setlinewidth",
-        f"newpath 0 0 moveto {w} 0 lineto {w} {h} lineto 0 {h} lineto closepath stroke",
-        f"newpath 0 {depth} moveto {w} {depth} lineto stroke",
-        f"/Times-Roman 4 selectfont 1 {label_y} moveto ({occ.tag}) show",
-        "grestore",
-    ]
-    return ("\n".join(lines) + "\n").encode("latin-1")
+    a, b, c, d, tx, ty, w, h, depth, label_y = [_fmt(v, ".6f") for v in values]
+    return (f"gsave\n[{a} {b} {c} {d} {tx} {ty}] concat\n0 setgray 0.4 setlinewidth\n"
+            f"newpath 0 0 moveto {w} 0 lineto {w} {h} lineto 0 {h} lineto closepath stroke\n"
+            f"newpath 0 {depth} moveto {w} {depth} lineto stroke\n"
+            f"/Times-Roman 4 selectfont 1 {label_y} moveto ({occ.tag}) show\ngrestore\n")
 
 
 @record
@@ -147,12 +139,12 @@ def substitute_preview(eps: bytes, registry: TagRegistry) -> PreviewResult:
     # at the start; the drawing goes before the last line that starts with `showpage`. Each
     # goes at the end if there is no such line, after a line break.
     end = len(eps)
-    first = _LINE_END.search(eps)
-    creator_at = (first.end() if first else end) if eps.startswith(b"%") else 0
+    creator_at = len(eps.splitlines(keepends=True)[0]) if eps.startswith(b"%") else 0
     showpage = max(eps.rfind(b"\nshowpage"), eps.rfind(b"\rshowpage"))
     inserts = [(creator_at, PREVIEW_CREATOR + b"\n")]
     if drawing:
-        inserts.append((showpage + 1 if showpage >= 0 else end, b"".join(drawing)))
+        inserts.append((showpage + 1 if showpage >= 0 else end,
+                        "".join(drawing).encode("latin-1")))
     if not eps.endswith((b"\n", b"\r")) and any(at == end for at, _text in inserts):
         inserts.insert(0, (end, b"\n"))
     # A point inside a blanked literal (one continued past a line end) moves to its end.

@@ -815,6 +815,28 @@ def test_preview_strict_shown_text_with_no_entry_exits_two(tmp_path, capsys):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("spelling", ["same", "dotted", "link"])
+@pytest.mark.parametrize("which", ["eps", "tex"])
+def test_preview_refuses_an_output_that_is_one_of_its_inputs(tmp_path, capsys, which, spelling):
+    from conftest import GOLDEN
+    inputs = {kind: tmp_path / f"a.{kind}" for kind in ("eps", "tex")}
+    for kind, path in inputs.items():
+        shutil.copyfile(GOLDEN / f"ex_auto-psfrag.{kind}", path)
+    (tmp_path / "sub").mkdir()
+    out = {"same": inputs[which], "dotted": tmp_path / "sub" / ".." / f"a.{which}",
+           "link": tmp_path / "sub" / "out"}[spelling]
+    if spelling == "link":
+        out.symlink_to(inputs[which])
+    assert main(["preview", str(inputs["eps"]), str(inputs["tex"]), str(out)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: preview: output {str(out)!r} is an input: both name "
+        f"{os.path.realpath(inputs[which])!r}\n")
+    for kind, path in inputs.items():
+        assert path.read_bytes() == (GOLDEN / f"ex_auto-psfrag.{kind}").read_bytes()
+    assert sorted(p.name for p in tmp_path.rglob("*")) == sorted(
+        ["a.eps", "a.tex", "sub"] + (["out"] if spelling == "link" else []))
+
+
 @pytest.mark.parametrize("size", ["0", "-10"])
 def test_preview_takes_a_zero_or_negative_font_size(tmp_path, capsys, size):
     eps_path, tex_path = tmp_path / "z.eps", tmp_path / "z.tex"

@@ -6,7 +6,7 @@ import re
 import string
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from labelforge import (DuplicateTagError, ExportOptions, LabelDirective,
@@ -16,8 +16,10 @@ from labelforge import (DuplicateTagError, ExportOptions, LabelDirective,
                         shortlex_tag)
 from labelforge.directives import POS_CODES, PosCode
 from labelforge.exprkit import EMPTY_HOOKS, Str, Sym, num, parse_expr
-from labelforge.labeling import (FALLBACK_POSITION, PsfragSyntaxError, _fmt_num,
-                                 format_psfrag_line, parse_psfrag_document, retag_psfrag_text)
+from labelforge import labeling
+from labelforge.labeling import (FALLBACK_POSITION, PsfragSyntaxError, _fmt_num, _group_end,
+                                 format_psfrag_line, is_psfrag_line, parse_psfrag_document,
+                                 retag_psfrag_text)
 
 
 def _entry(tag: str, body: str = "$x$") -> PsfragEntry:
@@ -391,6 +393,115 @@ def test_parse_psfrag_line_rejects_malformed_entries(line, message):
         parse_psfrag_line(line)
     with pytest.raises(PsfragSyntaxError, match="^line 3: "):
         parse_psfrag_document("% header\n\\psfrag{b}{y}\n" + line + "\n")
+
+
+_REFERENCE_DECIMAL = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)")
+
+
+def _reference_read_num(slot: str, default: float) -> float:
+    if not slot:
+        return default
+    if not _REFERENCE_DECIMAL.fullmatch(slot.strip(" ")):
+        raise ValueError(f"psfrag scale and rotation must be decimals like -1.5: {slot!r}")
+    return float(slot)
+
+
+def _reference_parse_psfrag_line(line: str) -> PsfragEntry | None:
+    """The reader that walked each body twice, the second time in `PsfragEntry`: the oracle
+    of the one that leaves that walk to the record."""
+    if not is_psfrag_line(line):
+        return None
+    stripped = line.removeprefix("\ufeff").strip()
+    i = len("\\psfrag{")
+    close = stripped.find("}", i)
+    if close < 0:
+        raise ValueError("psfrag tag has no closing brace")
+    tag = stripped[i:close]
+    i = close + 1
+    options: list[str] = []
+    while len(options) < 4 and i < len(stripped) and stripped[i] == "[":
+        end = stripped.find("]", i)
+        if end < 0:
+            raise ValueError("psfrag optional argument has no closing bracket")
+        options.append(stripped[i + 1:end])
+        i = end + 1
+    if i < len(stripped) and stripped[i] == "[":
+        raise ValueError("psfrag takes at most four optional arguments")
+    if stripped[i:].lstrip()[:1] in ("", "%"):
+        raise ValueError("psfrag entry must be on one line")
+    if stripped[i] != "{":
+        raise ValueError(f"psfrag replacement must start with '{{': {stripped[i:]!r}")
+    body_end = _group_end(stripped, i)
+    if body_end < 0:
+        raise ValueError("psfrag replacement text has no closing brace")
+    rest = stripped[body_end + 1:].lstrip()
+    if rest and not rest.startswith("%"):
+        raise ValueError(f"unexpected text after psfrag replacement: {rest!r}")
+    body = stripped[i + 1:body_end]
+    options += [""] * (4 - len(options))
+    posn = PosCode.parse(options[0]) if options[0] else FALLBACK_POSITION
+    psposn = PosCode.parse(options[1]) if options[1] else posn
+    scale = _reference_read_num(options[2], 1.0)
+    rot = _reference_read_num(options[3], 0.0)
+    return PsfragEntry(tag=tag, posn=posn, psposn=psposn, scale=scale, rot=rot, body=body)
+
+
+def _outcome(read, line: str):
+    """What `read` makes of `line`: its entry or None, or the class and message it raised."""
+    try:
+        return read(line)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+# The parts of a line: each may be well formed or not, and `%`, `\` and braces turn up in
+# every part, escaped or not.
+_LINE_START = st.sampled_from(["", "\ufeff", "  ", "\ufeff \t", "\t\ufeff"])
+_TAG_GROUP = st.tuples(st.text(string.ascii_letters + string.digits, max_size=4)
+                       | st.text(string.ascii_letters + " %\\{", max_size=4),
+                       st.sampled_from(["}"] * 9 + [""])).map("".join)
+_SLOT = st.sampled_from(["", "bc", "Bl", "tr", "cc", "xy", "b", "bcd", "1", "0", "-1.5",
+                         " +.5 ", "2.", "1e3", "0x1", ".", "- 1", "%", "}"])
+_OPTION = st.tuples(_SLOT, st.sampled_from(["]"] * 8 + ["", "] "])).map(lambda p: "[" + "".join(p))
+_ESCAPED_BODY = st.lists(st.sampled_from(["x", "\\%", "\\\\%", "50%", "\\\\", "\\", "{", "}",
+                                          "\\}", " "]), max_size=6).map("".join)
+_BODY_GROUP = st.tuples(st.sampled_from(["{"] * 8 + ["", " {"]),
+                        st.lists(_GROUPED, max_size=3).map("".join) | _ANY_BODY | _ESCAPED_BODY,
+                        st.sampled_from(["}", "}", ""])).map("".join)
+_LINE_END = st.sampled_from(["", "  ", "\t", " junk", "}", "} ", "x}", " % c{", "% }", "%\\",
+                             " %{}\\", "%%", " \\%", "{}", " % \\psfrag{a}{b}", "\t% c",
+                             "\u2003 %"])
+
+
+@settings(max_examples=1500)
+@given(start=_LINE_START, tag=_TAG_GROUP, options=st.lists(_OPTION, max_size=5),
+       gap=st.sampled_from([""] * 8 + [" ", "\t"]), body=_BODY_GROUP, end=_LINE_END)
+@example(start="", tag="a}", options=["[bc]"], gap="", body="{50\\%}", end="")
+@example(start="", tag="a}", options=[], gap="", body="{50\\\\%}", end="}")
+@example(start="", tag="a}", options=[], gap="", body="{50%}", end="")
+@example(start="", tag="a}", options=["[xy]"], gap="", body="{x}}", end="")
+@example(start="", tag="a b}", options=["[bc]", "[bc]", "[1]", "[1e3]"], gap="", body="{x",
+         end="")
+def test_reader_matches_the_reader_that_checked_each_body_twice(start, tag, options, gap, body,
+                                                                  end):
+    line = f"{start}\\psfrag{{{tag}{''.join(options)}{gap}{body}{end}"
+    assert (_outcome(parse_psfrag_line, line)
+            == _outcome(_reference_parse_psfrag_line, line)), line
+
+
+def test_reader_finds_each_body_end_once(monkeypatch):
+    walks = []
+    original = labeling._group_end
+    monkeypatch.setattr(labeling, "_group_end",
+                        lambda text, i: walks.append(1) or original(text, i))
+    bodies = ["x", "$\\frac{1}{2}$", "\\psfragmathstyle{$\\psfragscalemath {x}^{2}$}", "a\\}b",
+              "\\{", "{}{}", ""]
+    text = "".join(f"\\psfrag{{t{n}}}[{code}][{code}][1][0]{{{bodies[n % len(bodies)]}}}\n"
+                   for n, code in enumerate(["bc", "tl", "Br"] * 7))
+    assert "%" not in text
+    registry = parse_psfrag_document(text)
+    assert len(registry) == 21
+    assert len(walks) == 21
 
 
 def test_parse_psfrag_document_collects_in_order(export):

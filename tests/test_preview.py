@@ -10,9 +10,10 @@ from labelforge import (ExportOptions, LabelBox, TagRegistry, place, reference_p
                         substitute_preview)
 from labelforge.affine import Affine
 from labelforge.directives import PosCode
-from labelforge.epsio import TagOccurrence
+from labelforge.epsio import TagOccurrence, _fmt
 from labelforge.labeling import PsfragEntry, parse_psfrag_document
-from labelforge.preview import PREVIEW_CREATOR, default_measure, tag_box_for
+from labelforge.preview import (PREVIEW_CREATOR, PreviewError, _preview_block, default_measure,
+                                tag_box_for)
 
 from conftest import FIXTURES
 
@@ -173,6 +174,72 @@ def test_nonpositive_scale_rejected_at_entry_construction():
         PsfragEntry("gA", PosCode.parse("bl"), PosCode.parse("bl"), 0.0, 0.0, "x")
 
 
+# ------------------------------------------------------------ preview block
+
+def _reference_fmt(v: float, places: int = 3) -> str:
+    """`_fmt` as it was when it built its format spec from `places` on every call."""
+    s = f"{v:.{places}f}".rstrip("0").rstrip(".")
+    return s if s not in ("", "-0") else "0"
+
+
+def _reference_preview_block(occ: TagOccurrence, box: LabelBox, transform: Affine) -> bytes:
+    """`_preview_block` as it was when it joined seven lines and encoded each box."""
+    values = (*transform.as_ps_array(), box.width, box.height, box.depth, box.depth + 1)
+    if not all(abs(v) <= 1e38 for v in values):
+        start, end = occ.byte_span
+        raise PreviewError(f"the preview of tag {occ.tag!r} at bytes {start}..{end} needs a "
+                           "number beyond 1e38, the largest a PostScript interpreter reads")
+    a, b, c, d, tx, ty, w, h, depth, label_y = (_reference_fmt(v, 6) for v in values)
+    lines = [
+        "gsave",
+        f"[{a} {b} {c} {d} {tx} {ty}] concat",
+        "0 setgray 0.4 setlinewidth",
+        f"newpath 0 0 moveto {w} 0 lineto {w} {h} lineto 0 {h} lineto closepath stroke",
+        f"newpath 0 {depth} moveto {w} {depth} lineto stroke",
+        f"/Times-Roman 4 selectfont 1 {label_y} moveto ({occ.tag}) show",
+        "grestore",
+    ]
+    return ("\n".join(lines) + "\n").encode("latin-1")
+
+
+# Where six places round up, down or to a signed zero, whole numbers, and 1e38, the largest
+# real a preview may write, with the next float above it.
+_EDGES = [0.0, -0.0, 4e-7, -4e-7, 5e-7, -5e-7, 0.9999995, -0.9999995, 1.0, -3.0, 35.0, 1e6,
+          2.0**53, 1e38, -1e38, math.nextafter(1e38, math.inf), -math.nextafter(1e38, math.inf)]
+_NUMBERS = st.sampled_from(_EDGES) | st.floats()
+_SIZES = st.sampled_from([v for v in _EDGES if v > 0]) | st.floats(min_value=5e-324)
+
+
+def _outcome(block, occ, box, transform):
+    """The bytes `block` writes, or the message of the PreviewError it raises."""
+    try:
+        text = block(occ, box, transform)
+    except PreviewError as exc:
+        return str(exc)
+    return text.encode("latin-1") if isinstance(text, str) else text
+
+
+@settings(max_examples=1000)
+@given(transform=st.builds(Affine, _NUMBERS, _NUMBERS, _NUMBERS, _NUMBERS, _NUMBERS, _NUMBERS),
+       width=_SIZES, height=_SIZES, depth=_SIZES | st.just(0.0),
+       tag=st.text("abcXYZ019", min_size=1, max_size=4))
+def test_preview_block_matches_the_block_of_seven_joined_lines(transform, width, height, depth,
+                                                               tag):
+    if not depth < height:
+        depth = 0.0
+    box = LabelBox(width, height, depth)
+    occ = TagOccurrence(tag, (0.0, 0.0), 0.0, 1.0, 10.0, (3, 9))
+    assert (_outcome(_preview_block, occ, box, transform)
+            == _outcome(_reference_preview_block, occ, box, transform))
+
+
+@settings(max_examples=1000)
+@given(_NUMBERS)
+def test_fmt_matches_the_formatter_that_built_its_spec_per_call(v):
+    assert _fmt(v) == _reference_fmt(v, 3)
+    assert _fmt(v, ".6f") == _reference_fmt(v, 6)
+
+
 # ------------------------------------------------------ substitute_preview
 
 def test_preview_empty_registry_only_banner(export):
@@ -225,7 +292,7 @@ def test_preview_of_any_line_ends_blanks_the_tags_and_draws_before_showpage(eol,
         box = default_measure(entry.body)
         want = place(box, entry, occ, tag_box_for(occ)).apply(1, box.depth + 1)
         assert caption.tag == occ.tag
-        assert caption.device_position == pytest.approx(want, abs=1e-5)  # `_fmt(v, 6)` rounds
+        assert caption.device_position == pytest.approx(want, abs=1e-5)  # `_fmt(v, ".6f")` rounds
     assert result.eps.splitlines()[1] == PREVIEW_CREATOR
     if showpage:
         assert all(c.byte_span[1] < result.eps.rindex(b"showpage") for c in after[len(before):])
