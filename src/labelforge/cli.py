@@ -7,6 +7,7 @@ output files; in-place commands always keep .bak copies of the originals.
 
 from __future__ import annotations
 
+import errno
 import os
 import re
 import sys
@@ -33,11 +34,18 @@ _this = sys.modules[__name__]
 def cmd_export(args: SimpleNamespace) -> int:
     scene = _this.load_scene(args.scene)
     hooks = _this.load_hooks(args.hooks) if args.hooks else None
-    opts = _this.ExportOptions(tex_suffix=args.tex_suffix, eps_suffix=args.eps_suffix,
-                               renumber_tags=args.renumber_tags,
+    if not args.basename:
+        raise UsageError("basename must be nonempty")
+    if args.eps_suffix == args.tex_suffix:
+        raise UsageError(f"EPS and tex suffixes must differ: both are {args.eps_suffix!r}")
+    eps_path, tex_path = args.basename + args.eps_suffix, args.basename + args.tex_suffix
+    _check_outputs("export", {"EPS": eps_path, "tex": tex_path}, (args.scene, args.hooks))
+    opts = _this.ExportOptions(renumber_tags=args.renumber_tags,
                                auto_convert_text=not args.no_auto_convert,
                                auto_position=not args.no_auto_position)
-    result = _this.psfrag_export(scene, args.basename, opts, hooks)
+    result = _this.psfrag_export(scene, opts, hooks)
+    atomic_write_bytes(eps_path, result.eps)
+    atomic_write_text(tex_path, result.tex)
     print(f"{result.labels} labels, {len(result.registry)} tagged")
     return EXIT_OK
 
@@ -79,9 +87,27 @@ def cmd_renumber(args: SimpleNamespace) -> int:
     return EXIT_OK
 
 
+def _check_outputs(command: str, outputs: dict[str, str], inputs: tuple[str | None, ...]) -> None:
+    """Refuse, before any write, an output naming the file of another output or of an input
+    (an empty one names none), or being a directory. `outputs` maps each kind to its path."""
+    named: dict[str, tuple[str, str]] = {}  # real path -> kind, path as given
+    for kind, path in outputs.items():
+        real = os.path.realpath(path)
+        if real in named:
+            first_kind, first = named[real]
+            raise UsageError(f"{first_kind} and {kind} paths must differ: {first!r} and "
+                             f"{path!r} both name {real!r}")
+        named[real] = kind, path
+    read = {os.path.realpath(path) for path in inputs if path}
+    for real, (_, path) in named.items():
+        if real in read:
+            raise UsageError(f"{command}: output {path!r} is an input: both name {real!r}")
+        if os.path.isdir(path) and not os.path.islink(path):  # a rename cannot replace it
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+
+
 def cmd_preview(args: SimpleNamespace) -> int:
-    if (out := os.path.realpath(args.out)) in map(os.path.realpath, (args.eps, args.tex)):
-        raise UsageError(f"preview: output {args.out!r} is an input: both name {out!r}")
+    _check_outputs("preview", {"output": args.out}, (args.eps, args.tex))
     eps_data = Path(args.eps).read_bytes()
     registry = _this.parse_psfrag_document(read_text(args.tex))
     result = _this.substitute_preview(eps_data, registry)

@@ -264,13 +264,17 @@ class _Parser:
         raise ExprSyntaxError(f"expected expression, found {_found(tok)!r}", offset)
 
 
+def _folds(lhs: Expr, rhs: Expr) -> bool:
+    """Whether `lhs/rhs` parses to one rational literal: exact over nonzero exact. The
+    printer writes a Divide call whose arguments fold in bracket form for this reason."""
+    return (isinstance(lhs, Num) and lhs.is_exact()
+            and isinstance(rhs, Num) and rhs.is_exact() and rhs.value != 0)
+
+
 def _fold_division(lhs: Expr, rhs: Expr) -> Expr:
     # Integer quotients become exact rationals, mirroring how evaluated
     # tick values arrive as Times[1/2, Pi] rather than a division call.
-    if (isinstance(lhs, Num) and lhs.is_exact()
-            and isinstance(rhs, Num) and rhs.is_exact() and rhs.value != 0):
-        return Num(lhs.value / rhs.value)
-    return Call("Divide", (lhs, rhs))
+    return Num(lhs.value / rhs.value) if _folds(lhs, rhs) else Call("Divide", (lhs, rhs))
 
 
 def parse_expr(source: str) -> Expr:
@@ -308,14 +312,6 @@ def _paren(printed: tuple[str, int], ctx: int) -> str:
 
 # A bracket form such as Plus[x] keeps the precedence of its infix form.
 _BRACKET_PREC = {"Plus": 1, "Times": 2, "Divide": 2, "Power": 3}
-
-
-def _folds_on_reparse(args: tuple[Expr, ...]) -> bool:
-    # Mirrors _fold_division: an exact/exact quotient would collapse to a
-    # rational literal, so such Divide calls must print in bracket form.
-    return (len(args) == 2
-            and all(isinstance(a, Num) and a.is_exact() for a in args)
-            and args[1].value != 0)
 
 
 def _is_negative_term(e: Expr) -> bool:
@@ -370,7 +366,7 @@ def _src(e: Expr) -> tuple[str, int]:
         else:
             head_s = _paren(_src(first), 2)
         return head_s + "".join("*" + _paren(_src(a), 3) for a in e.args[1:]), 2
-    if e.head == "Divide" and len(e.args) == 2 and not _folds_on_reparse(e.args):
+    if e.head == "Divide" and len(e.args) == 2 and not _folds(*e.args):
         return _paren(_src(e.args[0]), 2) + "/" + _paren(_src(e.args[1]), 3), 2
     if e.head == "Power" and len(e.args) == 2:
         return _paren(_src(e.args[0]), 4) + "^" + _paren(_src(e.args[1]), 3), 3

@@ -9,20 +9,18 @@ the anchor-to-alignment mapping, and the top-level export orchestration.
 from __future__ import annotations
 
 import math
-import os
 import re
 import sys
 import warnings
 
 from . import deferred, epsio
 from .directives import POS_CODES, LabelDirective, PosCode, is_valid_tag
+# Unused here: perfbench/spans.py SITES, their only reader, wraps them in this module.
 from .fileio import atomic_write_bytes, atomic_write_text
 from .records import record, replace
 
 TYPE_CHECKING = False  # as `typing.TYPE_CHECKING`, without loading `typing` at run time
 if TYPE_CHECKING:
-    from pathlib import Path
-
     from .exprkit import HookSet
     from .scene import ExportOptions, Scene
 
@@ -35,11 +33,6 @@ _this = sys.modules[__name__]
 
 class DuplicateTagError(ValueError):
     """Two labels requested the same explicit psfrag tag."""
-    exit_code = 2
-
-
-class ExportArgumentError(ValueError):
-    """An export argument is unusable, such as an empty basename."""
     exit_code = 2
 
 
@@ -371,30 +364,20 @@ class ExportResult:
 
 
 def psfrag_export(scene: Scene,
-                  basename: str | Path,
                   opts: ExportOptions | None = None,
                   hooks: HookSet | None = None,
                   ) -> ExportResult:
-    """Export a scene to `basename+eps_suffix` and `basename+tex_suffix`.
+    """Export a scene to the bytes of a tagged EPS and the text of its `\\psfrag` file.
 
     Pipeline: decorations are expanded (so directive-carrying tick labels
     stay taggable even with automatic positioning off), bare text is
     auto-wrapped when enabled, one entry is built per directive-bearing
-    text primitive, tags are optionally renumbered, and both files are
-    written atomically. Bare text primitives that remain are drawn as plain
-    PostScript text and not tagged. Defaults: `ExportOptions()`, `EMPTY_HOOKS`.
-    Returns both files' contents, the registry and the number of labels shown.
+    text primitive, and tags are optionally renumbered. Bare text primitives
+    that remain are drawn as plain PostScript text and not tagged. Writes
+    nothing. Defaults: `ExportOptions()`, `EMPTY_HOOKS`. Returns both files'
+    contents, the registry and the number of labels shown.
     """
-    base = str(basename)
-    if not base:
-        raise ExportArgumentError("basename must be nonempty")
     opts = _this.ExportOptions() if opts is None else opts
-    if opts.eps_suffix == opts.tex_suffix:
-        raise ExportArgumentError(f"EPS and tex suffixes must differ: both are {opts.eps_suffix!r}")
-    eps_path, tex_path = base + opts.eps_suffix, base + opts.tex_suffix
-    if (real := os.path.realpath(eps_path)) == os.path.realpath(tex_path):
-        raise ExportArgumentError(f"EPS and tex paths must differ: {eps_path!r} and {tex_path!r} "
-                                  f"both name {real!r}")
     hooks = _this.EMPTY_HOOKS if hooks is None else hooks
     working = _this.expand_decorations(scene)
     if opts.effective_auto_convert:
@@ -427,9 +410,5 @@ def psfrag_export(scene: Scene,
         registry = renamed
         tag_of_index = {idx: tag_map[tag] for idx, tag in tag_of_index.items()}
 
-    eps_bytes = epsio.write_eps(working, tag_of_index)
-    tex_text = emit_tex(registry)
-
-    atomic_write_bytes(eps_path, eps_bytes)
-    atomic_write_text(tex_path, tex_text)
-    return ExportResult(eps_bytes, tex_text, registry, len(texts))
+    return ExportResult(epsio.write_eps(working, tag_of_index), emit_tex(registry), registry,
+                        len(texts))

@@ -191,8 +191,6 @@ class Scene:
 
 @record
 class ExportOptions:
-    tex_suffix: str = "-psfrag.tex"
-    eps_suffix: str = "-psfrag.eps"
     renumber_tags: bool = False
     auto_convert_text: bool = True
     auto_position: bool = True

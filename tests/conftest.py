@@ -59,13 +59,11 @@ def scene_of():
 
 
 @pytest.fixture
-def export(tmp_path):
-    """Export a fixture scene into tmp_path, returning (eps, tex, registry)."""
+def export():
+    """Export a fixture scene in memory, returning (eps, tex, registry)."""
 
     def _export(name: str, opts: ExportOptions = ExportOptions(), hooks=None):
-        scene = load_scene(FIXTURES / f"{name}.scene")
-        base = tmp_path / name
-        result = psfrag_export(scene, base, opts, hooks)
+        result = psfrag_export(load_scene(FIXTURES / f"{name}.scene"), opts, hooks)
         return result.eps, result.tex, result.registry
 
     return _export

@@ -83,7 +83,7 @@ def test_criterion_4_renumbering(tmp_path, capsys):
         for i in range(60))
     scene = Scene(plot_range=((0.0, 11.0), (0.0, 7.0)), target_size=(300.0, 200.0),
                   primitives=prims)
-    registry = psfrag_export(scene, tmp_path / "sixty", ExportOptions(renumber_tags=True)).registry
+    registry = psfrag_export(scene, ExportOptions(renumber_tags=True)).registry
     alphabet = string.ascii_lowercase + string.ascii_uppercase
     brute = []
     length = 1
@@ -100,8 +100,7 @@ def test_criterion_4_renumbering(tmp_path, capsys):
     assert registry.tags()[52:] == ["aa", "ab", "ac", "ad", "ae", "af", "ag", "ah"]
 
     # cmd_renumber keeps the pair consistent and is idempotent
-    from labelforge import load_scene
-    psfrag_export(load_scene(FIXTURES / "ex_3d.scene"), tmp_path / "k")
+    assert main(["export", str(FIXTURES / "ex_3d.scene"), "--basename", str(tmp_path / "k")]) == 0
     eps_path = tmp_path / "k-psfrag.eps"
     tex_path = tmp_path / "k-psfrag.tex"
     assert main(["renumber", str(eps_path), str(tex_path)]) == 0

@@ -225,6 +225,53 @@ def test_export_with_suffixes_naming_one_file_exits_two_in_one_line(tmp_path, ca
     assert sorted(tmp_path.iterdir()) == before and not (tmp_path / "o.eps").exists()
 
 
+@pytest.mark.parametrize("spelling", ["same", "dotted", "link"])
+@pytest.mark.parametrize("output", ["eps", "tex"])
+@pytest.mark.parametrize("which", ["scene", "hooks", "env"])
+def test_export_refuses_an_output_that_is_one_of_its_inputs(tmp_path, capsys, monkeypatch, which,
+                                                            output, spelling):
+    scene = _copy_fixture("mini", tmp_path)
+    hooks = tmp_path / "h.json"
+    hooks.write_text("{}")
+    victim = scene if which == "scene" else hooks
+    (tmp_path / "sub").mkdir()
+    basename, suffix = {"same": (tmp_path / victim.stem, victim.suffix),
+                        "dotted": (tmp_path / "sub", f"/../{victim.name}"),
+                        "link": (tmp_path / "sub" / "out", "")}[spelling]
+    if spelling == "link":
+        (tmp_path / "sub" / "out").symlink_to(victim)
+    monkeypatch.setenv("LABELFORGE_HOOKS", str(hooks) if which == "env" else "")
+    argv = ["export", str(scene), "--basename", str(basename), f"--{output}-suffix", suffix]
+    if which == "hooks":
+        argv += ["--hooks", str(hooks)]
+    before = {path: path.read_bytes() for path in (scene, hooks)}
+    names = sorted(tmp_path.rglob("*"))
+    assert main(argv) == 2
+    assert capsys.readouterr() == (
+        "", f"error: export: output {str(basename) + suffix!r} is an input: both name "
+        f"{os.path.realpath(victim)!r}\n")
+    assert {path: path.read_bytes() for path in (scene, hooks)} == before
+    assert sorted(tmp_path.rglob("*")) == names
+
+
+@pytest.mark.parametrize("argv, in_the_way", [
+    (["export", "{d}/mini.scene", "--basename", "{d}/o"], "o-psfrag.eps"),
+    (["export", "{d}/mini.scene", "--basename", "{d}/o"], "o-psfrag.tex"),
+    (["preview", "{golden}/ex_auto-psfrag.eps", "{golden}/ex_auto-psfrag.tex", "{d}/p.eps"],
+     "p.eps"),
+])
+def test_an_output_that_is_a_directory_is_refused_before_the_first_write(tmp_path, capsys, argv,
+                                                                         in_the_way):
+    from conftest import GOLDEN
+    _copy_fixture("mini", tmp_path)
+    (tmp_path / in_the_way).mkdir()
+    names = sorted(tmp_path.rglob("*"))
+    assert main([arg.format(d=tmp_path, golden=GOLDEN) for arg in argv]) == 3
+    assert capsys.readouterr() == (
+        "", f"error: [Errno 21] Is a directory: {str(tmp_path / in_the_way)!r}\n")
+    assert sorted(tmp_path.rglob("*")) == names
+
+
 def test_export_bad_scene_is_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.scene"
     bad.write_text('{"version": 1, "plot_range": [[0, 1], [0, 1]], '
@@ -1295,16 +1342,17 @@ def test_library_export_side_binds_its_names_on_first_use(tmp_path, capsys):
             "entry = labeling.build_entry(LabelDirective(parse_expr('Sin[x]')), None,\n"
             "                             EMPTY_HOOKS, ExportOptions(), registry)\n"
             f"unbound = sorted(set({DEFERRED['labelforge.labeling']!r}) - set(vars(labeling)))\n"
-            "labeling.psfrag_export(load_scene(sys.argv[1]), sys.argv[2])\n"
-            "print(json.dumps([tag, entry.tag, entry.body, unbound]))\n")
-    proc = _fresh_python(code, str(scene), str(tmp_path / "lib"))
+            "result = labeling.psfrag_export(load_scene(sys.argv[1]))\n"
+            "print(json.dumps([tag, entry.tag, entry.body, unbound,\n"
+            "                  result.eps.decode('latin-1'), result.tex]))\n")
+    proc = _fresh_python(code, str(scene))
     from labelforge.exprkit import EMPTY_HOOKS, guess_tex, parse_expr
-    assert json.loads(proc.stdout) == [
+    *names, eps, tex = json.loads(proc.stdout)
+    assert names == [
         "x2", "Sinx", guess_tex(parse_expr("Sin[x]"), EMPTY_HOOKS),
         ["EMPTY_HOOKS", "ExportOptions", "auto_wrap", "expand_decorations"]]
-    for suffix in ("-psfrag.eps", "-psfrag.tex"):
-        lib, cli_out = tmp_path / f"lib{suffix}", tmp_path / f"cli{suffix}"
-        assert lib.read_bytes() == cli_out.read_bytes()
+    assert eps.encode("latin-1") == (tmp_path / "cli-psfrag.eps").read_bytes()
+    assert tex.encode("utf-8") == (tmp_path / "cli-psfrag.tex").read_bytes()
 
 
 @pytest.mark.parametrize("module, name", [(module, name) for module, names in DEFERRED.items()
@@ -1333,6 +1381,49 @@ def test_every_name_read_through_this_is_deferred_or_defined(module):
     read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
             and isinstance(node.value, ast.Name) and node.value.id == "_this"}
     assert read and read - defined <= set(DEFERRED[f"labelforge.{module}"])
+
+
+def _calls(tree: ast.AST) -> list[tuple[str | None, str, ast.Call]]:
+    """Each call in `tree` as (what the name is read from: None for a bare name, the module
+    name, or "" for any other value; the name; the call)."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Name):
+                found.append((None, node.func.id, node))
+            elif isinstance(node.func, ast.Attribute):
+                owner = node.func.value.id if isinstance(node.func.value, ast.Name) else ""
+                found.append((owner, node.func.attr, node))
+    return found
+
+
+def _writes(owner: str | None, name: str, call: ast.Call) -> bool:
+    """Whether the call writes a file: a rename, a temp file, a copy, a `Path` writer, or an
+    `open` whose mode can write (a mode that is not a literal counts as one that can)."""
+    if (owner, name) in {("os", "replace"), ("os", "rename"), ("tempfile", "mkstemp"),
+                         ("shutil", "copy")} or name in {"write_bytes", "write_text"}:
+        return True
+    if name not in {"open", "fdopen"} or (owner, name) == ("os", "open"):
+        return False
+    # open(path, mode), io.open(path, mode), os.fdopen(fd, mode); else Path.open(mode)
+    args = call.args[1:] if owner in {None, "io", "os"} else call.args
+    mode = next((kw.value for kw in call.keywords if kw.arg == "mode"),
+                args[0] if args else ast.Constant("r"))
+    return not isinstance(mode, ast.Constant) or bool(set(mode.value) & set("wax+"))
+
+
+def test_only_fileio_writes_files_and_only_cli_calls_its_writers():
+    writers, callers = set(), set()
+    for path in Path(labelforge.__file__).parent.glob("*.py"):
+        for owner, name, call in _calls(ast.parse(path.read_text("utf-8"))):
+            if _writes(owner, name, call):
+                writers.add((path.stem, owner, name))
+            if name in {"atomic_write_bytes", "atomic_write_text", "make_backup"}:
+                callers.add(path.stem)
+    assert {module for module, _, _ in writers} == {"fileio"}
+    assert {(owner, name) for _, owner, name in writers} == {
+        ("os", "replace"), ("tempfile", "mkstemp"), ("shutil", "copy"), ("os", "fdopen")}
+    assert callers == {"cli", "fileio"}  # fileio: atomic_write_text calls atomic_write_bytes
 
 
 def test_no_module_reads_bytecode():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from labelforge import (DuplicateTagError, ExportOptions, LabelDirective,
                         PsfragEntry, TagRegistry, build_entry, derive_tag,
                         emit_tex, parse_psfrag_line, pos_from_anchor,
-                        psfrag_export, renumber, resolve_alignment,
+                        load_scene, psfrag_export, renumber, resolve_alignment,
                         shortlex_tag)
 from labelforge.directives import POS_CODES, PosCode
 from labelforge.exprkit import EMPTY_HOOKS, Str, Sym, num, parse_expr
@@ -20,6 +20,8 @@ from labelforge import labeling
 from labelforge.labeling import (FALLBACK_POSITION, PsfragSyntaxError, _fmt_num, _group_end,
                                  format_psfrag_line, is_psfrag_line, parse_psfrag_document,
                                  retag_psfrag_text)
+
+from conftest import FIXTURES
 
 
 def _entry(tag: str, body: str = "$x$") -> PsfragEntry:
@@ -514,19 +516,13 @@ def test_parse_psfrag_document_collects_in_order(export):
 
 # --------------------------------------------------------- psfrag_export
 
-def test_export_default_suffixes(tmp_path, scene_of):
-    base = tmp_path / "ex_auto"
-    psfrag_export(scene_of("ex_auto"), base)
-    assert (tmp_path / "ex_auto-psfrag.eps").exists()
-    assert (tmp_path / "ex_auto-psfrag.tex").exists()
-
-
-def test_export_custom_suffix(tmp_path, scene_of):
-    base = tmp_path / "s"
-    psfrag_export(scene_of("ex_auto"), base, ExportOptions(tex_suffix=".tex",
-                                                           eps_suffix=".eps"))
-    assert (tmp_path / "s.tex").exists()
-    assert (tmp_path / "s.eps").exists()
+def test_export_writes_nothing(tmp_path, monkeypatch):
+    scenes = sorted(FIXTURES.glob("*.scene"))
+    monkeypatch.chdir(tmp_path)
+    for scene in scenes:
+        result = psfrag_export(load_scene(scene))
+        assert result.eps.startswith(b"%!PS-Adobe-3.0 EPSF-3.0") and result.labels
+    assert len(scenes) == 7 and not list(tmp_path.iterdir())
 
 
 def test_export_auto_counts_thirteen_entries(export):
@@ -575,8 +571,3 @@ def test_export_tag_uniqueness_and_alphanumeric(export):
         tags = registry.tags()
         assert len(tags) == len(set(tags))
         assert all(tag.isalnum() for tag in tags)
-
-
-def test_export_empty_basename_rejected(scene_of):
-    with pytest.raises(ValueError):
-        psfrag_export(scene_of("ex_auto"), "")

@@ -61,7 +61,7 @@ SAMPLES = {
     DecorationSpec: [(), (Sym("t"), (Sym("x"), None))],
     Scene: [(((0, 1), (0, 1)), (100, 100)),
             (((0, 2), (0, 1)), (100, 50), [Polyline(((0, 0), (1, 1)))], DecorationSpec(Sym("t")))],
-    ExportOptions: [(), ("-a.tex", "-a.eps", True, False, True)],
+    ExportOptions: [(), (True, False, True)],
 }
 
 
