@@ -12,6 +12,12 @@ import math
 from .records import record
 
 
+def angle_degrees(x: float, y: float) -> float:
+    """Direction of the vector (x, y) in degrees, in (-180, 180]."""
+    r = math.degrees(math.atan2(y, x))
+    return r + 360.0 if r <= -180.0 else r  # atan2 gives -pi for a -0.0 y
+
+
 @record
 class Affine:
     a: float = 1.0
@@ -52,10 +58,7 @@ class Affine:
 
     def rotation_degrees(self) -> float:
         """Slope of the transformed x axis, in (-180, 180]."""
-        r = math.degrees(math.atan2(self.b, self.a))
-        if r <= -180.0:
-            r += 360.0
-        return r
+        return angle_degrees(self.a, self.b)
 
     def x_scale(self) -> float:
         """Norm of the x column relative to unit."""

@@ -89,7 +89,8 @@ def cmd_renumber(args: SimpleNamespace) -> int:
 
 def _check_outputs(command: str, outputs: dict[str, str], inputs: tuple[str | None, ...]) -> None:
     """Refuse, before any write, an output naming the file of another output or of an input
-    (an empty one names none), or being a directory. `outputs` maps each kind to its path."""
+    (an empty one names none), being a directory, or in a directory that is not there.
+    `outputs` maps each kind to its path."""
     named: dict[str, tuple[str, str]] = {}  # real path -> kind, path as given
     for kind, path in outputs.items():
         real = os.path.realpath(path)
@@ -104,6 +105,10 @@ def _check_outputs(command: str, outputs: dict[str, str], inputs: tuple[str | No
             raise UsageError(f"{command}: output {path!r} is an input: both name {real!r}")
         if os.path.isdir(path) and not os.path.islink(path):  # a rename cannot replace it
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        folder = os.path.dirname(path) or "."
+        if not os.path.isdir(folder):  # the temporary file could not be made there
+            code = errno.ENOTDIR if os.path.exists(folder) else errno.ENOENT
+            raise OSError(code, os.strerror(code), path)
 
 
 def cmd_preview(args: SimpleNamespace) -> int:

@@ -16,7 +16,7 @@ import re
 import warnings
 from itertools import islice
 
-from .affine import Affine
+from .affine import Affine, angle_degrees
 from .records import record
 
 TYPE_CHECKING = False  # as `typing.TYPE_CHECKING`, without loading `typing` at run time
@@ -539,11 +539,7 @@ def write_eps(scene: Scene,
             if shown is None:
                 shown = plain_text(prim.expr)
             anchor_dev = dev(prim.position)
-            dx, dy = prim.direction
-            ddx, ddy = dx * sx, dy * sy
-            rotation = math.degrees(math.atan2(ddy, ddx))
-            if rotation <= -180.0:
-                rotation += 360.0
+            rotation = angle_degrees(prim.direction[0] * sx, prim.direction[1] * sy)
             w, h, depth = string_extents(shown, FONT_SIZE)
             ax, ay = prim.anchor
             mx = -(ax + 1.0) / 2.0 * w

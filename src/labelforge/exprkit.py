@@ -502,19 +502,18 @@ def _tex_exponent(e: Expr, held: bool) -> str:
     return s if len(s) == 1 else f"{{{s}}}"
 
 
-def _tex_times(args: tuple[Expr, ...], held: bool) -> tuple[str, int]:
-    sign = ""
-    factors = list(args)
-    if factors and isinstance(factors[0], Num) and _is_negative_term(factors[0]):
-        sign = "-"
-        flipped = _negate(factors[0])
-        assert isinstance(flipped, Num)
-        if flipped.is_exact() and flipped.value == 1 and len(factors) > 1:
-            factors = factors[1:]
-        else:
-            factors[0] = flipped
-    if len(factors) == 1:  # only after dropping a leading -1
-        return "-" + _tex(factors[0], 2, held), 1
+def _tex_times(factors: tuple[Expr, ...], held: bool) -> tuple[str, int]:
+    """Two or more factors in the order given. A negative leading number makes a minus
+    before `_positive_term`'s product, whose factors are written as they stand."""
+    if isinstance(factors[0], Num) and _is_negative_term(factors[0]):
+        positive = _positive_term(Call("Times", factors))
+        text = (_tex(positive, 2, held) if positive is factors[1]  # all but a leading -1
+                else _tex_product(positive.args, held)[0])
+        return "-" + text, 1
+    return _tex_product(factors, held)
+
+
+def _tex_product(factors: tuple[Expr, ...], held: bool) -> tuple[str, int]:
     head = factors[0]
     if (not held and isinstance(head, Num) and head.is_exact()
             and head.value.denominator != 1 and head.value > 0):
@@ -524,12 +523,12 @@ def _tex_times(args: tuple[Expr, ...], held: bool) -> tuple[str, int]:
             numer_parts.insert(0, Num(Fraction(head.value.numerator)))
         numer = (_tex(numer_parts[0], 0, held) if len(numer_parts) == 1
                  else _tex_times(tuple(numer_parts), held)[0])
-        return sign + _frac_tex(numer, head.value.denominator), (1 if sign else 4)
+        return _frac_tex(numer, head.value.denominator), 4
     rendered = [_tex(f, 2, held) for f in factors]
     joined = rendered[0]
     for part in rendered[1:]:
         joined += ("\\," if part[:1].isdigit() else " ") + part
-    return sign + joined, (1 if sign else 2)
+    return joined, 2
 
 
 def _tex_raw(e: Expr, held: bool) -> tuple[str, int]:
@@ -566,10 +565,9 @@ def _tex_raw(e: Expr, held: bool) -> tuple[str, int]:
     if e.head == "Power" and len(args) == 2:
         base, exponent = args
         rv = _rational_value(exponent)
-        if rv == Fraction(1, 2):
-            return f"\\sqrt{{{_tex(base, 0, held)}}}", 4
-        if rv is not None and rv.numerator == 1 and rv.denominator >= 3:
-            return f"\\sqrt[{rv.denominator}]{{{_tex(base, 0, held)}}}", 4
+        if rv is not None and rv.numerator == 1 and rv.denominator >= 2:  # an n-th root
+            index = f"[{rv.denominator}]" if rv.denominator > 2 else ""  # a square root has none
+            return f"\\sqrt{index}{{{_tex(base, 0, held)}}}", 4
         if (isinstance(base, Call) and base.head in _FUNC_TEX and len(base.args) >= 1
                 and isinstance(exponent, Num) and exponent.is_integer()
                 and exponent.value >= 1):

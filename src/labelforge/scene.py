@@ -156,11 +156,7 @@ class DecorationSpec:
     gridlines: Gridlines = Gridlines()
 
     def is_empty(self) -> bool:
-        return (self.plot_label is None
-                and self.axes_labels is None
-                and not any((self.frame_ticks.bottom, self.frame_ticks.left,
-                             self.frame_ticks.top, self.frame_ticks.right))
-                and not self.gridlines.x and not self.gridlines.y)
+        return self == DecorationSpec()
 
 
 @record

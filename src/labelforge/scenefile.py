@@ -137,7 +137,7 @@ def _text_primitive(obj: dict) -> TextPrimitive:
     direction = (1.0, 0.0)
     if "dir" in obj:
         dx, dy = _pair(obj["dir"], "text dir")
-        norm = (dx * dx + dy * dy) ** 0.5
+        norm = math.hypot(dx, dy)
         if norm == 0:
             raise SceneFormatError("text dir must be nonzero")
         direction = (dx / norm, dy / norm)

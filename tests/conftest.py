@@ -5,9 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from labelforge import ExportOptions, load_scene, psfrag_export, scan_tags
+from labelforge import ExportOptions, load_scene, preview, psfrag_export, scan_tags
 from labelforge.exprkit import plain_text
 from labelforge.fontmetrics import string_extents
+from labelforge.labeling import parse_psfrag_document
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"
@@ -39,6 +40,23 @@ def check_shows(eps: bytes, scene, tag_text) -> list:
         delta = (occ.rotation - math.degrees(theta)) % 360.0
         assert min(delta, 360.0 - delta) < 0.1
     return occs
+
+
+def preview_points(eps: bytes, tex: str, measure) -> list[tuple[str, tuple[float, float]]]:
+    """Preview the pair with `measure` in place of `preview.default_measure`, and give each
+    box's tag and baseline-left device point, in drawing order. The point is recovered from
+    the box's 4 pt caption, which preview shows at (1, depth + 1) in the box's frame."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(preview, "default_measure", measure)
+        result = preview.substitute_preview(eps, parse_psfrag_document(tex))
+    points = []
+    for occ in scan_tags(result.eps):
+        if occ.font_size == 4.0:  # a caption: the box frame's (1, 1) step is undone
+            r = math.radians(occ.rotation)
+            cos_r, sin_r = occ.scale * math.cos(r), occ.scale * math.sin(r)
+            x, y = occ.device_position
+            points.append((occ.tag, (x - cos_r + sin_r, y - sin_r - cos_r)))
+    return points
 
 
 @pytest.fixture

@@ -272,6 +272,24 @@ def test_an_output_that_is_a_directory_is_refused_before_the_first_write(tmp_pat
     assert sorted(tmp_path.rglob("*")) == names
 
 
+@pytest.mark.parametrize("missing", [True, False], ids=["missing", "a-file"])
+@pytest.mark.parametrize("argv, output", [
+    (["export", "{d}/mini.scene", "--basename", "{folder}/o"], "o-psfrag.eps"),
+    (["preview", "{golden}/ex_auto-psfrag.eps", "{golden}/ex_auto-psfrag.tex", "{folder}/p.eps"],
+     "p.eps"),
+])
+def test_an_output_in_a_directory_that_is_not_there_is_refused_naming_it(tmp_path, capsys, argv,
+                                                                        output, missing):
+    from conftest import GOLDEN
+    _copy_fixture("mini", tmp_path)
+    folder = tmp_path / ("nodir" if missing else "mini.scene")
+    names = sorted(tmp_path.rglob("*"))
+    assert main([arg.format(d=tmp_path, folder=folder, golden=GOLDEN) for arg in argv]) == 3
+    reason = "[Errno 2] No such file or directory" if missing else "[Errno 20] Not a directory"
+    assert capsys.readouterr() == ("", f"error: {reason}: {str(folder / output)!r}\n")
+    assert sorted(tmp_path.rglob("*")) == names
+
+
 def test_export_bad_scene_is_parse_error(tmp_path, capsys):
     bad = tmp_path / "bad.scene"
     bad.write_text('{"version": 1, "plot_range": [[0, 1], [0, 1]], '
@@ -1220,6 +1238,24 @@ def test_scene_and_hooks_documents_name_what_they_reject(parse, text, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("direction, same_as", [
+    ("[1e-200, 0]", "[1, 0]"), ("[1e200, 0]", "[1, 0]"), ("[3e-170, 4e-170]", "[3, 4]"),
+    ("[-1, -0.0]", "[-1, 0]"),
+])
+def test_a_text_dir_exports_as_its_unit_vector_whatever_its_length(tmp_path, capsys, direction,
+                                                                   same_as):
+    written = []
+    for name, given in (("given", direction), ("unit", same_as)):
+        scene = tmp_path / f"{name}.scene"
+        scene.write_text('{%s, "primitives": [%s"expr": "\\"a\\"", "dir": %s}]}'
+                         % (_SCENE_HEAD, _TEXT_AT, given), encoding="utf-8")
+        assert main(["export", str(scene), "--basename", str(tmp_path / name)]) == 0
+        written.append([(tmp_path / f"{name}-psfrag.{ext}").read_bytes() for ext in ("eps", "tex")])
+    assert written[0] == written[1]
+    if direction == "[-1, -0.0]":  # atan2 gives -180 degrees for it; the range is (-180, 180]
+        assert b" 180 rotate " in written[0][0]
+
+
 def test_hooks_parses_builtins():
     hooks = parse_hooks('{"pre_apply": {"math": ["hold", "expand_negations"]},'
                         ' "post_replace": {"text": [["a", "b"]]}}')
@@ -1618,9 +1654,10 @@ def test_parse_args_reads_a_command_line_as_argparse_did(argv):
     ["inspect", "{eps}", "--format", "xml"],
     ["export", "{scene}", "--basename", "{out}", "--renumber-tags=1"],
     ["export", "{scene}", "--basename"],
+    ["--help=x"],
 ], ids=["no-command", "unknown-command", "unknown-option", "ambiguous-prefix",
         "no-basename", "missing-positional", "extra-positional", "bad-format",
-        "flag-with-value", "option-without-value"])
+        "flag-with-value", "option-without-value", "help-with-value"])
 def test_a_usage_error_exits_two_in_one_line_and_writes_nothing(tmp_path, capsys, argv):
     scene = _copy_fixture("fig2", tmp_path)
     eps = tmp_path / "in.eps"

@@ -608,6 +608,12 @@ def test_scan_concat_matrix():
     assert occs[0].device_position == pytest.approx((50.0, 0.0))
 
 
+@pytest.mark.parametrize("matrix", [b"[-1 0 0 -1 0 0]", b"[-1 -0.0 0 -1 0 0]"])
+def test_scan_a_half_turn_is_180_degrees_whatever_the_sign_of_its_zero(matrix):
+    # atan2(-0.0, -1) is -180 degrees; the rotation lies in (-180, 180]
+    assert scan_tags(matrix + b" concat 0 0 moveto (t) show")[0].rotation == 180.0
+
+
 def test_scan_scalefont_and_selectfont_track_size():
     occs = scan_tags(b"/Times-Roman findfont 14 scalefont setfont (a) show "
                      b"/Times-Roman 7 selectfont (b) show")

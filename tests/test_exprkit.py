@@ -67,6 +67,12 @@ def test_parse_empty_call():
     assert parse_expr("Foo[]") == Call("Foo", ())
 
 
+@pytest.mark.parametrize("head", ["", "1x", "Sin x", "f-g"])
+def test_a_call_head_must_be_an_identifier(head):
+    with pytest.raises(ValueError, match="call head must be a nonempty identifier"):
+        Call(head, ())
+
+
 @pytest.mark.parametrize("source, offset_text", [
     ("Sin[x", "unbalanced bracket"),
     ("(1 + 2", "unbalanced bracket"),
@@ -456,6 +462,19 @@ def test_to_tex_canonical_order_without_hold():
     ("Sqrt[x]", "\\sqrt{x}"),
     ("x^(1/2)", "\\sqrt{x}"),
     ("x^(1/4)", "\\sqrt[4]{x}"),
+    ("x^(1/3)", "\\sqrt[3]{x}"),
+    ("x^(2/3)", "x^{\\frac{2}{3}}"),
+    ("x^(-1/2)", "x^{-\\frac{1}{2}}"),
+    ("-x", "-x"),
+    ("-2*x", "-2 x"),
+    ("-1.0*x", "-1.0 x"),
+    ("Times[-1, 2]", "-2"),
+    ("-1/2*Pi", "-\\frac{\\pi}{2}"),
+    ("-3/2*Pi*x", "-\\frac{3 \\pi x}{2}"),
+    ("Times[-1, Times[b, a]]", "-a b"),  # the one factor left is written in its own order
+    ("-1*-1*x", "-(-1) x"),  # the factors after the sign are written as they stand
+    ("-2*-1*x", "-2 (-1) x"),
+    ("HoldForm[Times[1/2, -1, x]]", "\\frac{1}{2} (-1) x"),
     ("Abs[x]", "\\left| x\\right|"),
     ("Rational[2, 3]", "\\frac{2}{3}"),
     ("Divide[x, y]", "\\frac{x}{y}"),

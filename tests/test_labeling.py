@@ -72,6 +72,8 @@ def test_shortlex_pinned_values():
     assert shortlex_tag(52) == "aa"
     assert shortlex_tag(103) == "aZ"
     assert shortlex_tag(104) == "ba"
+    with pytest.raises(ValueError, match="index must be nonnegative"):
+        shortlex_tag(-1)
 
 
 def test_shortlex_matches_brute_force_enumerator():

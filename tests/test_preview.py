@@ -1,21 +1,24 @@
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from labelforge import (ExportOptions, LabelBox, TagRegistry, place, reference_point, scan_tags,
-                        substitute_preview)
+from labelforge import (ExportOptions, LabelBox, TagRegistry, place, psfrag_export,
+                        reference_point, scan_tags, substitute_preview)
 from labelforge.affine import Affine
 from labelforge.directives import PosCode
 from labelforge.epsio import TagOccurrence, _fmt
+from labelforge.fontmetrics import string_extents
 from labelforge.labeling import PsfragEntry, parse_psfrag_document
 from labelforge.preview import (PREVIEW_CREATOR, PreviewError, _preview_block, default_measure,
                                 tag_box_for)
+from labelforge.scenefile import parse_scene
 
-from conftest import FIXTURES
+from conftest import FIXTURES, preview_points
 
 ALL_CODES = [PosCode(v, h) for v in "tcbB" for h in "lcr"]
 
@@ -396,3 +399,35 @@ def test_preview_output_is_valid_eps(export):
     out = substitute_preview(eps, registry).eps
     occs = scan_tags(out)  # must tokenize and scan cleanly
     assert len(occs) == 30  # 15 blanked shows + 15 box identification labels
+
+
+_TEXT = st.text(alphabet="abcxyzABQ019 ", min_size=1, max_size=10)
+_LABEL = st.fixed_dictionaries({
+    "type": st.just("text"),
+    "expr": _TEXT.map(lambda text: f'"{text}"'),
+    "pos": st.tuples(st.floats(0, 10), st.floats(0, 10)).map(list),
+    "anchor": st.tuples(*[st.sampled_from([-1, 0, 1])] * 2).map(list),
+    "dir": st.tuples(st.floats(-1, 1), st.floats(-1, 1)).filter(
+        lambda d: math.hypot(*d) > 1e-3).map(list),
+})
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_LABEL, min_size=1, max_size=6),
+       st.tuples(st.floats(50, 600), st.floats(50, 600)).map(list))
+def test_each_box_on_a_grid_anchor_lands_where_the_plain_text_is_shown(labels, size):
+    # Closed loop: measured as the Times-Roman box of its own text, each label's preview box
+    # must sit where `export --no-auto-convert` shows that text. psfrag puts its posn point
+    # on the tag's psposn point, and the writer put that point on the label's anchor.
+    scene = parse_scene(json.dumps({"version": 1, "plot_range": [[0, 10], [0, 10]],
+                                    "size": size, "primitives": labels}))
+    shown = scan_tags(psfrag_export(scene, ExportOptions(auto_convert_text=False)).eps)
+    for opts in (ExportOptions(), ExportOptions(renumber_tags=True)):
+        result = psfrag_export(scene, opts)
+        text_of = {result.registry.get(occ.tag).body: plain.tag
+                   for occ, plain in zip(scan_tags(result.eps), shown)}
+        points = preview_points(result.eps, result.tex,
+                                lambda body: LabelBox(*string_extents(text_of[body], 10.0)))
+        assert len(points) == len(shown)
+        for (_, (x, y)), plain in zip(points, shown):
+            assert math.hypot(x - plain.device_position[0], y - plain.device_position[1]) < 0.01

@@ -32,6 +32,20 @@ def test_expand_is_idempotent():
     assert once.decorations.is_empty()
 
 
+@pytest.mark.parametrize("spec, empty", [
+    (DecorationSpec(), True),
+    (DecorationSpec(None, None, FrameTicks(bottom=[]), Gridlines(x=[], y=[])), True),
+    (DecorationSpec(plot_label=Sym("t")), False),
+    (DecorationSpec(axes_labels=(None, None)), False),
+    *[(DecorationSpec(frame_ticks=FrameTicks(**{edge: (Tick(1.0, num(1)),)})), False)
+      for edge in ("bottom", "left", "top", "right")],
+    (DecorationSpec(gridlines=Gridlines(x=(1.0,))), False),
+    (DecorationSpec(gridlines=Gridlines(y=(1.0,))), False),
+])
+def test_decorations_are_empty_only_when_each_field_has_its_default(spec, empty):
+    assert spec.is_empty() is empty
+
+
 def test_expand_preserves_existing_primitives_as_prefix():
     existing = (Polyline(((0.0, 0.0), (1.0, 1.0))),
                 TextPrimitive(Str("keep me"), (2.0, 2.0)))
@@ -155,6 +169,12 @@ def test_linear_ticks_decimal_labels():
     assert [t.value for t in ticks] == pytest.approx([-0.5, 0, 0.5, 1, 1.5, 2, 2.5])
     assert [t.label.literal for t in ticks] == \
         ["-0.5", "0.0", "0.5", "1.0", "1.5", "2.0", "2.5"]
+
+
+@pytest.mark.parametrize("step", [0, -1, -0.5])
+def test_linear_ticks_refuse_a_step_that_is_not_positive(step):
+    with pytest.raises(ValueError, match="step must be positive"):
+        linear_ticks(0, 1, step)
 
 
 def test_linear_ticks_integer_labels():
