@@ -15,7 +15,7 @@ from .records import record
 def angle_degrees(x: float, y: float) -> float:
     """Direction of the vector (x, y) in degrees, in (-180, 180]."""
     r = math.degrees(math.atan2(y, x))
-    return r + 360.0 if r <= -180.0 else r  # atan2 gives -pi for a -0.0 y
+    return r + 360.0 if r <= -180.0 else r  # atan2(-0.0, x) is -pi for a negative x
 
 
 @record
