@@ -93,11 +93,11 @@ def test_every_output_has_its_recorded_digest(tmp_path, case):
             if got.get(key) != expected.get(key)] == []
 
 
-def write_digests(scratch: Path) -> None:
+def write_digests(root: Path) -> None:
     """Rewrite DIGESTS from the outputs of the code under `src/`."""
     digests = {}
     for case in sorted(CASES):
-        work = scratch / str(len(digests))
+        work = root / str(len(digests))
         work.mkdir()
         digests[case] = outputs(*CASES[case], work)
     DIGESTS.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n", encoding="utf-8")
@@ -106,5 +106,5 @@ def write_digests(scratch: Path) -> None:
 if __name__ == "__main__":
     import tempfile
 
-    with tempfile.TemporaryDirectory() as scratch:
-        write_digests(Path(scratch))
+    with tempfile.TemporaryDirectory() as root:
+        write_digests(Path(root))
