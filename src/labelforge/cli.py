@@ -7,6 +7,7 @@ output files; in-place commands always keep .bak copies of the originals.
 
 from __future__ import annotations
 
+import atexit
 import errno
 import os
 import re
@@ -280,16 +281,15 @@ def _parse_args(argv: list[str]) -> SimpleNamespace:
     return args
 
 
-def _print_warning(message, category, filename, lineno, file=None, line=None) -> None:
-    print(f"warning: {message}", file=sys.stderr)
-
-
 def main(argv: list[str] | None = None) -> int:
     with warnings.catch_warnings():
-        warnings.showwarning = _print_warning
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:
             args = _parse_args(sys.argv[1:] if argv is None else argv)
-            return args.func(args)
+            code = args.func(args)
+            if sys.stdout:  # None when fd 1 was closed at start; a failed write raises here
+                sys.stdout.flush()
+            return code
         except ValueError as exc:
             if not hasattr(exc, "exit_code"):
                 raise
@@ -300,5 +300,17 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_IO
 
 
+def run(argv: list[str] | None = None) -> None:
+    """`main` as a program: `atexit` handlers, a flush, then `os._exit`, skipping teardown."""
+    code = main(argv)
+    atexit._run_exitfuncs()
+    for stream in filter(None, (sys.stdout, sys.stderr)):
+        try:
+            stream.flush()
+        except OSError:  # a failed write to stdout, which `main` has reported
+            pass
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()
