@@ -37,8 +37,6 @@ def cmd_export(args: SimpleNamespace) -> int:
     hooks = _this.load_hooks(args.hooks) if args.hooks else None
     if not args.basename:
         raise UsageError("basename must be nonempty")
-    if args.eps_suffix == args.tex_suffix:
-        raise UsageError(f"EPS and tex suffixes must differ: both are {args.eps_suffix!r}")
     eps_path, tex_path = args.basename + args.eps_suffix, args.basename + args.tex_suffix
     _check_outputs("export", {"EPS": eps_path, "tex": tex_path}, (args.scene, args.hooks))
     opts = _this.ExportOptions(renumber_tags=args.renumber_tags,
@@ -119,9 +117,9 @@ def cmd_preview(args: SimpleNamespace) -> int:
     result = _this.substitute_preview(eps_data, registry)
     if args.strict and (result.stale or result.unmatched):
         for tag in result.stale:
-            print(f"error: entry {tag!r} matches nothing in the EPS", file=sys.stderr)
+            _stderr(f"error: entry {tag!r} matches nothing in the EPS")
         for tag in result.unmatched:
-            print(f"error: shown text {tag!r} has no entry", file=sys.stderr)
+            _stderr(f"error: shown text {tag!r} has no entry")
         return EXIT_SEMANTIC
     atomic_write_bytes(args.out, result.eps)
     print(f"{result.matched} occurrences substituted")
@@ -281,9 +279,18 @@ def _parse_args(argv: list[str]) -> SimpleNamespace:
     return args
 
 
+def _stderr(line: str) -> None:
+    """Write one line to stderr. A stderr that cannot be written or is None loses the line."""
+    try:
+        if sys.stderr:  # print(file=None) would write to stdout
+            print(line, file=sys.stderr)
+    except OSError:
+        pass
+
+
 def main(argv: list[str] | None = None) -> int:
     with warnings.catch_warnings():
-        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        warnings.showwarning = lambda message, *_: _stderr(f"warning: {message}")
         try:
             args = _parse_args(sys.argv[1:] if argv is None else argv)
             code = args.func(args)
@@ -293,10 +300,10 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError as exc:
             if not hasattr(exc, "exit_code"):
                 raise
-            print(f"error: {exc}", file=sys.stderr)
+            _stderr(f"error: {exc}")
             return exc.exit_code
         except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+            _stderr(f"error: {exc}")
             return EXIT_IO
 
 

@@ -224,6 +224,12 @@ class TagOccurrence:
     byte_span: tuple[int, int]  # the (...) literal
 
 
+class Scan(list):
+    """A scan's TagOccurrences in byte order. `showpage` is the start of the last `showpage`
+    run at top level, not in a string, a comment or a skipped procedure, or None."""
+    showpage: int | None = None
+
+
 _MARK = object()  # the stack entry `[` leaves
 _PROC = object()  # a skipped procedure body
 
@@ -251,13 +257,15 @@ class _Interpreter:
         # The graphics state: the current matrix, point (user space) and font size.
         self.ctm, self.point, self.font_size = Affine(), None, 10.0
         self.saved: list[tuple[Affine, tuple[float, float] | None, float]] = []
-        self.occurrences: list[TagOccurrence] = []
+        self.occurrences = Scan()
+
+    def _span(self, word: tuple) -> tuple[int, int]:
+        """The word's own bytes, without the whitespace its token holds."""
+        _name, (_kind, _run, start, end, _lit), index = word
+        return next(islice(_WORD.finditer(self.data, start, end), index, None)).span()
 
     def _error(self, message: str, word: tuple) -> ScanError:
-        """A ScanError at the word's own bytes, without the whitespace its token holds."""
-        _name, (_kind, _run, start, end, _lit), index = word
-        return ScanError(message, next(islice(_WORD.finditer(self.data, start, end), index,
-                                              None)).span())
+        return ScanError(message, self._span(word))
 
     def _transform(self, m: Affine, word: tuple) -> None:
         new = self.ctm @ m
@@ -380,6 +388,9 @@ class _Interpreter:
         warnings.warn(f"{word[0]} is not treated as a tag occurrence",
                       ScanWarning, stacklevel=4)
 
+    def showpage(self, word: tuple) -> None:
+        self.occurrences.showpage = self._span(word)[0]
+
     def show(self, word: tuple, operand: object) -> None:
         if not isinstance(operand, _PsString):
             raise self._error("show needs a string operand", word)
@@ -407,8 +418,8 @@ class _Interpreter:
 _OPS = {name.encode(): (count, numeric, getattr(_Interpreter, method or name))
         for method, numeric, counts in [
             (None, True, {"translate": 2, "scale": 2, "rotate": 1, "moveto": 2, "rmoveto": 2}),
-            (None, False, {"concat": 1, "gsave": 0, "grestore": 0, "newpath": 0, "findfont": 1,
-                           "scalefont": 2, "setfont": 1, "selectfont": 2, "show": 1}),
+            (None, False, {"concat": 1, "gsave": 0, "grestore": 0, "newpath": 0, "selectfont": 2,
+                           "findfont": 1, "scalefont": 2, "setfont": 1, "show": 1, "showpage": 0}),
             ("_path_to", False, {"lineto": 2, "curveto": 6}),
             ("_text_variant", False, {"widthshow": 4, "awidthshow": 6, "ashow": 3, "kshow": 2,
                                       "xshow": 2, "xyshow": 2, "glyphshow": 1, "cshow": 2}),
@@ -419,11 +430,11 @@ _OPS = {name.encode(): (count, numeric, getattr(_Interpreter, method or name))
         for name, count in counts.items()}
 
 
-def scan_tags(data: bytes) -> list[TagOccurrence]:
+def scan_tags(data: bytes) -> Scan:
     """Find every shown string with its device position, rotation, scale.
 
     This sees exactly what a tag substitution pass would see: each `show`
-    of a string literal, in byte order.
+    of a string literal, in byte order, and the `showpage` that shows the page.
     """
     interp = _Interpreter(data)
     interp.run(tokenize(data))

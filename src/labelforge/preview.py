@@ -134,21 +134,18 @@ def substitute_preview(eps: bytes, registry: TagRegistry) -> PreviewResult:
         blanks.append((occ.byte_span, b"()"))
         drawing.append(_preview_block(occ, box, transform))
 
-    # Edits are made on the input, where a line ends at LF, CR or CRLF. The creator line
-    # goes after the first line if that is a comment, whose end is a token boundary, else
-    # at the start; the drawing goes before the last line that starts with `showpage`. Each
-    # goes at the end if there is no such line, after a line break.
+    # Edits are made on the input, where a line ends at LF, CR or CRLF, and each goes at a
+    # token boundary. The creator line goes after the first line if that is a comment, else
+    # at the start; the drawing goes where the scan found the page shown, else at the end,
+    # after a line break.
     end = len(eps)
     creator_at = len(eps.splitlines(keepends=True)[0]) if eps.startswith(b"%") else 0
-    showpage = max(eps.rfind(b"\nshowpage"), eps.rfind(b"\rshowpage"))
     inserts = [(creator_at, PREVIEW_CREATOR + b"\n")]
     if drawing:
-        inserts.append((showpage + 1 if showpage >= 0 else end,
-                        "".join(drawing).encode("latin-1")))
+        showpage = occurrences.showpage
+        inserts.append((end if showpage is None else showpage, "".join(drawing).encode("latin-1")))
     if not eps.endswith((b"\n", b"\r")) and any(at == end for at, _text in inserts):
         inserts.insert(0, (end, b"\n"))
-    # A point inside a blanked literal (one continued past a line end) moves to its end.
-    inserts = [(next((e for (s, e), _ in blanks if s < at < e), at), text) for at, text in inserts]
     out = splice(eps, blanks + [((at, at), text) for at, text in inserts])
     shown = {occ.tag for occ in occurrences}
     return PreviewResult(out, len(blanks), sorted(tag for tag in shown if tag not in registry),

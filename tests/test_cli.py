@@ -200,8 +200,10 @@ def test_export_with_equal_suffixes_exits_two_in_one_line(tmp_path, capsys, suff
     scene = _copy_fixture("mini", tmp_path)
     assert main(["export", str(scene), "--basename", str(tmp_path / "o"),
                  "--eps-suffix", suffix, "--tex-suffix", suffix]) == 2
+    path = str(tmp_path / "o") + suffix
     assert capsys.readouterr() == (
-        "", f"error: EPS and tex suffixes must differ: both are {suffix!r}\n")
+        "", f"error: EPS and tex paths must differ: {path!r} and {path!r} both name "
+            f"{os.path.realpath(path)!r}\n")
     assert list(tmp_path.iterdir()) == [scene]
 
 

@@ -521,11 +521,13 @@ def _reference_scan(data: bytes) -> list:
 
 
 def _scan_outcome(scan, data: bytes):
-    """The occurrences or the error's class, message and span or offset, with the warnings."""
+    """The occurrences and the `showpage` offset, or the error's class, message and span or
+    offset, with the warnings."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            result = scan(data)
+            found = scan(data)
+            result = found, found.showpage
         except (ScanError, TokenizeError) as exc:
             result = type(exc), str(exc), getattr(exc, "span", None), getattr(exc, "offset", None)
     return result, [(w.category, str(w.message)) for w in caught]
@@ -756,6 +758,37 @@ def test_scan_occurrences_in_byte_order(export):
     occs = scan_tags(eps)
     spans = [occ.byte_span for occ in occs]
     assert spans == sorted(spans)
+
+
+@pytest.mark.parametrize("data", [b"", b"(t) show", b"% showpage\n", b"/showpage",
+                                  b"(showpage) pop", b"{ showpage } pop"])
+def test_scan_showpage_is_none_when_no_showpage_runs(data):
+    assert scan_tags(data).showpage is None
+
+
+@pytest.mark.parametrize("data", [b"10 10 moveto (t) show showpage\n", b"showpage",
+                                  b"(t) show\r\n\t showpage \f%%EOF",
+                                  b"1 2 moveto\x00showpage"])
+def test_scan_showpage_is_the_words_own_start(data):
+    assert scan_tags(data).showpage == data.index(b"showpage")
+
+
+@pytest.mark.parametrize("later", [b"(\nshowpage) pop", b"% showpage", b"{\nshowpage\n} pop",
+                                   b"<73686f7770616765> pop"])
+def test_scan_showpage_ignores_a_later_showpage_that_is_not_run(later):
+    data = b"(t) show\nshowpage\n" + later + b"\n%%EOF\n"
+    assert scan_tags(data).showpage == 9
+
+
+def test_scan_showpage_is_the_last_one_run():
+    data = b"showpage showpage\nshowpage (showpage) pop\n"
+    assert scan_tags(data).showpage == 18
+
+
+@pytest.mark.parametrize("name", [p.stem for p in sorted(FIXTURES.glob("*.scene"))])
+def test_scan_showpage_of_each_export_starts_its_showpage_line(export, name):
+    eps, _tex, _reg = export(name)
+    assert scan_tags(eps).showpage == eps.rindex(b"\nshowpage") + 1
 
 
 def test_scan_gsave_nesting_random_depths():

@@ -272,15 +272,29 @@ _SHOW = st.tuples(st.sampled_from(["gA", "gB", "zz"]), st.integers(-50, 550),
                   st.integers(-50, 550), st.integers(-179, 180))
 
 
+# Text after the page is shown that holds a `showpage` the scan must not take for it.
+_NOT_RUN = [b"", b"(<EOL>showpage) pop", b"% showpage", b"{<EOL>showpage<EOL>} pop"]
+
+
 @settings(max_examples=300, deadline=None)
-@given(eol=st.sampled_from([b"\n", b"\r", b"\r\n"]), showpage=st.booleans(),
-       final_eol=st.booleans(), shows=st.lists(_SHOW, min_size=1, max_size=4))
-def test_preview_of_any_line_ends_blanks_the_tags_and_draws_before_showpage(eol, showpage,
-                                                                           final_eol, shows):
+@given(eol=st.sampled_from([b"\n", b"\r", b"\r\n"]),
+       showpage=st.sampled_from(["none", "own line", "last show's line"]),
+       not_run=st.sampled_from(_NOT_RUN), nested=st.booleans(), final_eol=st.booleans(),
+       shows=st.lists(_SHOW, min_size=1, max_size=4))
+def test_preview_of_any_line_ends_blanks_the_tags_and_draws_before_showpage(
+        eol, showpage, not_run, nested, final_eol, shows):
     lines = [b"%!PS-Adobe-3.0 EPSF-3.0", b"%%BoundingBox: 0 0 500 500"]
     lines += [f"gsave /Times-Roman 10 selectfont {x} {y} translate {r} rotate 0 0 moveto "
               f"({tag}) show grestore".encode() for tag, x, y, r in shows]
-    lines += [b"showpage", b"%%EOF"] if showpage else []
+    if nested:  # every show one gsave deeper, under a translation of its own
+        lines[2] = b"gsave 7 -3 translate " + lines[2]
+        lines[-1] += b" grestore"
+    if showpage == "last show's line":
+        lines[-1] += b" showpage"
+    elif showpage == "own line":
+        lines.append(b"showpage")
+    lines += [not_run.replace(b"<EOL>", eol)] if not_run else []
+    lines += [b"%%EOF"] if showpage != "none" else []
     eps = eol.join(lines) + (eol if final_eol else b"")
     before = scan_tags(eps)
     result = substitute_preview(eps, _PROPERTY_REGISTRY)
@@ -297,8 +311,30 @@ def test_preview_of_any_line_ends_blanks_the_tags_and_draws_before_showpage(eol,
         assert caption.tag == occ.tag
         assert caption.device_position == pytest.approx(want, abs=1e-5)  # `_fmt(v, ".6f")` rounds
     assert result.eps.splitlines()[1] == PREVIEW_CREATOR
-    if showpage:
-        assert all(c.byte_span[1] < result.eps.rindex(b"showpage") for c in after[len(before):])
+    assert (after.showpage is None) == (showpage == "none")
+    if showpage != "none":
+        assert all(c.byte_span[1] < after.showpage for c in after[len(before):])
+
+
+@pytest.mark.parametrize("body, rest", [
+    (b"(t) show\nshowpage\n%%EOF\n", b"showpage\n%%EOF\n"),
+    (b"(t) show showpage\n%%EOF\n", b"showpage\n%%EOF\n"),
+    (b"(t) show\nshowpage\n(\nshowpage) pop\n%%EOF\n", b"showpage\n(\nshowpage) pop\n%%EOF\n"),
+    (b"(a\nshowpage) show 10 10 moveto (t) show\n", b""),
+    (b"(t) show\n", b""),
+])
+def test_preview_draws_before_the_showpage_that_runs_else_at_the_end(body, rest):
+    """The input with `(t)` blanked and the creator line second, the drawing spliced in just
+    before `rest`; the scan of the output finds its caption before the `showpage` that runs."""
+    eps = b"%!PS\n" + body
+    out = substitute_preview(eps, parse_psfrag_document("\\psfrag{t}[cc][cc]{x}\n")).eps
+    start, end = out.index(b"gsave\n["), len(out) - len(rest)
+    assert out[start:end].endswith(b"grestore\n") and out[end:] == rest
+    assert out[:start] + rest == b"%!PS\n" + PREVIEW_CREATOR + b"\n" + body.replace(b"(t)", b"()")
+    after = scan_tags(out)
+    assert [occ.tag for occ in after] == [
+        "" if occ.tag == "t" else occ.tag for occ in scan_tags(eps)] + ["t"]
+    assert after[-1].byte_span[1] < end
 
 
 def test_preview_inserts_nothing_inside_a_blanked_string_continued_past_a_line_end():
@@ -317,13 +353,14 @@ def test_preview_puts_the_creator_line_first_when_the_input_opens_with_no_commen
     assert [occ.tag for occ in scan_tags(out)] == ["a\nb", "", "t"]
 
 
-def test_preview_draws_after_a_blanked_string_that_holds_the_showpage_line():
-    # `(t\<LF>showpage)` reads as `tshowpage`; its second line starts with `showpage`
+def test_preview_draws_at_the_end_when_the_only_showpage_line_is_in_a_blanked_string():
+    # `(t\<LF>showpage)` reads as `tshowpage`; its second line starts with `showpage`, which
+    # is not run
     eps = b"%!PS\n(t\\\nshowpage) show\n"
     out = substitute_preview(eps, parse_psfrag_document("\\psfrag{tshowpage}{x}\n")).eps
-    assert out.startswith(b"%!PS\n" + PREVIEW_CREATOR + b"\n()gsave\n")
-    assert out.endswith(b"grestore\n show\n")
-    assert [occ.tag for occ in scan_tags(out)] == ["tshowpage", ""]
+    assert out.startswith(b"%!PS\n" + PREVIEW_CREATOR + b"\n() show\ngsave\n")
+    assert out.endswith(b"(tshowpage) show\ngrestore\n")
+    assert [occ.tag for occ in scan_tags(out)] == ["", "tshowpage"]
 
 
 @pytest.mark.parametrize("name", [p.stem for p in sorted(FIXTURES.glob("*.scene"))])

@@ -3,8 +3,10 @@
 Both routes call `cli.run`, which runs `main`, then the `atexit` handlers, flushes stdout
 and stderr, and ends the process with `os._exit`, so the interpreter's teardown is skipped.
 These tests hold that the program writes what `main` writes, and that a failure to write
-stdout exits 3 with one `error:` line whether or not stdout is buffered. Each child runs
-without PYTHONUNBUFFERED, so its stdout is block-buffered when it is a file or a pipe.
+stdout exits 3 with one `error:` line whether or not stdout is buffered, and that a stderr
+that cannot be written loses its lines and changes nothing else. Each child runs without
+PYTHONUNBUFFERED unless a test asks for it, so its stdout is block-buffered when it is a
+file or a pipe.
 """
 
 from __future__ import annotations
@@ -32,17 +34,19 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = str(Path(labelforge.__file__).parents[1])
 
 
-def _env() -> dict[str, str]:
+def _env(unbuffered: bool = False) -> dict[str, str]:
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     return env
 
 
-def _program(argv: list[str], cwd: Path, stdout=subprocess.PIPE,
-             **kwargs) -> subprocess.CompletedProcess:
-    """`python -m labelforge.cli argv` run in `cwd`, its stderr captured as bytes."""
+def _program(argv: list[str], cwd: Path, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+             unbuffered: bool = False, **kwargs) -> subprocess.CompletedProcess:
+    """`python -m labelforge.cli argv` run in `cwd`, by default its stderr captured as bytes."""
     return subprocess.run([sys.executable, "-m", "labelforge.cli", *argv], cwd=cwd,
-                          stdout=stdout, stderr=subprocess.PIPE, env=_env(), timeout=120,
+                          stdout=stdout, stderr=stderr, env=_env(unbuffered), timeout=120,
                           **kwargs)
 
 
@@ -171,6 +175,48 @@ def test_main_runs_with_no_stdout(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdout", None)
     assert main(["inspect", "s-psfrag.eps"]) == 0
     assert capsys.readouterr().err == ""
+
+
+# ------------------------------------------------- a stderr that cannot be written
+
+@contextlib.contextmanager
+def _stderr_target(target: str):
+    """The keyword arguments that give the child a stderr on which every write fails:
+    /dev/full, or file descriptor 2 closed before the program starts."""
+    if target == "closed":
+        yield {"stderr": None, "preexec_fn": lambda: os.close(2)}
+    else:
+        with _stdout_target("full") as full:
+            yield {"stderr": full}
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("target", ["full", "closed"])
+def test_an_unwritable_stderr_loses_the_error_line_and_keeps_the_exit_code(tmp_path, target,
+                                                                           unbuffered):
+    with _stderr_target(target) as kwargs:
+        proc = _program(["inspect", "missing.eps"], tmp_path, unbuffered=unbuffered, **kwargs)
+    assert (proc.returncode, proc.stdout) == (3, b"")
+
+
+_WARNING_SCENE = {"version": 1, "plot_range": [[0, 1], [0, 1]], "size": [100, 100],
+                  "primitives": [{"type": "text", "expr": "Foo[x]", "pos": [0.5, 0.5]}]}
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_an_unwritable_stderr_loses_the_warning_and_keeps_the_export(tmp_path, unbuffered):
+    by_pipe, by_full = tmp_path / "pipe", tmp_path / "full"
+    for work in (by_pipe, by_full):
+        work.mkdir()
+        (work / "s.scene").write_text(json.dumps(_WARNING_SCENE), encoding="utf-8")
+    argv = ["export", "s.scene", "--basename", "s"]
+    piped = _program(argv, by_pipe, unbuffered=unbuffered)
+    assert piped.stderr == b"warning: label 'Foo[x]': no LaTeX mapping for head 'Foo'\n"
+    with _stderr_target("full") as kwargs:
+        proc = _program(argv, by_full, unbuffered=unbuffered, **kwargs)
+    assert (proc.returncode, proc.stdout) == (piped.returncode, piped.stdout) == (
+        0, b"1 labels, 1 tagged\n")
+    assert _files(by_full) == _files(by_pipe) and len(_files(by_full)) == 3
 
 
 # ------------------------------------------------------------ the entry function
