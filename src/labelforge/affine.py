@@ -64,8 +64,5 @@ class Affine:
         """Norm of the x column relative to unit."""
         return math.hypot(self.a, self.b)
 
-    def determinant(self) -> float:
-        return self.a * self.d - self.b * self.c
-
     def as_ps_array(self) -> tuple[float, float, float, float, float, float]:
         return (self.a, self.b, self.c, self.d, self.tx, self.ty)

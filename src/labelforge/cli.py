@@ -297,14 +297,14 @@ def main(argv: list[str] | None = None) -> int:
             if sys.stdout:  # None when fd 1 was closed at start; a failed write raises here
                 sys.stdout.flush()
             return code
+        except (OSError, UnicodeEncodeError) as exc:  # or a stdout that cannot encode a char
+            _stderr(f"error: {exc}")
+            return EXIT_IO
         except ValueError as exc:
             if not hasattr(exc, "exit_code"):
                 raise
             _stderr(f"error: {exc}")
             return exc.exit_code
-        except OSError as exc:
-            _stderr(f"error: {exc}")
-            return EXIT_IO
 
 
 def run(argv: list[str] | None = None) -> None:

@@ -3,10 +3,10 @@
 The tokenizer is lossless: every token records the byte span it came
 from, with any preceding whitespace attached, so that concatenating the
 spans reproduces the input exactly. The scanner executes a conservative
-subset of PostScript (matrix ops, gsave/grestore, moveto, font selection,
-show) over the token stream and reports every shown string with its
-device position, rotation, and scale; everything it does not understand
-is skipped rather than failed, because real-world prologs are large.
+subset of PostScript (matrix ops, gsave/grestore, path operators, font
+selection, show) over the token stream and reports every shown string
+with its device position, rotation, and scale; anything it does not
+understand is skipped rather than failed, as real-world prologs are large.
 """
 
 from __future__ import annotations
@@ -248,13 +248,13 @@ class _PsString:
 
 class _Interpreter:
     """Runs a token list. Each operator the scanner models has a method named after it,
-    which takes the operands `run` has popped for it; operators alike but for their
-    operand count share a method."""
+    which takes the operands `run` has popped for it; the operators of one family, alike
+    but for their operand count, share a method."""
 
     def __init__(self, data: bytes):
         self.data = data  # the tokens' source, read only to name an error's bytes
         self.stack: list[object] = []
-        # The graphics state: the current matrix, point (user space) and font size.
+        # The graphics state: the current matrix, point (device space) and font size.
         self.ctm, self.point, self.font_size = Affine(), None, 10.0
         self.saved: list[tuple[Affine, tuple[float, float] | None, float]] = []
         self.occurrences = Scan()
@@ -266,12 +266,6 @@ class _Interpreter:
 
     def _error(self, message: str, word: tuple) -> ScanError:
         return ScanError(message, self._span(word))
-
-    def _transform(self, m: Affine, word: tuple) -> None:
-        new = self.ctm @ m
-        if abs(new.determinant()) < 1e-12:
-            raise self._error("transformation matrix became singular", word)
-        self.ctm = new
 
     def run(self, tokens: list[tuple]) -> None:
         stack = self.stack
@@ -290,13 +284,10 @@ class _Interpreter:
                         continue
                     count, numeric, handler = op
                     at = (word.decode("latin-1"), token, index)
-                    if not count:  # stack[-0:] would be the whole stack
-                        handler(self, at)
-                        continue
                     if len(stack) < count:
                         raise self._error(f"stack underflow on {at[0]!r}", at)
-                    operands = stack[-count:]
-                    del stack[-count:]
+                    operands = stack[len(stack) - count:]
+                    del stack[len(stack) - count:]
                     if numeric:
                         for item in operands:
                             if not isinstance(item, float):
@@ -325,20 +316,21 @@ class _Interpreter:
                             break
                 push(_PROC)
 
+    # Any matrix is accepted, a singular one too: only inverting the CTM could fail.
     def translate(self, word: tuple, tx: float, ty: float) -> None:
-        self._transform(Affine.translation(tx, ty), word)
+        self.ctm = self.ctm @ Affine.translation(tx, ty)
 
     def scale(self, word: tuple, sx: float, sy: float) -> None:
-        self._transform(Affine.scaling(sx, sy), word)
+        self.ctm = self.ctm @ Affine.scaling(sx, sy)
 
     def rotate(self, word: tuple, angle: float) -> None:
-        self._transform(Affine.rotation(angle), word)
+        self.ctm = self.ctm @ Affine.rotation(angle)
 
     def concat(self, word: tuple, arr: object) -> None:
         if not (isinstance(arr, list) and len(arr) == 6
                 and all(isinstance(v, float) for v in arr)):
             raise self._error("concat needs a six-number matrix", word)
-        self._transform(Affine(*arr), word)
+        self.ctm = self.ctm @ Affine(*arr)
 
     def gsave(self, word: tuple) -> None:
         self.saved.append((self.ctm, self.point, self.font_size))
@@ -348,20 +340,23 @@ class _Interpreter:
             raise self._error("grestore with no saved state", word)
         self.ctm, self.point, self.font_size = self.saved.pop()
 
-    def moveto(self, word: tuple, x: float, y: float) -> None:
-        self.point = (x, y)
-
-    def rmoveto(self, word: tuple, dx: float, dy: float) -> None:
-        cx, cy = self.point or (0.0, 0.0)
-        self.point = (cx + dx, cy + dy)
-
     def newpath(self, word: tuple) -> None:
         self.point = None
 
     def _path_to(self, word: tuple, *operands: object) -> None:
+        """moveto, lineto, curveto: the point becomes the CTM's image of the last pair."""
         x, y = operands[-2:]
         if isinstance(x, float) and isinstance(y, float):
-            self.point = (x, y)
+            self.point = self.ctm.apply(x, y)
+
+    def _path_by(self, word: tuple, *operands: object) -> None:
+        """rmoveto, rlineto, rcurveto: the point, else the user-space origin, moves by the
+        image of the last pair under the CTM's linear part."""
+        dx, dy = operands[-2:]
+        if isinstance(dx, float) and isinstance(dy, float):
+            m = self.ctm
+            x, y = self.point or (m.tx, m.ty)
+            self.point = (x + m.a * dx + m.c * dy, y + m.b * dx + m.d * dy)
 
     def _drop(self, word: tuple, *operands: object) -> None:
         """The operands are dropped, the effect is not modelled."""
@@ -395,8 +390,7 @@ class _Interpreter:
         if not isinstance(operand, _PsString):
             raise self._error("show needs a string operand", word)
         ctm = self.ctm
-        cx, cy = self.point or (0.0, 0.0)
-        x, y = ctm.apply(cx, cy)
+        x, y = self.point or (ctm.tx, ctm.ty)  # no current point: the user-space origin
         rotation, scale = ctm.rotation_degrees(), ctm.x_scale()
         if not all(map(math.isfinite, (x, y, rotation, scale, self.font_size))):
             raise self._error("show places its text at a non-finite position, rotation, "
@@ -417,16 +411,18 @@ class _Interpreter:
 # nothing.
 _OPS = {name.encode(): (count, numeric, getattr(_Interpreter, method or name))
         for method, numeric, counts in [
-            (None, True, {"translate": 2, "scale": 2, "rotate": 1, "moveto": 2, "rmoveto": 2}),
+            (None, True, {"translate": 2, "scale": 2, "rotate": 1}),
             (None, False, {"concat": 1, "gsave": 0, "grestore": 0, "newpath": 0, "selectfont": 2,
                            "findfont": 1, "scalefont": 2, "setfont": 1, "show": 1, "showpage": 0}),
+            ("_path_to", True, {"moveto": 2}), ("_path_by", True, {"rmoveto": 2}),
             ("_path_to", False, {"lineto": 2, "curveto": 6}),
+            ("_path_by", False, {"rlineto": 2, "rcurveto": 6}),
             ("_text_variant", False, {"widthshow": 4, "awidthshow": 6, "ashow": 3, "kshow": 2,
                                       "xshow": 2, "xyshow": 2, "glyphshow": 1, "cshow": 2}),
             ("_drop", False, {
-                "rlineto": 2, "rcurveto": 6, "arc": 5, "arcn": 5, "setlinewidth": 1,
-                "setgray": 1, "setrgbcolor": 3, "sethsbcolor": 3, "setdash": 2, "setlinecap": 1,
-                "setlinejoin": 1, "setmiterlimit": 1, "pop": 1, "def": 2})]
+                "arc": 5, "arcn": 5, "setlinewidth": 1, "setgray": 1, "setrgbcolor": 3,
+                "sethsbcolor": 3, "setdash": 2, "setlinecap": 1, "setlinejoin": 1,
+                "setmiterlimit": 1, "pop": 1, "def": 2})]
         for name, count in counts.items()}
 
 

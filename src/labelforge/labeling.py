@@ -62,6 +62,8 @@ class PsfragEntry:
             raise ValueError(f"psfrag rotation must be finite: {self.rot!r}")
         if _group_end(f"{{{self.body}}}", 0) != len(self.body) + 1:
             raise ValueError(f"psfrag body is not a balanced TeX group on one line: {self.body!r}")
+        if re.search("[\ud800-\udfff]", self.body):  # the code points UTF-8 cannot encode
+            raise ValueError(f"psfrag body holds a character UTF-8 cannot encode: {self.body!r}")
 
 
 class TagRegistry:

@@ -14,6 +14,7 @@ import shutil
 import stat
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -488,13 +489,20 @@ def test_export_of_a_zero_scaling_exits_one_and_writes_nothing(tmp_path, capsys)
     assert sorted(tmp_path.iterdir()) == before
 
 
-@pytest.mark.parametrize("psfrag, hooks", [
-    ({"tex": "{a"}, None),
-    ({"tex": "a\nb"}, None),
-    ({"tex": "50%"}, None),
-    ({}, {"post_replace": {"math": [["$", "{$"]]}}),
+_NOT_ONE_GROUP = "psfrag body is not a balanced TeX group"
+_NOT_UTF8 = "psfrag body holds a character UTF-8 cannot encode"
+
+
+@pytest.mark.parametrize("psfrag, hooks, message", [
+    ({"tex": "{a"}, None, _NOT_ONE_GROUP),
+    ({"tex": "a\nb"}, None, _NOT_ONE_GROUP),
+    ({"tex": "50%"}, None, _NOT_ONE_GROUP),
+    ({}, {"post_replace": {"math": [["$", "{$"]]}}, _NOT_ONE_GROUP),
+    ({"tex": "a\ud800"}, None, _NOT_UTF8),
+    ({}, {"post_replace": {"math": [["$", "\ud800"]]}}, _NOT_UTF8),
 ])
-def test_export_rejects_a_body_that_is_not_one_tex_group(tmp_path, capsys, psfrag, hooks):
+def test_export_rejects_a_body_that_is_not_one_tex_group(tmp_path, capsys, psfrag, hooks,
+                                                         message):
     scene = tmp_path / "b.scene"
     scene.write_text(json.dumps({
         "version": 1, "plot_range": [[0, 1], [0, 1]], "size": [100, 100],
@@ -506,7 +514,7 @@ def test_export_rejects_a_body_that_is_not_one_tex_group(tmp_path, capsys, psfra
     before = sorted(tmp_path.iterdir())
     assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: label 'y': psfrag body is not a balanced TeX group")
+    assert err.startswith(f"error: label 'y': {message}")
     assert err.count("\n") == 1
     assert sorted(tmp_path.iterdir()) == before  # no -psfrag.eps, no -psfrag.tex
 
@@ -924,6 +932,7 @@ def test_preview_takes_a_zero_or_negative_font_size(tmp_path, capsys, size):
 @pytest.mark.parametrize("size, scale", [
     ("1e-320", "0.00001 0.00001"),  # the box's height underflows to 0
     ("1e300", "1e10 1e-10"),  # its width and height overflow
+    ("10", "0 1"),  # a singular matrix, under which the scale is 0
 ])
 def test_preview_of_a_box_too_small_or_large_to_measure_exits_one(tmp_path, capsys, size, scale):
     eps_path, tex_path = tmp_path / "z.eps", tmp_path / "z.tex"
@@ -1687,3 +1696,89 @@ def test_help_prints_the_usage_the_table_gives(capsys, argv):
         assert words[:1 + len(positionals)] == [command, *positionals]
         assert [word.strip("[]").partition("=")[0] for word in words[1 + len(positionals):]] == [
             *options]
+
+
+# ------------------------------------------------- the README contract on mutated inputs
+
+_SCENES = {path.stem: json.loads(path.read_text(encoding="utf-8"))
+           for path in sorted(FIXTURES.glob("*.scene"))}
+_GOLDEN_EPS = (FIXTURES.parent / "golden" / "ex_auto-psfrag.eps").read_bytes()
+_GOLDEN_TEX = (FIXTURES.parent / "golden" / "ex_auto-psfrag.tex").read_bytes()
+# What a scene value is replaced by: a lone surrogate, a huge number, a value of the wrong
+# type, or an expression that does not parse.
+_SCENE_VALUES = ["a\ud800", '"a\ud800"', 1e308, -1e308, 0, True, None, [], {}, "x +", "f[", ""]
+_SURROGATE_SCENE = json.dumps({
+    "version": 1, "plot_range": [[0, 1], [0, 1]], "size": [100, 100],
+    "primitives": [{"type": "text", "expr": "\"a\ud800\"", "pos": [0.5, 0.5]}]}).encode()
+
+
+def _value_paths(value, path=()):
+    """The key path of every value inside the JSON value."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield (*path, key)
+        yield from _value_paths(item, (*path, key))
+
+
+@st.composite
+def _mutated_scene(draw) -> tuple[str, bytes]:
+    scene = json.loads(json.dumps(_SCENES[draw(st.sampled_from(sorted(_SCENES)))]))
+    *parents, key = draw(st.sampled_from(list(_value_paths(scene))))
+    target = scene
+    for parent in parents:
+        target = target[parent]
+    target[key] = draw(st.sampled_from(_SCENE_VALUES))
+    return "scene", json.dumps(scene).encode()
+
+
+@st.composite
+def _mutated_tex(draw) -> tuple[str, bytes]:
+    lines = _GOLDEN_TEX.splitlines(keepends=True)
+    i = draw(st.integers(0, len(lines) - 1))
+    line = lines[i]
+    at = draw(st.integers(0, len(line)))
+    insert = draw(st.sampled_from([b"{", b"}", b"[", b"]", b"%", b"\\", b"\n", b"\xff", b"x", b"-",
+                                   b"1e999"]))
+    lines[i] = draw(st.sampled_from([line[:at] + line[at + 1:], line[:at] + insert + line[at:],
+                                     line + line]))  # a byte less, a byte more, the line twice
+    return "tex", b"".join(lines)
+
+
+@st.composite
+def _mutated_eps(draw) -> tuple[str, bytes]:
+    data = bytearray(_GOLDEN_EPS)
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(data) - 1))
+        data[at] = draw(st.sampled_from(b"()<>[]{}/%\\ \n09.-e\x00\xff") | st.integers(0, 255))
+    return "eps", bytes(data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=st.one_of(_mutated_scene(), _mutated_tex(), _mutated_eps()))
+@example(case=("scene", _SURROGATE_SCENE))
+def test_every_command_on_a_mutated_input_exits_zero_to_three_and_a_failure_writes_nothing(case):
+    """A fixture scene with one value replaced goes through `export`, the ex_auto pair with one
+    `\\psfrag` line mutated through `preview` and `renumber`, and the pair with a few EPS
+    bytes changed through `inspect`, `preview` and `renumber`. Each returns 0 to 3 and raises
+    nothing, and one that fails leaves every file as it was."""
+    kind, data = case
+    with tempfile.TemporaryDirectory() as work:
+        work = Path(work)
+        eps, tex, out = work / "a.eps", work / "a.tex", str(work / "out")
+        (work / "s.scene").write_bytes(data if kind == "scene" else b"{}")
+        eps.write_bytes(data if kind == "eps" else _GOLDEN_EPS)
+        tex.write_bytes(data if kind == "tex" else _GOLDEN_TEX)
+        runs = {"scene": [["export", str(work / "s.scene"), "--basename", out]],
+                "tex": [["preview", str(eps), str(tex), out], ["renumber", str(eps), str(tex)]],
+                "eps": [["inspect", str(eps)], ["preview", str(eps), str(tex), out],
+                        ["renumber", str(eps), str(tex)]]}[kind]
+        for argv in runs:
+            before = {path.name: path.read_bytes() for path in work.iterdir()}
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()) as err:
+                code = main(argv)
+            assert code in (0, 1, 2, 3), argv
+            if code:
+                assert {path.name: path.read_bytes() for path in work.iterdir()} == before, argv
+                assert err.getvalue().count("error: ") == 1, (argv, err.getvalue())

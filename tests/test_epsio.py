@@ -18,6 +18,7 @@ from labelforge import (ExportOptions, RewriteError, Scene, ScanError,
                         expand_decorations, rewrite_tags, scan_tags, tokenize,
                         write_eps)
 from labelforge import epsio
+from labelforge.cli import main
 from labelforge.epsio import (ARRAY_DELIM, COMMENT, LITERAL_NAME, NAME, NUMBER,
                               PROC_DELIM, STRING, WORDS, ScanWarning)
 from labelforge.exprkit import Str
@@ -593,9 +594,51 @@ def test_scan_translate_and_moveto_compose():
     assert occs[0].device_position == pytest.approx((15.0, 26.0))
 
 
-def test_scan_rmoveto_moves_from_the_current_point():
-    occs = scan_tags(b"10 20 translate 5 6 moveto 3 -4 rmoveto (t) show")
-    assert occs[0].device_position == pytest.approx((18.0, 22.0))
+# The current point is a device point: a path operator maps its pair through the CTM when it
+# runs, and `show` reads the point as it is, with the CTM's rotation and scale at the `show`.
+# A row gives the program's (x, y, rotation, scale), or the message of its ScanError. Under
+# `_UNDER` (translate by (5, 0), scale by 2, rotate by 90) the pair (3, 4) maps to (-3, 6), and
+# its offset from (10, 10) to (2, 16).
+_UNDER = b"10 10 moveto 5 0 translate 2 2 scale 90 rotate "
+_SCANNER_RULES = [
+    (b"100 100 moveto 90 rotate (t) show", (100, 100, 90, 1)),
+    (b"10 10 moveto 2 2 scale (t) show", (10, 10, 0, 2)),
+    (b"10 10 moveto gsave 2 2 scale 1 1 rmoveto (t) show grestore", (12, 12, 0, 2)),
+    (b"10 10 moveto 5 0 rlineto (t) show", (15, 10, 0, 1)),
+    (b"10 10 moveto 1 1 2 2 5 0 rcurveto (t) show", (15, 10, 0, 1)),
+    (b"1e-7 1e-7 scale 1e8 1e8 moveto (t) show", (10, 10, 0, 1e-7)),  # determinant 1e-14
+    (b"gsave 0 0 scale grestore 10 10 moveto (t) show", (10, 10, 0, 1)),
+    (b"0 1 scale 10 10 moveto (t) show", (0, 10, 0, 0)),  # a singular CTM: scale 0
+    (b"10 20 translate 5 6 moveto 3 -4 rmoveto (t) show", (18, 22, 0, 1)),
+    (_UNDER + b"3 4 moveto (t) show", (-3, 6, 90, 2)),
+    (_UNDER + b"3 4 lineto (t) show", (-3, 6, 90, 2)),
+    (_UNDER + b"1 1 2 2 3 4 curveto (t) show", (-3, 6, 90, 2)),
+    (_UNDER + b"3 4 rmoveto (t) show", (2, 16, 90, 2)),
+    (_UNDER + b"3 4 rlineto (t) show", (2, 16, 90, 2)),
+    (_UNDER + b"1 1 2 2 3 4 rcurveto (t) show", (2, 16, 90, 2)),
+    (b"5 0 translate 3 4 rlineto (t) show", (8, 4, 0, 1)),  # from the user-space origin
+    (b"10 10 moveto (a) 1 lineto /x 1 rlineto (t) show", (10, 10, 0, 1)),  # lenient rows
+    (b"(a) 1 moveto (t) show", "non-numeric operand for 'moveto'"),
+    (b"/x 1 rmoveto (t) show", "non-numeric operand for 'rmoveto'"),
+]
+
+
+@pytest.mark.parametrize("program, expected", _SCANNER_RULES)
+def test_the_scanner_keeps_the_current_point_in_device_space(tmp_path, capsys, program,
+                                                             expected):
+    path = tmp_path / "r.eps"
+    path.write_bytes(b"%!PS-Adobe-3.0 EPSF-3.0\n/Times-Roman 10 selectfont " + program)
+    code = main(["inspect", str(path)])
+    out, err = capsys.readouterr()
+    if isinstance(expected, str):
+        with pytest.raises(ScanError, match=f"^{expected} at bytes "):
+            scan_tags(program)
+        assert (code, out) == (1, "") and err.startswith(f"error: {expected} at bytes ")
+        return
+    (occ,) = scan_tags(program)
+    assert (*occ.device_position, occ.rotation, occ.scale) == pytest.approx(expected, abs=1e-9)
+    x, y, rotation, scale = expected
+    assert (code, out, err) == (0, f"t\t{x:.3f}\t{y:.3f}\t{rotation:.3f}\t{scale:.3f}\n", "")
 
 
 @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
@@ -722,7 +765,6 @@ def test_a_show_variant_warning_points_at_the_caller_of_scan_tags():
     (b"\t\r\nshow", "stack underflow on 'show'", b"show"),
     (b"(a) 1 moveto (b) show", "non-numeric operand for 'moveto'", b"moveto"),
     (b"1 show\x00", "show needs a string operand", b"show"),
-    (b"0 1 scale\f(a) show", "transformation matrix became singular", b"scale"),
     (b"[1 0] concat ", "concat needs a six-number matrix", b"concat"),
     (b"/F findfont /x scalefont", "scalefont needs a numeric size", b"scalefont"),
     (b"1e200 1e200 scale 1e200 1e200 scale 1 1 moveto (a) show \n",

@@ -34,20 +34,25 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = str(Path(labelforge.__file__).parents[1])
 
 
-def _env(unbuffered: bool = False) -> dict[str, str]:
-    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+def _env(unbuffered: bool = False, encoding: str | None = None) -> dict[str, str]:
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("PYTHONUNBUFFERED", "PYTHONIOENCODING")}
     env["PYTHONPATH"] = os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
+    if encoding:
+        env["PYTHONIOENCODING"] = encoding
     return env
 
 
 def _program(argv: list[str], cwd: Path, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-             unbuffered: bool = False, **kwargs) -> subprocess.CompletedProcess:
-    """`python -m labelforge.cli argv` run in `cwd`, by default its stderr captured as bytes."""
+             unbuffered: bool = False, encoding: str | None = None,
+             **kwargs) -> subprocess.CompletedProcess:
+    """`python -m labelforge.cli argv` run in `cwd`, by default its stderr captured as bytes;
+    `encoding`, if given, is the child's PYTHONIOENCODING."""
     return subprocess.run([sys.executable, "-m", "labelforge.cli", *argv], cwd=cwd,
-                          stdout=stdout, stderr=stderr, env=_env(unbuffered), timeout=120,
-                          **kwargs)
+                          stdout=stdout, stderr=stderr, env=_env(unbuffered, encoding),
+                          timeout=120, **kwargs)
 
 
 def _export_ex_auto(work: Path) -> None:
@@ -105,7 +110,9 @@ def _closed_pipe() -> int:
 
 @contextlib.contextmanager
 def _stdout_target(target: str):
-    if target == "full":
+    if target == "ascii":  # a pipe read to its end, through an encoding that lacks `é`
+        yield subprocess.PIPE
+    elif target == "full":
         if not os.path.exists("/dev/full"):
             pytest.skip("no /dev/full on this system")
         with open("/dev/full", "wb") as full:
@@ -119,15 +126,27 @@ def _stdout_target(target: str):
 
 
 _MESSAGES = {"full": f"error: {OSError(28, os.strerror(28))}\n",
-             "pipe": f"error: {BrokenPipeError(32, os.strerror(32))}\n"}
+             "pipe": f"error: {BrokenPipeError(32, os.strerror(32))}\n",
+             "ascii": "error: 'ascii' codec can't encode character '\\xe9' in position 3: "
+                      "ordinal not in range(128)\n"}
 
 
-@pytest.mark.parametrize("target", ["full", "pipe"])
-def test_a_failed_stdout_write_exits_three_in_one_line(tmp_path, target):
-    _export_ex_auto(tmp_path)
+@pytest.mark.parametrize("target, unbuffered", [
+    ("full", False), ("pipe", False), ("ascii", False), ("ascii", True)],
+    ids=["full", "pipe", "ascii", "ascii-unbuffered"])
+def test_a_failed_stdout_write_exits_three_in_one_line(tmp_path, target, unbuffered):
+    """On `ascii`, the tag `a` prints and the tag `café` cannot: the line before the
+    failure still reaches stdout."""
+    if target == "ascii":
+        (tmp_path / "s-psfrag.eps").write_bytes(b"%!PS\n0 0 moveto (a) show (caf\\351) show\n")
+    else:
+        _export_ex_auto(tmp_path)
     with _stdout_target(target) as stdout:
-        proc = _program(["inspect", "s-psfrag.eps"], tmp_path, stdout=stdout)
+        proc = _program(["inspect", "s-psfrag.eps"], tmp_path, stdout=stdout,
+                        unbuffered=unbuffered, encoding=target if target == "ascii" else None)
     assert (proc.returncode, proc.stderr.decode("utf-8")) == (3, _MESSAGES[target])
+    if target == "ascii":
+        assert proc.stdout == b"a\t0.000\t0.000\t0.000\t1.000\n"
 
 
 @pytest.mark.parametrize("command", ["export", "renumber"])
