@@ -13,12 +13,11 @@ import os
 import re
 import sys
 import warnings
-from pathlib import Path
 from types import SimpleNamespace
 
 from . import deferred
 from .epsio import rewrite_tags, scan_tags
-from .fileio import atomic_write_bytes, atomic_write_text, make_backup, read_text
+from .fileio import atomic_write_bytes, atomic_write_text, make_backup, read_bytes, read_text
 
 EXIT_OK = 0
 EXIT_SEMANTIC = 2
@@ -53,7 +52,7 @@ _TSV_ESCAPES = str.maketrans({"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r
 
 
 def cmd_inspect(args: SimpleNamespace) -> int:
-    occurrences = scan_tags(Path(args.eps).read_bytes())
+    occurrences = scan_tags(read_bytes(args.eps))
     if args.format == "json":
         import json  # here, so that no other command pays for loading it
         print(json.dumps([
@@ -71,17 +70,18 @@ def cmd_inspect(args: SimpleNamespace) -> int:
 
 
 def cmd_renumber(args: SimpleNamespace) -> int:
-    eps_path, tex_path = Path(args.eps), Path(args.tex)
-    eps_data = eps_path.read_bytes()
-    tex_text = read_text(tex_path)
+    eps_data = read_bytes(args.eps)
+    tex_text = read_text(args.tex)
+    _check_outputs("renumber", {"EPS backup": f"{args.eps}.bak", "tex backup": f"{args.tex}.bak"},
+                   (args.eps, args.tex))
     registry = _this.parse_psfrag_document(tex_text)
     tag_map = _this.renumber(registry)
     new_eps = rewrite_tags(eps_data, tag_map)
     new_tex = _this.retag_psfrag_text(tex_text, tag_map)
-    make_backup(eps_path)
-    make_backup(tex_path)
-    atomic_write_bytes(eps_path, new_eps)
-    atomic_write_text(tex_path, new_tex)
+    make_backup(args.eps)
+    make_backup(args.tex)
+    atomic_write_bytes(args.eps, new_eps)
+    atomic_write_text(args.tex, new_tex)
     print(f"renumbered {len(tag_map)} tags")
     return EXIT_OK
 
@@ -112,7 +112,7 @@ def _check_outputs(command: str, outputs: dict[str, str], inputs: tuple[str | No
 
 def cmd_preview(args: SimpleNamespace) -> int:
     _check_outputs("preview", {"output": args.out}, (args.eps, args.tex))
-    eps_data = Path(args.eps).read_bytes()
+    eps_data = read_bytes(args.eps)
     registry = _this.parse_psfrag_document(read_text(args.tex))
     result = _this.substitute_preview(eps_data, registry)
     if args.strict and (result.stale or result.unmatched):

@@ -43,7 +43,7 @@ class ScanError(ValueError):
 
 
 class ScanWarning(UserWarning):
-    """The scanner skipped a text operator it does not treat as a tag."""
+    """The scanner skipped a text operator, or found no current point where one is needed."""
 
 
 class RewriteError(ValueError):
@@ -226,8 +226,10 @@ class TagOccurrence:
 
 class Scan(list):
     """A scan's TagOccurrences in byte order. `showpage` is the start of the last `showpage`
-    run at top level, not in a string, a comment or a skipped procedure, or None."""
+    run at top level, not in a string, a comment or a skipped procedure, or None; `trailer`
+    the start of the last top-level line that begins `%%Trailer`, else `%%EOF`, or None."""
     showpage: int | None = None
+    trailer: int | None = None
 
 
 _MARK = object()  # the stack entry `[` leaves
@@ -268,12 +270,12 @@ class _Interpreter:
         return ScanError(message, self._span(word))
 
     def run(self, tokens: list[tuple]) -> None:
-        stack = self.stack
+        stack, data, dsc = self.stack, self.data, {}  # dsc: is it %%EOF -> where its line starts
         push = stack.append
         ops, number_of = _OPS, _number
         remaining = iter(tokens)
         for token in remaining:
-            kind, value, _start, end, lit_start = token
+            kind, value, start, end, lit_start = token
             if kind == WORDS:
                 for index, word in enumerate(value.translate(_UNREADABLE).split()):
                     if (number := number_of(word)) is not None:
@@ -315,6 +317,10 @@ class _Interpreter:
                         if not depth:
                             break
                 push(_PROC)
+            elif kind == COMMENT and value.startswith(("%%Trailer", "%%EOF")):
+                if not (at := data.index(b"%", start)) or data[at - 1] in b"\r\n":  # TN 5001
+                    dsc[value.startswith("%%EOF")] = at
+        self.occurrences.trailer = dsc.get(False, dsc.get(True))
 
     # Any matrix is accepted, a singular one too: only inverting the CTM could fail.
     def translate(self, word: tuple, tx: float, ty: float) -> None:
@@ -355,8 +361,17 @@ class _Interpreter:
         dx, dy = operands[-2:]
         if isinstance(dx, float) and isinstance(dy, float):
             m = self.ctm
-            x, y = self.point or (m.tx, m.ty)
+            x, y = self._current_point(word)
             self.point = (x + m.a * dx + m.c * dy, y + m.b * dx + m.d * dy)
+
+    def _current_point(self, word: tuple) -> tuple[float, float]:
+        """The current point; with none, where PostScript raises `nocurrentpoint`, a
+        ScanWarning and the CTM's image of the user-space origin."""
+        if self.point is None:
+            start, end = self._span(word)  # stacklevel 5: as in `_text_variant`, one deeper
+            warnings.warn(f"{word[0]} at bytes {start}..{end} has no current point: the "
+                          "user-space origin is taken", ScanWarning, stacklevel=5)
+        return self.point or (self.ctm.tx, self.ctm.ty)
 
     def _drop(self, word: tuple, *operands: object) -> None:
         """The operands are dropped, the effect is not modelled."""
@@ -389,9 +404,8 @@ class _Interpreter:
     def show(self, word: tuple, operand: object) -> None:
         if not isinstance(operand, _PsString):
             raise self._error("show needs a string operand", word)
-        ctm = self.ctm
-        x, y = self.point or (ctm.tx, ctm.ty)  # no current point: the user-space origin
-        rotation, scale = ctm.rotation_degrees(), ctm.x_scale()
+        x, y = self._current_point(word)
+        rotation, scale = self.ctm.rotation_degrees(), self.ctm.x_scale()
         if not all(map(math.isfinite, (x, y, rotation, scale, self.font_size))):
             raise self._error("show places its text at a non-finite position, rotation, "
                               "scale or size", word)

@@ -1,9 +1,8 @@
-"""The CLI's file access: one text reader and write-to-temp-then-rename helpers."""
+"""The CLI's file access: two readers and write-to-temp-then-rename helpers."""
 
 from __future__ import annotations
 
 import os
-from pathlib import Path
 
 
 class TextDecodeError(ValueError):
@@ -11,9 +10,14 @@ class TextDecodeError(ValueError):
     exit_code = 1
 
 
-def read_text(path: str | Path) -> str:
+def read_bytes(path: str) -> bytes:
+    with open(path, "rb") as handle:
+        return handle.read()
+
+
+def read_text(path: str) -> str:
     """The file at `path` decoded as strict UTF-8, its line endings kept as they are."""
-    data = Path(path).read_bytes()
+    data = read_bytes(path)
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -21,7 +25,7 @@ def read_text(path: str | Path) -> str:
                               f"at byte offset {exc.start}") from None
 
 
-def atomic_write_bytes(path: str | Path, data: bytes) -> None:
+def atomic_write_bytes(path: str, data: bytes) -> None:
     """Replace `path` with `data` through a temporary file and a rename.
 
     A new file gets the mode open() would give it (0o666 less the umask);
@@ -29,14 +33,14 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
     """
     import tempfile  # here, so that a command that writes nothing does not load it
 
-    path = Path(path)
     try:
-        mode = path.stat().st_mode & 0o7777
+        mode = os.stat(path).st_mode & 0o7777
     except FileNotFoundError:
         umask = os.umask(0)
         os.umask(umask)
         mode = 0o666 & ~umask
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".")
+    folder, name = os.path.split(path)
+    fd, tmp_name = tempfile.mkstemp(dir=folder or ".", prefix=name + ".")
     try:
         with os.fdopen(fd, "wb") as handle:
             os.fchmod(handle.fileno(), mode)
@@ -50,11 +54,11 @@ def atomic_write_bytes(path: str | Path, data: bytes) -> None:
         raise
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
+def atomic_write_text(path: str, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def make_backup(path: str | Path) -> Path:
+def make_backup(path: str) -> None:
     """Copy `path` and its mode to `path.bak`, replacing any previous backup.
 
     The old backup is removed first: it may carry a read-only mode copied
@@ -62,8 +66,7 @@ def make_backup(path: str | Path) -> Path:
     """
     import shutil  # here, like `tempfile` above
 
-    path = Path(path)
-    backup = path.with_name(path.name + ".bak")
-    backup.unlink(missing_ok=True)
+    backup = f"{path}.bak"
+    if os.path.lexists(backup):
+        os.unlink(backup)
     shutil.copy(path, backup)
-    return backup

@@ -136,14 +136,14 @@ def substitute_preview(eps: bytes, registry: TagRegistry) -> PreviewResult:
 
     # Edits are made on the input, where a line ends at LF, CR or CRLF, and each goes at a
     # token boundary. The creator line goes after the first line if that is a comment, else
-    # at the start; the drawing goes where the scan found the page shown, else at the end,
-    # after a line break.
+    # at the start; the drawing goes where the scan found the page shown, else before the
+    # DSC trailer, else at the end, after a line break.
     end = len(eps)
     creator_at = len(eps.splitlines(keepends=True)[0]) if eps.startswith(b"%") else 0
     inserts = [(creator_at, PREVIEW_CREATOR + b"\n")]
     if drawing:
-        showpage = occurrences.showpage
-        inserts.append((end if showpage is None else showpage, "".join(drawing).encode("latin-1")))
+        at = next((at for at in (occurrences.showpage, occurrences.trailer) if at is not None), end)
+        inserts.append((at, "".join(drawing).encode("latin-1")))
     if not eps.endswith((b"\n", b"\r")) and any(at == end for at, _text in inserts):
         inserts.insert(0, (end, b"\n"))
     out = splice(eps, blanks + [((at, at), text) for at, text in inserts])

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import math
-from pathlib import Path
 from typing import Any
 
 from .directives import LabelDirective, PosCode
@@ -246,7 +245,7 @@ def parse_scene(text: str) -> Scene:
         raise SceneFormatError(str(exc)) from exc
 
 
-def load_scene(path: str | Path) -> Scene:
+def load_scene(path: str) -> Scene:
     return parse_scene(read_text(path))
 
 
@@ -300,5 +299,5 @@ def parse_hooks(text: str) -> HookSet:
     return HookSet(pre_apply=pre, post_replace=post)
 
 
-def load_hooks(path: str | Path) -> HookSet:
+def load_hooks(path: str) -> HookSet:
     return parse_hooks(read_text(path))

@@ -257,22 +257,48 @@ def test_export_refuses_an_output_that_is_one_of_its_inputs(tmp_path, capsys, mo
     assert sorted(tmp_path.rglob("*")) == names
 
 
+def _tree(folder: Path) -> dict[Path, bytes | bool]:
+    """Each path under `folder`: a file's bytes, False for a directory."""
+    return {path: path.is_file() and path.read_bytes() for path in folder.rglob("*")}
+
+
 @pytest.mark.parametrize("argv, in_the_way", [
     (["export", "{d}/mini.scene", "--basename", "{d}/o"], "o-psfrag.eps"),
     (["export", "{d}/mini.scene", "--basename", "{d}/o"], "o-psfrag.tex"),
     (["preview", "{golden}/ex_auto-psfrag.eps", "{golden}/ex_auto-psfrag.tex", "{d}/p.eps"],
      "p.eps"),
+    (["renumber", "{d}/e.eps", "{d}/e.tex"], "e.eps.bak"),
+    (["renumber", "{d}/e.eps", "{d}/e.tex"], "e.tex.bak"),
 ])
 def test_an_output_that_is_a_directory_is_refused_before_the_first_write(tmp_path, capsys, argv,
                                                                          in_the_way):
     from conftest import GOLDEN
     _copy_fixture("mini", tmp_path)
+    for suffix in ("eps", "tex"):  # a pair for `renumber` to rewrite in place
+        shutil.copyfile(GOLDEN / f"ex_auto-psfrag.{suffix}", tmp_path / f"e.{suffix}")
     (tmp_path / in_the_way).mkdir()
-    names = sorted(tmp_path.rglob("*"))
+    before = _tree(tmp_path)
     assert main([arg.format(d=tmp_path, golden=GOLDEN) for arg in argv]) == 3
     assert capsys.readouterr() == (
         "", f"error: [Errno 21] Is a directory: {str(tmp_path / in_the_way)!r}\n")
-    assert sorted(tmp_path.rglob("*")) == names
+    assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize("tex, message", [
+    ("e.eps", "EPS backup and tex backup paths must differ: {bak!r} and {bak!r} both name {real!r}"),
+    ("e.eps.bak", "renumber: output {bak!r} is an input: both name {real!r}"),
+])
+def test_renumber_refuses_a_backup_that_names_the_other_or_an_input(tmp_path, capsys, tex,
+                                                                    message):
+    from conftest import GOLDEN
+    shutil.copyfile(GOLDEN / "ex_auto-psfrag.eps", tmp_path / "e.eps")
+    shutil.copyfile(GOLDEN / "ex_auto-psfrag.tex", tmp_path / tex)
+    before = _tree(tmp_path)
+    assert main(["renumber", str(tmp_path / "e.eps"), str(tmp_path / tex)]) == 2
+    bak = str(tmp_path / "e.eps.bak")
+    assert capsys.readouterr() == (
+        "", "error: " + message.format(bak=bak, real=os.path.realpath(bak)) + "\n")
+    assert _tree(tmp_path) == before
 
 
 @pytest.mark.parametrize("missing", [True, False], ids=["missing", "a-file"])
@@ -355,8 +381,11 @@ def test_a_show_at_a_non_finite_placement_exits_one(tmp_path, capsys, command, p
     assert main(argv) == 1
     out, err = capsys.readouterr()
     show = data.rindex(b"show")  # the span is the operator's bytes, not the whitespace around
-    assert out == "" and err == ("error: show places its text at a non-finite position, "
-                                 f"rotation, scale or size at bytes {show}..{show + 4}\n")
+    no_point = "" if b"moveto" in program else (
+        f"warning: show at bytes {show}..{show + 4} has no current point: the user-space "
+        "origin is taken\n")
+    assert out == "" and err == (f"{no_point}error: show places its text at a non-finite "
+                                 f"position, rotation, scale or size at bytes {show}..{show + 4}\n")
     assert sorted(tmp_path.iterdir()) == before
 
 
@@ -1301,11 +1330,11 @@ def _fresh_python(code: str, *argv: str,
 # Modules that only some commands need, or none: `fractions` and `decimal` (the expression
 # model), `json` (`export` and `inspect --format json`), `base64` (an EPS holding an ASCII85
 # string), and `dataclasses`, `inspect`, and `argparse` with the `gettext` and `locale` it
-# loads (none). `site` may load `typing`, `tempfile` and `shutil` itself, so only a
+# loads (none). `site` may load `typing`, `tempfile`, `shutil` and `pathlib` itself, so only a
 # `python -S` probe watches them: `inspect` needs none of them.
 _WATCHED = ("fractions", "decimal", "json", "base64", "dataclasses", "inspect", "argparse",
             "gettext", "locale")
-_WATCHED_WITHOUT_SITE = _WATCHED + ("typing", "tempfile", "shutil")
+_WATCHED_WITHOUT_SITE = _WATCHED + ("typing", "tempfile", "shutil", "pathlib")
 
 
 def _loaded_after(*argv: str, site: bool = True) -> list[str]:
@@ -1348,9 +1377,26 @@ def test_each_command_imports_only_what_it_runs(tmp_path, capsys):
     assert _loaded_after("renumber", eps, tex) == reader
 
 
-def test_inspect_on_an_interpreter_without_site_loads_nothing_it_does_not_run():
-    eps = str(FIXTURES.parent / "golden" / "ex_auto-psfrag.eps")
-    assert _loaded_after("inspect", eps, site=False) == _INSPECT_LOADS
+@pytest.mark.parametrize("command, stdlib", [
+    pytest.param("inspect", [], id="inspect"),
+    pytest.param("export", ["decimal", "fractions", "json", "shutil", "tempfile", "typing"],
+                 id="export"),
+    pytest.param("preview", ["shutil", "tempfile"], id="preview"),
+    pytest.param("renumber", ["shutil", "tempfile"], id="renumber"),
+])
+def test_each_command_on_an_interpreter_without_site_loads_nothing_it_does_not_run(
+        tmp_path, capsys, command, stdlib):
+    """No command loads `pathlib`; the writing ones load `tempfile`, which loads `shutil`;
+    `export` alone loads the expression model, `json`, and `typing` for `scenefile`."""
+    scene = _copy_fixture("fig2", tmp_path)
+    assert main(["export", str(scene), "--basename", str(tmp_path / "f")]) == 0
+    eps, tex = str(tmp_path / "f-psfrag.eps"), str(tmp_path / "f-psfrag.tex")
+    argv = {"inspect": [eps], "export": [str(scene), "--basename", str(tmp_path / "g")],
+            "preview": [eps, tex, str(tmp_path / "p.eps")], "renumber": [eps, tex]}[command]
+    loaded = _loaded_after(command, *argv, site=False)
+    assert [module for module in loaded if not module.startswith("labelforge")] == stdlib
+    if command == "inspect":
+        assert loaded == _INSPECT_LOADS
 
 
 def test_only_export_and_inspect_json_load_json(tmp_path, capsys):
@@ -1471,6 +1517,18 @@ def test_only_fileio_writes_files_and_only_cli_calls_its_writers():
     assert {(owner, name) for _, owner, name in writers} == {
         ("os", "replace"), ("tempfile", "mkstemp"), ("shutil", "copy"), ("os", "fdopen")}
     assert callers == {"cli", "fileio"}  # fileio: atomic_write_text calls atomic_write_bytes
+
+
+def test_only_fileio_opens_files_and_only_cli_and_scenefile_call_its_readers():
+    openers, callers = set(), set()
+    for path in Path(labelforge.__file__).parent.glob("*.py"):
+        for owner, name, _call in _calls(ast.parse(path.read_text("utf-8"))):
+            if name == "open" or (owner is not None and name in {"read_bytes", "read_text"}):
+                openers.add((path.stem, owner, name))
+            if owner is None and name in {"read_bytes", "read_text"}:
+                callers.add(path.stem)
+    assert openers == {("fileio", None, "open")}
+    assert callers == {"cli", "fileio", "scenefile"}  # fileio: read_text calls read_bytes
 
 
 def test_no_module_reads_bytecode():

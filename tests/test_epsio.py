@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from labelforge import (ExportOptions, RewriteError, Scene, ScanError,
                         TextPrimitive, TokenizeError, auto_wrap,
-                        expand_decorations, rewrite_tags, scan_tags, tokenize,
-                        write_eps)
+                        expand_decorations, rewrite_tags, scan_tags, substitute_preview,
+                        tokenize, write_eps)
 from labelforge import epsio
 from labelforge.cli import main
 from labelforge.epsio import (ARRAY_DELIM, COMMENT, LITERAL_NAME, NAME, NUMBER,
@@ -596,7 +596,8 @@ def test_scan_translate_and_moveto_compose():
 
 # The current point is a device point: a path operator maps its pair through the CTM when it
 # runs, and `show` reads the point as it is, with the CTM's rotation and scale at the `show`.
-# A row gives the program's (x, y, rotation, scale), or the message of its ScanError. Under
+# A row gives the program's (x, y, rotation, scale), then the operator that ran with no current
+# point, if one did, or the message of its ScanError. Under
 # `_UNDER` (translate by (5, 0), scale by 2, rotate by 90) the pair (3, 4) maps to (-3, 6), and
 # its offset from (10, 10) to (2, 16).
 _UNDER = b"10 10 moveto 5 0 translate 2 2 scale 90 rotate "
@@ -616,11 +617,23 @@ _SCANNER_RULES = [
     (_UNDER + b"3 4 rmoveto (t) show", (2, 16, 90, 2)),
     (_UNDER + b"3 4 rlineto (t) show", (2, 16, 90, 2)),
     (_UNDER + b"1 1 2 2 3 4 rcurveto (t) show", (2, 16, 90, 2)),
-    (b"5 0 translate 3 4 rlineto (t) show", (8, 4, 0, 1)),  # from the user-space origin
+    (b"5 0 translate 3 4 rlineto (t) show", (8, 4, 0, 1, "rlineto")),  # from the origin
+    (b"30 0 translate (t) show", (30, 0, 0, 1, "show")),
+    (b"10 10 moveto newpath 2 2 scale (t) show", (0, 0, 0, 2, "show")),
+    (b"10 0 rmoveto (t) show", (10, 0, 0, 1, "rmoveto")),
+    (b"10 0 rlineto (t) show", (10, 0, 0, 1, "rlineto")),
+    (b"1 1 2 2 10 0 rcurveto (t) show", (10, 0, 0, 1, "rcurveto")),
+    (b"gsave 10 10 moveto grestore 90 rotate 0 5 rmoveto (t) show", (-5, 0, 90, 1, "rmoveto")),
     (b"10 10 moveto (a) 1 lineto /x 1 rlineto (t) show", (10, 10, 0, 1)),  # lenient rows
     (b"(a) 1 moveto (t) show", "non-numeric operand for 'moveto'"),
     (b"/x 1 rmoveto (t) show", "non-numeric operand for 'rmoveto'"),
 ]
+
+
+def _no_point(op: str, start: int) -> str:
+    """The warning of `op`, run at byte `start` with no current point."""
+    return (f"{op} at bytes {start}..{start + len(op)} has no current point: the user-space "
+            "origin is taken")
 
 
 @pytest.mark.parametrize("program, expected", _SCANNER_RULES)
@@ -635,10 +648,19 @@ def test_the_scanner_keeps_the_current_point_in_device_space(tmp_path, capsys, p
             scan_tags(program)
         assert (code, out) == (1, "") and err.startswith(f"error: {expected} at bytes ")
         return
-    (occ,) = scan_tags(program)
-    assert (*occ.device_position, occ.rotation, occ.scale) == pytest.approx(expected, abs=1e-9)
-    x, y, rotation, scale = expected
-    assert (code, out, err) == (0, f"t\t{x:.3f}\t{y:.3f}\t{rotation:.3f}\t{scale:.3f}\n", "")
+    x, y, rotation, scale, *no_point = expected
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        (occ,) = scan_tags(program)
+    assert (*occ.device_position, occ.rotation, occ.scale) == pytest.approx(
+        (x, y, rotation, scale), abs=1e-9)
+    starts = [program.index(f" {op}".encode()) + 1 for op in no_point]
+    assert [(w.category, str(w.message)) for w in caught] == [
+        (ScanWarning, _no_point(op, start)) for op, start in zip(no_point, starts)]
+    head = len(path.read_bytes()) - len(program)
+    assert (code, out, err) == (
+        0, f"t\t{x:.3f}\t{y:.3f}\t{rotation:.3f}\t{scale:.3f}\n",
+        "".join(f"warning: {_no_point(op, head + start)}\n" for op, start in zip(no_point, starts)))
 
 
 @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
@@ -831,6 +853,28 @@ def test_scan_showpage_is_the_last_one_run():
 def test_scan_showpage_of_each_export_starts_its_showpage_line(export, name):
     eps, _tex, _reg = export(name)
     assert scan_tags(eps).showpage == eps.rindex(b"\nshowpage") + 1
+
+
+@pytest.mark.parametrize("name", [p.stem for p in sorted(FIXTURES.glob("*.scene"))])
+def test_scanning_each_export_and_its_preview_warns_of_nothing(export, name):
+    eps, _tex, registry = export(name)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        scan_tags(substitute_preview(eps, registry).eps)  # which scans `eps` too
+    assert caught == []
+
+
+@pytest.mark.parametrize("data, trailer", [
+    (b"", None), (b"(t) show\n", None), (b"%%EOF", 0), (b"%%EOF\n%%EOF\n", 6),
+    (b"(t) show\n%%Trailer\nend\n%%EOF\n", 9), (b"x\n%%Trailer\n%%Trailer\n%%EOF", 12),
+    (b"x\n%%EOF\n%%Trailer: end\n", 8), (b"x\r%%EOF", 2), (b"x\r\n%%EOF\r\n", 3),
+    (b"x %%EOF\n", None), (b"x\n %%EOF\n", None), (b"x\n\f%%Trailer\n", None),
+    (b"x\n% %%EOF\n", None), (b"x\n%%Trailer\n%%EOF junk %%Trailer\n", 2),
+    (b"{\n%%Trailer\n} pop\n", None), (b"{\n%%Trailer\n} pop\n%%EOF\n", 18),
+    (b"(\n%%EOF) pop\n", None),
+])
+def test_scan_trailer_is_the_last_dsc_trailer_line_else_the_last_eof_line(data, trailer):
+    assert scan_tags(data).trailer == trailer
 
 
 def test_scan_gsave_nesting_random_depths():
@@ -1092,8 +1136,8 @@ _SEPARATOR = st.lists(st.sampled_from([" ", "\t", "\r", "\n", "\f", "\x00", "%\n
 @settings(max_examples=200, deadline=None)
 @given(tokens=_PROGRAM, data=st.data())
 def test_whitespace_and_comments_between_tokens_only_shift_the_spans(tokens, data):
-    """A program scans alike however its tokens are separated; each literal's span
-    moves by exactly the bytes inserted before it."""
+    """A program scans alike however its tokens are separated; each literal's span, and each
+    warning's, moves by exactly the bytes inserted before it."""
     base = " ".join(tokens).encode("latin-1")
     seps = data.draw(st.lists(_SEPARATOR, min_size=len(tokens) + 1, max_size=len(tokens) + 1))
     seps[0] = data.draw(st.sampled_from(["", seps[0]]))  # the file may start with a token
@@ -1105,7 +1149,16 @@ def test_whitespace_and_comments_between_tokens_only_shift_the_spans(tokens, dat
         base_at += len(token) + 1
     spread += seps[-1]  # after the last token, or the whole file when there is none
     spread = spread.encode("latin-1")
-    before, after = scan_tags(base), scan_tags(spread)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        before = scan_tags(base)
+        warned = [str(w.message) for w in caught]
+        after = scan_tags(spread)
+
+    def moved_span(m):  # a warning's `start..end`, moved as its word is
+        return f"{moved[int(m[1])]}..{moved[int(m[1])] + int(m[2]) - int(m[1])}"
+    assert [str(w.message) for w in caught[len(warned):]] == [
+        re.sub(r"(\d+)\.\.(\d+)", moved_span, message) for message in warned]
     assert [(o.tag, o.device_position, o.rotation, o.scale, o.font_size) for o in after] == [
         (o.tag, o.device_position, o.rotation, o.scale, o.font_size) for o in before]
     for old, new in zip(before, after):

@@ -322,10 +322,17 @@ def test_preview_of_any_line_ends_blanks_the_tags_and_draws_before_showpage(
     (b"(t) show\nshowpage\n(\nshowpage) pop\n%%EOF\n", b"showpage\n(\nshowpage) pop\n%%EOF\n"),
     (b"(a\nshowpage) show 10 10 moveto (t) show\n", b""),
     (b"(t) show\n", b""),
+    (b"(t) show\n%%Trailer\nend\n%%EOF\n", b"%%Trailer\nend\n%%EOF\n"),
+    (b"(t) show\n%%EOF\n", b"%%EOF\n"),
+    (b"(t) show\r%%Trailer\r%%EOF\r", b"%%Trailer\r%%EOF\r"),
+    (b"(t) show %%EOF\n", b""),
+    (b"(t) show\n{\n%%EOF\n} pop\n", b""),
+    (b"(t) show\nshowpage\n%%Trailer\n%%EOF\n", b"showpage\n%%Trailer\n%%EOF\n"),
 ])
 def test_preview_draws_before_the_showpage_that_runs_else_at_the_end(body, rest):
     """The input with `(t)` blanked and the creator line second, the drawing spliced in just
-    before `rest`; the scan of the output finds its caption before the `showpage` that runs."""
+    before `rest`: the `showpage` that runs, else the DSC trailer, else the end. The scan of
+    the output finds its caption before that point."""
     eps = b"%!PS\n" + body
     out = substitute_preview(eps, parse_psfrag_document("\\psfrag{t}[cc][cc]{x}\n")).eps
     start, end = out.index(b"gsave\n["), len(out) - len(rest)

@@ -301,3 +301,26 @@ def test_the_script_and_the_module_run_one_entry_function():
     (block,) = [node for node in tree.body if isinstance(node, ast.If)
                 and ast.unparse(node.test) == "__name__ == '__main__'"]
     assert ast.unparse(block) == f"if __name__ == '__main__':\n    {name}()"
+
+
+def test_the_program_needs_nothing_beyond_the_standard_library():
+    """Every module labelforge imports, at any depth of its code, is a standard-library module
+    or labelforge's own, and the package declares no runtime dependency."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 and later
+    imported = {}
+    for path in sorted(Path(labelforge.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = ["labelforge" if node.level else node.module]
+            else:
+                continue
+            for name in names:
+                imported.setdefault(name.partition(".")[0], path.name)
+    assert "json" in imported and "labelforge" in imported  # the walk reaches both kinds
+    assert {name: where for name, where in imported.items()
+            if name not in sys.stdlib_module_names and name != "labelforge"} == {}
+    with open(ROOT / "pyproject.toml", "rb") as handle:
+        project = tomllib.load(handle)["project"]
+    assert project["dependencies"] == [] and "dependencies" not in project.get("dynamic", [])
